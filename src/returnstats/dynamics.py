@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _DIGIT_CHUNK = 1 << 14
+# digits per orbit group of the exact-digit systems (a working-set budget)
+_GROUP_DIGITS = 1 << 16
 
 
 class SingularPointError(ValueError):
@@ -181,32 +183,40 @@ def sliding_window_values(digits: np.ndarray, a: int, width: int) -> np.ndarray:
 
     Works along the last axis; uses log2(width) doubling passes of exact
     int64 arithmetic, so no precision is lost and no (n, width) matrix is
-    materialised.
+    materialised.  Doubling powers that `width` does not use are dropped as
+    soon as the next one is built.
     """
     n = digits.shape[-1]
     if n < width:
         raise ValueError("need at least `width` digits")
-    pw = {1: digits.astype(np.int64)}
+    pw = {1: np.asarray(digits, dtype=np.int64)}
     length = 1
     while 2 * length <= width:
         arr = pw[length]
-        pw[2 * length] = arr[..., : arr.shape[-1] - length] * a**length + arr[..., length:]
+        nxt = arr[..., : arr.shape[-1] - length] * a**length
+        nxt += arr[..., length:]
+        pw[2 * length] = nxt
+        if not width & length:
+            del pw[length]
         length *= 2
     res = None
     covered = 0
     for bit in (1 << b for b in range(width.bit_length() - 1, -1, -1)):
         if not width & bit:
             continue
-        part = pw[bit]
+        part = pw.pop(bit)
         if res is None:
             res, covered = part, bit
         else:
             newlen = covered + bit
             valid = n - newlen + 1
-            res = res[..., :valid] * a**bit + part[..., covered : covered + valid]
+            res = res[..., :valid] * a**bit
+            res += part[..., covered : covered + valid]
             covered = newlen
     m = n - width + 1
-    return res[..., :m].astype(np.float64) / float(a**width)
+    values = res[..., :m].astype(np.float64)
+    values /= float(a**width)
+    return values
 
 
 class _DigitSource:
@@ -289,17 +299,69 @@ class MapSystem:
         raise NotImplementedError
 
 
-class LinearMod1System(MapSystem):
+class _DigitOrbitSystem(MapSystem):
+    """Shared orbit construction of the exact-digit systems.
+
+    A trial's orbit reads its first n_points + width - 1 base-a digits from
+    its own Philox stream ``trial_rng(master_seed, trial)``; orbits are
+    built in groups of trials whose digit matrix stays within
+    ``_GROUP_DIGITS``.  Each trial draws exactly the digits it reads, and a
+    shorter draw is a prefix of a longer one, so neither the grouping nor
+    the orbit length changes a bit of any trial's orbit.
+    """
+
+    def __init__(self, a: int, dimension: int, backend: str = "exact-digit"):
+        self.interval_map = LinearInterval(a)
+        self.a = self.interval_map.a
+        self.dimension = dimension
+        self.backend = backend
+        self.width = digit_window_width(self.a)
+
+    def branch_derivative(self, state: OrbitState) -> float:
+        return float(self.a)
+
+    def _with_windows(self, master_seed: int, trials: list, y: np.ndarray) -> np.ndarray:
+        """(g, n_points, dimension) orbit coordinates from the (g, n_points)
+        digit-window values of the trials."""
+        raise NotImplementedError
+
+    def _orbit_coords(self, master_seed: int, trials, n_points: int) -> np.ndarray:
+        """(len(trials), n_points, dimension) coordinates of the trials' orbits."""
+        trials = [int(t) for t in trials]
+        n_digits = n_points + self.width - 1
+        digits = np.empty((len(trials), n_digits), dtype=np.int64)
+        for row, t in enumerate(trials):
+            digits[row] = trial_rng(master_seed, t).integers(0, self.a, size=n_digits,
+                                                             dtype=np.int64)
+        y = sliding_window_values(digits, self.a, self.width)
+        del digits
+        return self._with_windows(master_seed, trials, y)
+
+    def indicator_block(self, target, master_seed, trial_indices, n_points):
+        out = np.empty((len(trial_indices), n_points), dtype=bool)
+        group = max(1, _GROUP_DIGITS // (n_points + self.width - 1))
+        for start in range(0, len(trial_indices), group):
+            trials = trial_indices[start : start + group]
+            coords = self._orbit_coords(master_seed, trials, n_points)
+            out[start : start + len(trials)] = target.contains_points(
+                coords.reshape(-1, self.dimension)).reshape(-1, n_points)
+            del coords  # a group's points are freed before the next is built
+        return out
+
+    def stationary_samples(self, master_seed, trial_index, n_samples):
+        # windows spaced width+1 apart share no digits, hence are independent
+        stride = self.width + 1
+        n_points = (n_samples - 1) * stride + 1
+        return self._orbit_coords(master_seed, [trial_index], n_points)[0, ::stride]
+
+
+class LinearMod1System(_DigitOrbitSystem):
     """T(x) = a*x mod 1; default backend is the exact digit stream."""
 
     def __init__(self, a: int, backend: str = "exact-digit"):
         if backend not in ("exact-digit", "float64"):
             raise ValueError(f"unsupported backend {backend!r}")
-        self.interval_map = LinearInterval(a)
-        self.a = self.interval_map.a
-        self.dimension = 1
-        self.backend = backend
-        self.width = digit_window_width(self.a)
+        super().__init__(a, dimension=1, backend=backend)
 
     def step(self, state: OrbitState) -> OrbitState:
         if state.digit_source is not None:
@@ -308,35 +370,15 @@ class LinearMod1System(MapSystem):
             return OrbitState(np.array([x]), state.digit_source, pos)
         return OrbitState((self.a * state.coords) % 1.0)
 
-    def branch_derivative(self, state: OrbitState) -> float:
-        return float(self.a)
-
     def sample_stationary(self, master_seed: int, trial_index: int) -> OrbitState:
         src = _DigitSource(self.a, master_seed, trial_index)
         return OrbitState(np.array([src.value_at(0, self.width)]), src, 0)
 
-    def _orbit_values(self, master_seed: int, trial_index: int, n_points: int) -> np.ndarray:
-        src = _DigitSource(self.a, master_seed, trial_index)
-        d = src.digits(n_points + self.width - 1)
-        return sliding_window_values(d, self.a, self.width)
-
-    def indicator_block(self, target, master_seed, trial_indices, n_points):
-        out = np.empty((len(trial_indices), n_points), dtype=bool)
-        for row, t in enumerate(trial_indices):
-            x = self._orbit_values(master_seed, int(t), n_points)
-            out[row] = target.contains_points(x[:, None])
-        return out
-
-    def stationary_samples(self, master_seed, trial_index, n_samples):
-        # windows spaced width+1 apart share no digits, hence are independent
-        stride = self.width + 1
-        src = _DigitSource(self.a, master_seed, trial_index)
-        d = src.digits(n_samples * stride + self.width)
-        vals = sliding_window_values(d, self.a, self.width)
-        return vals[::stride][:n_samples, None]
+    def _with_windows(self, master_seed, trials, y):
+        return y[..., None]
 
 
-class TorusAffineSystem(MapSystem):
+class TorusAffineSystem(_DigitOrbitSystem):
     """(x, y) -> (x + y mod 1, a*y mod 1); Lebesgue measure is invariant.
 
     The expanding y-coordinate uses the exact digit stream; x only ever
@@ -344,11 +386,7 @@ class TorusAffineSystem(MapSystem):
     """
 
     def __init__(self, a: int):
-        self.interval_map = LinearInterval(a)
-        self.a = self.interval_map.a
-        self.dimension = 2
-        self.backend = "exact-digit"
-        self.width = digit_window_width(self.a)
+        super().__init__(a, dimension=2)
 
     def step(self, state: OrbitState) -> OrbitState:
         x, y = state.coords
@@ -358,35 +396,23 @@ class TorusAffineSystem(MapSystem):
             return OrbitState(np.array([(x + y) % 1.0, y_new]), state.digit_source, pos)
         return OrbitState(np.array([(x + y) % 1.0, (self.a * y) % 1.0]))
 
-    def branch_derivative(self, state: OrbitState) -> float:
-        return float(self.a)
-
     def sample_stationary(self, master_seed, trial_index):
         src = _DigitSource(self.a, master_seed, trial_index)
         x0 = float(trial_rng(master_seed, trial_index, substream=1).random())
         y0 = src.value_at(0, self.width)
         return OrbitState(np.array([x0, y0]), src, 0)
 
-    def _orbit_coords(self, master_seed, trial_index, n_points):
-        src = _DigitSource(self.a, master_seed, trial_index)
-        d = src.digits(n_points + self.width - 1)
-        y = sliding_window_values(d, self.a, self.width)
-        x0 = float(trial_rng(master_seed, trial_index, substream=1).random())
-        x = np.empty(n_points)
-        x[0] = x0
-        if n_points > 1:
-            x[1:] = (x0 + np.cumsum(y[:-1])) % 1.0
-        return np.column_stack([x, y])
-
-    def indicator_block(self, target, master_seed, trial_indices, n_points):
-        out = np.empty((len(trial_indices), n_points), dtype=bool)
-        for row, t in enumerate(trial_indices):
-            out[row] = target.contains_points(self._orbit_coords(master_seed, int(t), n_points))
-        return out
-
-    def stationary_samples(self, master_seed, trial_index, n_samples):
-        coords = self._orbit_coords(master_seed, trial_index, n_samples * (self.width + 1))
-        return coords[:: self.width + 1][:n_samples]
+    def _with_windows(self, master_seed, trials, y):
+        coords = np.empty(y.shape + (2,))
+        coords[..., 1] = y
+        # x_0 from the trial's substream 1, then x_n = (x_0 + y_0 + ... +
+        # y_{n-1}) mod 1 with a sequential float64 cumsum
+        x = coords[..., 0]
+        x[:, 0] = [trial_rng(master_seed, t, substream=1).random() for t in trials]
+        np.cumsum(y[:, :-1], axis=1, out=x[:, 1:])
+        x[:, 1:] += x[:, :1]
+        x[:, 1:] %= 1.0
+        return coords
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rngstreams import master_seed_of
 from .targets import MeasureEstimate, measure
 
 __all__ = [
@@ -106,7 +107,7 @@ def counting_distribution(map_system, target, t: float, n_trials: int, seed,
 
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    master_seed = seed[0] if isinstance(seed, tuple) else int(seed)
+    master_seed = master_seed_of(seed)
     mu = _resolve_mu(map_system, target, master_seed, mu)
     n_steps = math.floor(t / mu)
     if n_steps > 10**12:
@@ -291,7 +292,7 @@ def cluster_statistics(map_system, target, K: int, min_entries: int,
         raise ValueError("K must be >= 1")
     if min_entries < 100:
         raise ValueError("min_entries must be >= 100")
-    master_seed = seed[0] if isinstance(seed, tuple) else int(seed)
+    master_seed = master_seed_of(seed)
     if orbit_len is None:
         orbit_len = max(200_000, 100 * (2 * K + 1))
     orbit_len = min(orbit_len, max_orbit)
@@ -347,7 +348,7 @@ def return_time_records(map_system, target, n_entries: int, max_gap: int, seed,
     """
     if n_entries < 1:
         raise ValueError("n_entries must be >= 1")
-    master_seed = seed[0] if isinstance(seed, tuple) else int(seed)
+    master_seed = master_seed_of(seed)
     if orbit_len is None:
         orbit_len = 500_000
 
@@ -357,19 +358,23 @@ def return_time_records(map_system, target, n_entries: int, max_gap: int, seed,
         ind = map_system.indicator_block(target, master_seed, [trial], orbit_len)[0]
         hits = np.flatnonzero(ind)
         gaps = np.diff(hits)
+        # censor[i]: index of the first gap >= i exceeding max_gap (gaps.size
+        # if none), filled by one backward running minimum
+        censor = np.where(gaps > max_gap, np.arange(gaps.size), gaps.size)
+        censor = np.append(np.minimum.accumulate(censor[::-1])[::-1], gaps.size)
+        # an entry without a later censoring gap is resolved only if the tail
+        # of the orbit past the last hit exceeds max_gap
+        tail_resolved = hits.size and orbit_len - 1 - hits[-1] > max_gap
         for i, t in enumerate(hits):
             if len(records) >= n_entries:
                 break
-            # resolved only if either a censoring gap occurs or the tail of
-            # the orbit past the last subsequent hit exceeds max_gap
-            sub = gaps[i:]
-            over = np.flatnonzero(sub > max_gap)
-            if over.size:
-                kept = tuple(int(g) for g in sub[: over[0]])
-                records.append(ReturnTimeRecord(int(t), kept, censored=True))
-            elif hits.size and orbit_len - 1 - hits[-1] > max_gap:
-                kept = tuple(int(g) for g in sub)
-                records.append(ReturnTimeRecord(int(t), kept, censored=False))
+            end = int(censor[i])
+            if end < gaps.size:
+                records.append(ReturnTimeRecord(int(t), tuple(gaps[i:end].tolist()),
+                                                censored=True))
+            elif tail_resolved:
+                records.append(ReturnTimeRecord(int(t), tuple(gaps[i:].tolist()),
+                                                censored=False))
             # otherwise unresolved: skip
         trial += 1
     return records
@@ -403,7 +408,7 @@ def entry_time_ratio(map_system, target, L: int, n_trials: int, seed,
     the target shrinks and then L grows."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    master_seed = seed[0] if isinstance(seed, tuple) else int(seed)
+    master_seed = master_seed_of(seed)
     mu = _resolve_mu(map_system, target, master_seed, mu)
     hits = 0
     chunk = max(1, int(4e7 // (L + 1)))
@@ -436,10 +441,6 @@ def r2_overlap(map_system, target, K: int, delta: int, n_trials: int, seed,
         total += _r2_counts(block, K, delta)
         done += len(idx)
     return float(total.sum() / n_trials)
-
-
-def master_seed_of(seed) -> int:
-    return seed[0] if isinstance(seed, tuple) else int(seed)
 
 
 def _r2_counts(block: np.ndarray, K: int, delta: int) -> np.ndarray:

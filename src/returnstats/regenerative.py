@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import ClusterSizeDist
 from .estimators import ClusterStats, cluster_stats_from_indicators
-from .rngstreams import trial_rng
+from .rngstreams import master_seed_of, trial_rng
 
 __all__ = ["RegenSpec", "SymbolStream", "generate_stationary",
            "level_measure", "regen_cluster_stats", "regen_counting_distribution"]
@@ -201,7 +201,7 @@ def regen_cluster_stats(spec: RegenSpec, m: int, K: int, n_streams: int, seed,
     if mu <= 0.0:
         raise ValueError(f"U_m has zero measure under the truncation (m={m}, "
                          f"k_cap={spec.k_cap})")
-    master_seed = seed[0] if isinstance(seed, tuple) else int(seed)
+    master_seed = master_seed_of(seed)
     if stream_len is None:
         stream_len = max(200_000, 100 * (2 * K + 1))
 
@@ -224,7 +224,7 @@ def regen_counting_distribution(spec: RegenSpec, m: int, t: float,
     mu = level_measure(spec, m)
     if mu <= 0.0:
         raise ValueError("U_m has zero measure under the truncation")
-    master_seed = seed[0] if isinstance(seed, tuple) else int(seed)
+    master_seed = master_seed_of(seed)
     n_points = math.floor(t / mu) + 1
     values = np.empty(n_trials, dtype=np.int64)
     for trial in range(n_trials):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["trial_rng", "trial_seed_sequence"]
+__all__ = ["master_seed_of", "trial_rng", "trial_seed_sequence"]
 
 
 def trial_seed_sequence(master_seed: int, trial_index: int,
@@ -33,3 +33,8 @@ def trial_rng(master_seed: int, trial_index: int,
     """Generator for one trial; identical seeds give identical streams."""
     return np.random.Generator(
         np.random.Philox(trial_seed_sequence(master_seed, trial_index, substream)))
+
+
+def master_seed_of(seed) -> int:
+    """Master seed of a ``(master_seed, trial_index)`` pair or a bare seed."""
+    return seed[0] if isinstance(seed, tuple) else int(seed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from returnstats import dynamics
 from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
                                   LinearMod1System, OrbitState,
                                   PiecewiseSystem, SingularPointError,
@@ -11,6 +12,8 @@ from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
                                   derivative_along, digit_window_width,
                                   orbit_visitor, sample_stationary,
                                   sliding_window_values, step)
+from returnstats.rngstreams import trial_rng
+from returnstats.targets import Ball, TorusStrip
 
 SEED = 2024
 
@@ -68,7 +71,7 @@ def test_linear_mod1_step_tracks_multiplication():
 
 def test_linear_mod1_vectorized_matches_scalar_stepping():
     sys3 = LinearMod1System(3)
-    vals = sys3._orbit_values(SEED, 5, 100)
+    vals = sys3._orbit_coords(SEED, [5], 100)[0, :, 0]
     state = sample_stationary(sys3, (SEED, 5))
     for i in range(100):
         assert state.coords[0] == vals[i]  # bit-exact
@@ -79,7 +82,7 @@ def test_linear_mod1_no_mantissa_draining():
     # float64 iteration of the doubling map collapses to 0 in <= 53 steps;
     # the digit backend must not
     sys2 = LinearMod1System(2)
-    vals = sys2._orbit_values(SEED, 1, 500)
+    vals = sys2._orbit_coords(SEED, [1], 500)[0, :, 0]
     assert np.count_nonzero(vals == 0.0) == 0
 
 
@@ -91,9 +94,9 @@ def test_linear_mod1_stationary_samples_uniform():
 
 def test_linear_mod1_trials_are_independent_streams():
     sys2 = LinearMod1System(2)
-    a = sys2._orbit_values(SEED, 0, 100)
-    b = sys2._orbit_values(SEED, 1, 100)
-    c = sys2._orbit_values(SEED, 0, 100)
+    a = sys2._orbit_coords(SEED, [0], 100)[0, :, 0]
+    b = sys2._orbit_coords(SEED, [1], 100)[0, :, 0]
+    c = sys2._orbit_coords(SEED, [0], 100)[0, :, 0]
     np.testing.assert_array_equal(a, c)
     assert not np.array_equal(a, b)
 
@@ -105,7 +108,7 @@ def test_linear_mod1_trials_are_independent_streams():
 
 def test_torus_orbit_satisfies_the_recursion():
     sys_t = TorusAffineSystem(2)
-    coords = sys_t._orbit_coords(SEED, 3, 5000)
+    coords = sys_t._orbit_coords(SEED, [3], 5000)[0]
     x, y = coords[:, 0], coords[:, 1]
     # x_{n+1} = x_n + y_n mod 1 (cumsum accumulation rounds slightly
     # differently from sequential addition)
@@ -118,7 +121,7 @@ def test_torus_orbit_satisfies_the_recursion():
 
 def test_torus_scalar_step_matches_vectorized_orbit():
     sys_t = TorusAffineSystem(2)
-    coords = sys_t._orbit_coords(SEED, 9, 50)
+    coords = sys_t._orbit_coords(SEED, [9], 50)[0]
     state = sample_stationary(sys_t, (SEED, 9))
     for i in range(50):
         assert state.coords[1] == coords[i, 1]          # y bit-exact
@@ -132,6 +135,72 @@ def test_torus_initial_point_uniform_in_both_coordinates():
     pts = sys_t.stationary_samples(SEED, 0, 5000)
     assert kstest(pts[:, 0], "uniform").pvalue > 1e-4
     assert kstest(pts[:, 1], "uniform").pvalue > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# grouped orbit construction against a row-by-row reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_orbit(system, master_seed, trial, n_points):
+    """One trial's (n_points, dim) orbit, built alone: digits are the prefix
+    of a draw of at least 16384, x is (x0 + cumsum(y[:-1])) mod 1."""
+    n_digits = n_points + system.width - 1
+    digits = trial_rng(master_seed, trial).integers(
+        0, system.a, size=max(n_digits, 1 << 14), dtype=np.int64)[:n_digits]
+    y = sliding_window_values(digits, system.a, system.width)
+    if system.dimension == 1:
+        return y[:, None]
+    x = np.empty(n_points)
+    x[0] = trial_rng(master_seed, trial, substream=1).random()
+    x[1:] = (x[0] + np.cumsum(y[:-1])) % 1.0
+    return np.column_stack([x, y])
+
+
+@pytest.mark.parametrize("a", [2, 3, 10])
+def test_exact_length_digit_draw_is_prefix_of_chunk_draw(a):
+    chunk = trial_rng(SEED, 4).integers(0, a, size=1 << 14, dtype=np.int64)
+    for n in (1, 553, 1001, (1 << 14) - 1):
+        exact = trial_rng(SEED, 4).integers(0, a, size=n, dtype=np.int64)
+        np.testing.assert_array_equal(exact, chunk[:n])
+
+
+# x - y mod 1 is constant along an a=2 torus orbit; a periodic ball of
+# radius 1/4 meets every such line, so every trial list below has hits
+SYSTEMS_AND_TARGETS = [
+    (TorusAffineSystem(2), TorusStrip(0.01)),
+    (TorusAffineSystem(2), Ball((0.97, 0.55), 0.25, periodic=True)),
+    (LinearMod1System(2), Ball((0.37,), 0.01)),
+    (LinearMod1System(3), Ball((0.37,), 0.01)),
+    (LinearMod1System(10), Ball((0.37,), 0.01)),
+]
+
+
+@pytest.mark.parametrize("system,target", SYSTEMS_AND_TARGETS,
+                         ids=["torus-strip", "torus-ball", "a2-ball", "a3-ball", "a10-ball"])
+def test_indicator_block_matches_row_by_row_reference(system, target):
+    n_points = 501
+    group = dynamics._GROUP_DIGITS // (n_points + system.width - 1)
+    several_groups = list(range(7, 7 + 2 * group + 3))
+    long_orbit = dynamics._GROUP_DIGITS + 100
+    for trials, n in (([9, 2, 5, 2], n_points), (several_groups, n_points),
+                      ([3, 1], long_orbit)):
+        block = system.indicator_block(target, SEED, trials, n)
+        assert block.shape == (len(trials), n)
+        assert block.any()
+        for row, t in zip(block, trials):
+            want = target.contains_points(_reference_orbit(system, SEED, t, n))
+            np.testing.assert_array_equal(row, want)
+
+
+@pytest.mark.parametrize("system", [TorusAffineSystem(2), LinearMod1System(3)],
+                         ids=["torus", "a3"])
+def test_stationary_samples_are_strided_reference_orbit_points(system):
+    stride = system.width + 1
+    pts = system.stationary_samples(SEED, 6, 300)
+    want = _reference_orbit(system, SEED, 6, 300 * stride)[::stride]
+    assert pts.shape == (300, system.dimension)
+    np.testing.assert_array_equal(pts, want)
 
 
 # ---------------------------------------------------------------------------
@@ -271,5 +340,5 @@ def test_orbit_visitor_counts_points():
     orbit_visitor(sys2, sample_stationary(sys2, (SEED, 0)), 10,
                   lambda c: seen.append(c[0]))
     assert len(seen) == 11
-    vals = sys2._orbit_values(SEED, 0, 11)
+    vals = sys2._orbit_coords(SEED, [0], 11)[0, :, 0]
     np.testing.assert_array_equal(np.asarray(seen), vals)

@@ -163,6 +163,43 @@ def test_records_agree_with_cluster_alpha_hat():
     assert ah_rec[0] == pytest.approx(1.0)
 
 
+def _records_by_rescanning(map_system, target, n_entries, max_gap, seed, orbit_len):
+    """return_time_records as a rescan of the remaining gaps at every hit."""
+    records = []
+    trial = 0
+    while len(records) < n_entries and trial < 10_000:
+        ind = map_system.indicator_block(target, seed, [trial], orbit_len)[0]
+        hits = np.flatnonzero(ind)
+        gaps = np.diff(hits)
+        for i, t in enumerate(hits):
+            if len(records) >= n_entries:
+                break
+            sub = gaps[i:]
+            over = np.flatnonzero(sub > max_gap)
+            if over.size:
+                kept = tuple(int(g) for g in sub[: over[0]])
+                records.append(ReturnTimeRecord(int(t), kept, censored=True))
+            elif hits.size and orbit_len - 1 - hits[-1] > max_gap:
+                kept = tuple(int(g) for g in sub)
+                records.append(ReturnTimeRecord(int(t), kept, censored=False))
+        trial += 1
+    return records
+
+
+def test_return_time_records_match_the_rescanning_formulation():
+    from returnstats.targets import Ball
+
+    sys2 = LinearMod1System(2)
+    ball = Ball((0.3,), 0.01)
+    args = (sys2, ball, 1000, 60, SEED)
+    got = return_time_records(*args, orbit_len=4000)
+    want = _records_by_rescanning(*args, orbit_len=4000)
+    assert got == want
+    assert len(got) == 1000 and len({r.entry_index for r in got}) < 1000  # several orbits
+    assert any(r.censored for r in got) and any(not r.censored for r in got)
+    assert any(len(r.successive_gaps) > 1 for r in got)
+
+
 def test_alpha_hat_from_records_empty():
     with pytest.raises(ValueError):
         alpha_hat_from_records([], K=3)

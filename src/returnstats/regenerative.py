@@ -23,13 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ClusterSizeDist
-from .estimators import ClusterStats, cluster_stats_from_indicators
+from .estimators import ClusterAccumulator, ClusterStats
 from .rngstreams import master_seed_of, trial_rng
 
-__all__ = ["RegenSpec", "SymbolStream", "generate_stationary",
+__all__ = ["RegenSpec", "SymbolStream", "generate_stationary", "stationary_blocks",
            "level_measure", "regen_cluster_stats", "regen_counting_distribution"]
 
 _DEFAULT_K_CAP = 10**5
+# buckets of the symbol draw's guide table; a power of two, so u * _GUIDE_BUCKETS
+# is exact and floor() of it is the bucket holding u
+_GUIDE_BUCKETS = 2**14
 
 
 @dataclass(frozen=True)
@@ -57,18 +60,64 @@ class RegenSpec:
     def k_cap(self) -> int:
         return self.symbol_probs.size
 
+    def _cached(self, name: str, build):
+        """Per-spec derived array, built on first use (not at construction,
+        so building a spec stays cheap)."""
+        value = getattr(self, name, None)
+        if value is None:
+            value = build()
+            object.__setattr__(self, name, value)
+        return value
+
     def _symbol_cdf(self) -> np.ndarray:
-        cdf = getattr(self, "_cdf_cache", None)
-        if cdf is None:
+        def build():
             cdf = np.cumsum(self.symbol_probs)
-            object.__setattr__(self, "_cdf_cache", cdf)
-        return cdf
+            # the rounded sum can fall short of 1, and a u above it would
+            # draw symbol k_cap + 1, outside the law
+            np.minimum(cdf, 1.0, out=cdf)
+            cdf[-1] = 1.0
+            return cdf
+        return self._cached("_cdf_cache", build)
+
+    def _symbol_guide(self) -> np.ndarray:
+        """Guide table: entry j is the symbol drawn by every u in
+        [j, j + 1) / _GUIDE_BUCKETS, or 0 where a cdf value splits that
+        bucket and the draw must search the cdf."""
+        def build():
+            cdf = self._symbol_cdf()
+            edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+            lo = np.searchsorted(cdf, edges[:-1], side="right")
+            hi = np.searchsorted(cdf, np.nextafter(edges[1:], 0.0), side="right")
+            return np.where(lo == hi, lo + 1, 0)
+        return self._cached("_guide_cache", build)
 
     def draw_symbols(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n i.i.d. symbols via inverse-cdf sampling (fast path for the very
-        long streams the cluster estimators need)."""
+        long streams the cluster estimators need): the guide table answers
+        most draws, and the rest search the cdf, with the same result
+        searchsorted(cdf, u, "right") + 1 for every u."""
         u = rng.random(n)
-        return np.searchsorted(self._symbol_cdf(), u, side="right").astype(np.int64) + 1
+        bucket = np.empty(n, dtype=np.intp)
+        np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")  # truncates
+        symbols = self._symbol_guide()[bucket]
+        split = np.flatnonzero(symbols == 0)
+        symbols[split] = np.searchsorted(self._symbol_cdf(), u[split], side="right") + 1
+        return symbols
+
+    def _size_biased_probs(self) -> np.ndarray:
+        """Normalised weights of the size-biased first block: over
+        (short, long) blocks of symbols 1..k_cap for smith, over the lengths
+        for fixed_lengths."""
+        def build():
+            if self.block_rule == "smith":
+                g = self.symbol_probs
+                k = np.arange(1, g.size + 1)
+                w = np.concatenate([g * (1.0 - 1.0 / k) * 1.0, g * (1.0 / k) * (k + 1.0)])
+            else:
+                lam = self.cluster_dist.lambdas
+                w = np.arange(1, lam.size + 1) * lam
+            return w / w.sum()
+        return self._cached("_size_biased_cache", build)
 
     def mean_block_length(self) -> float:
         if self.block_rule == "smith":
@@ -123,7 +172,9 @@ def _block_lengths(spec: RegenSpec, symbols: np.ndarray,
     if spec.block_rule == "smith":
         # length 1 w.p. 1 - 1/k, else k + 1
         long = rng.random(symbols.size) < 1.0 / symbols
-        return np.where(long, symbols + 1, 1)
+        lengths = symbols * long
+        lengths += 1
+        return lengths
     lam = spec.cluster_dist.lambdas
     return rng.choice(np.arange(1, lam.size + 1), size=symbols.size, p=lam)
 
@@ -132,29 +183,26 @@ def _size_biased_first_block(spec: RegenSpec, rng: np.random.Generator):
     """Draw (symbol, length) of the block covering index 0: probability
     proportional to length times the block law."""
     g = spec.symbol_probs
-    k = np.arange(1, g.size + 1)
+    p = spec._size_biased_probs()
     if spec.block_rule == "smith":
-        w_short = g * (1.0 - 1.0 / k) * 1.0
-        w_long = g * (1.0 / k) * (k + 1.0)
-        w = np.concatenate([w_short, w_long])
-        i = rng.choice(w.size, p=w / w.sum())
+        i = rng.choice(p.size, p=p)
         if i < g.size:
             return int(i + 1), 1
         j = i - g.size
         return int(j + 1), int(j + 2)
-    lam = spec.cluster_dist.lambdas
-    ell = np.arange(1, lam.size + 1)
-    w = ell * lam
-    length = int(rng.choice(ell, p=w / w.sum()))
-    symbol = int(rng.choice(k, p=g))
+    length = int(rng.choice(np.arange(1, p.size + 1), p=p))
+    symbol = int(rng.choice(np.arange(1, g.size + 1), p=g))
     return symbol, length
 
 
-def generate_stationary(spec: RegenSpec, length: int, seed) -> SymbolStream:
-    """Stationary symbol stream of the requested length.
+def stationary_blocks(spec: RegenSpec, length: int, seed):
+    """Blocks of the stationary stream of the requested length, as
+    ``(block_symbols, block_lengths, phase)``: block i repeats its symbol
+    block_lengths[i] times, and the last length is cut at `length`.
 
     The block covering index 0 is drawn from the size-biased block law with
-    a uniform phase; subsequent blocks are i.i.d.
+    a uniform phase (``phase`` is the offset of index 0 inside it; its
+    remaining length is the first entry); subsequent blocks are i.i.d.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -170,18 +218,37 @@ def generate_stationary(spec: RegenSpec, length: int, seed) -> SymbolStream:
     len_pieces = [np.full(1, len0 - phase, dtype=np.int64)]
     total = len0 - phase
     while total < length:
+        # the over-draw fixes which uniforms go to symbols and which to
+        # lengths, so it is part of every stream's definition
         n_blocks = max(64, int((length - total) / mean_len * 1.2))
         syms = spec.draw_symbols(n_blocks, rng)
         lens = _block_lengths(spec, syms, rng)
-        sym_pieces.append(syms.astype(np.int64))
-        len_pieces.append(lens.astype(np.int64))
+        sym_pieces.append(syms)
+        len_pieces.append(lens)
         total += int(lens.sum())
-    block_syms = np.concatenate(sym_pieces)
     block_lens = np.concatenate(len_pieces)
-    symbols = np.repeat(block_syms, block_lens)[:length]
-    starts = np.concatenate([[0], np.cumsum(block_lens)[:-1]])
-    b = starts[starts < length]
-    return SymbolStream(symbols=symbols, block_boundaries=b, phase=phase)
+    ends = np.cumsum(block_lens)
+    last = int(np.searchsorted(ends, length))  # first block reaching `length`
+    block_lens = block_lens[: last + 1]
+    block_lens[last] -= ends[last] - length
+    return np.concatenate(sym_pieces)[: last + 1], block_lens, phase
+
+
+def generate_stationary(spec: RegenSpec, length: int, seed) -> SymbolStream:
+    """Stationary symbol stream of the requested length: the blocks of
+    `stationary_blocks` expanded symbol by symbol."""
+    block_syms, block_lens, phase = stationary_blocks(spec, length, seed)
+    starts = np.cumsum(block_lens) - block_lens
+    return SymbolStream(symbols=np.repeat(block_syms, block_lens),
+                        block_boundaries=starts, phase=phase)
+
+
+def _hit_runs(block_syms: np.ndarray, block_lens: np.ndarray, m: int):
+    """``(starts, ends)`` of the blocks inside U_m = {X_0 > m}: the sorted,
+    disjoint intervals [start, end) on which the stream's indicator is 1."""
+    ends = np.cumsum(block_lens)
+    hit = np.flatnonzero(block_syms > m)
+    return ends[hit] - block_lens[hit], ends[hit]
 
 
 def level_measure(spec: RegenSpec, m: int) -> float:
@@ -196,7 +263,8 @@ def level_measure(spec: RegenSpec, m: int) -> float:
 def regen_cluster_stats(spec: RegenSpec, m: int, K: int, n_streams: int, seed,
                         stream_len: int | None = None) -> ClusterStats:
     """Windowed cluster statistics of the indicator of U_m = {X_0 > m} under
-    the shift map on stationary streams."""
+    the shift map on stationary streams, tallied from each stream's hit
+    blocks without expanding it into symbols."""
     mu = level_measure(spec, m)
     if mu <= 0.0:
         raise ValueError(f"U_m has zero measure under the truncation (m={m}, "
@@ -205,12 +273,11 @@ def regen_cluster_stats(spec: RegenSpec, m: int, K: int, n_streams: int, seed,
     if stream_len is None:
         stream_len = max(200_000, 100 * (2 * K + 1))
 
-    def rows():
-        for trial in range(n_streams):
-            s = generate_stationary(spec, stream_len, (master_seed, trial))
-            yield s.symbols > m
-
-    return cluster_stats_from_indicators(rows(), K)
+    acc = ClusterAccumulator(K=K)
+    for trial in range(n_streams):
+        block_syms, block_lens, _ = stationary_blocks(spec, stream_len, (master_seed, trial))
+        acc.add_runs(*_hit_runs(block_syms, block_lens, m), stream_len)
+    return acc.finalize(insufficient=False)
 
 
 def regen_counting_distribution(spec: RegenSpec, m: int, t: float,
@@ -228,6 +295,6 @@ def regen_counting_distribution(spec: RegenSpec, m: int, t: float,
     n_points = math.floor(t / mu) + 1
     values = np.empty(n_trials, dtype=np.int64)
     for trial in range(n_trials):
-        s = generate_stationary(spec, n_points, (master_seed, trial))
-        values[trial] = int(np.count_nonzero(s.symbols > m))
+        block_syms, block_lens, _ = stationary_blocks(spec, n_points, (master_seed, trial))
+        values[trial] = int(block_lens[block_syms > m].sum())
     return empirical_distribution(values)

@@ -6,8 +6,8 @@ import pytest
 from returnstats.distributions import DiscreteDistribution
 from returnstats.dynamics import (LinearMod1System, TorusAffineSystem,
                                   sample_stationary)
-from returnstats.estimators import (ClusterStats, ReturnTimeRecord,
-                                    alpha_hat_from_records,
+from returnstats.estimators import (ClusterAccumulator, ClusterStats,
+                                    ReturnTimeRecord, alpha_hat_from_records,
                                     cluster_statistics,
                                     cluster_stats_from_indicators,
                                     count_visits, counting_distribution,
@@ -100,6 +100,89 @@ def test_cluster_stats_serialization_round_trip():
     assert back.n_entries == cs.n_entries
     header = cs.to_csv().splitlines()[0]
     assert header == "ell,alpha_hat,alpha_se,lambda_hat,lambda_se"
+
+
+# ---------------------------------------------------------------------------
+# sparse tallies: add_runs against the dense add_orbit
+# ---------------------------------------------------------------------------
+
+
+def _runs_of(ind):
+    """(starts, ends) of the maximal runs of ones in a boolean row."""
+    d = np.diff(np.concatenate([[0], ind.astype(np.int8), [0]]))
+    return np.flatnonzero(d == 1), np.flatnonzero(d == -1)
+
+
+def _assert_same_tallies(a, b):
+    np.testing.assert_array_equal(a.z_hist, b.z_hist)
+    np.testing.assert_array_equal(a.w_hist, b.w_hist)
+    assert (a.n_windows, a.n_entries, a.n_orbits, a.total_steps) == \
+        (b.n_windows, b.n_entries, b.n_orbits, b.total_steps)
+    for x, y in ((a.orbit_alpha, b.orbit_alpha), (a.orbit_lambda, b.orbit_lambda)):
+        assert len(x) == len(y)
+        assert not x or np.array_equal(np.stack(x), np.stack(y))
+
+
+def _dense_and_runs(rows, K, runs=None):
+    dense, sparse = ClusterAccumulator(K=K), ClusterAccumulator(K=K)
+    for i, ind in enumerate(rows):
+        dense.add_orbit(ind)
+        starts, ends = _runs_of(ind) if runs is None else runs[i]
+        sparse.add_runs(starts, ends, ind.size)
+    return dense, sparse
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_add_runs_equals_add_orbit_on_every_short_row(K):
+    # every 0/1 row of length 2K+2 .. 14; the integer tallies are compared
+    # after each row, so each orbit's increments must agree
+    def state(acc):
+        return (acc.z_hist.tolist(), acc.w_hist.tolist(), acc.n_windows,
+                acc.n_entries, acc.n_orbits, acc.total_steps)
+
+    for n in range(2 * K + 2, 15):
+        dense, sparse = ClusterAccumulator(K=K), ClusterAccumulator(K=K)
+        bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        for ind in bits.astype(bool):
+            dense.add_orbit(ind)
+            sparse.add_runs(*_runs_of(ind), n)
+            assert state(sparse) == state(dense)
+        _assert_same_tallies(dense, sparse)
+
+
+def test_add_runs_rejects_what_add_orbit_rejects():
+    acc = ClusterAccumulator(K=2)
+    with pytest.raises(ValueError):
+        acc.add_runs([1], [2], 5)             # shorter than one full window
+    with pytest.raises(ValueError):
+        acc.add_runs([3, 4], [6, 8], 40)      # overlapping runs
+    with pytest.raises(ValueError):
+        acc.add_runs([30], [41], 40)          # past the orbit end
+
+
+@pytest.mark.parametrize("K", [1, 3, 10])
+def test_add_runs_equals_add_orbit_on_long_sparse_rows(K):
+    rng = np.random.default_rng(K)
+    rows = [np.zeros(5000, dtype=bool)]       # all zero: one cut gap
+    for _ in range(6):
+        # gaps straddling the cut length 2K+2 plus long ones; runs of 1..2K+3
+        gaps = rng.choice([0, 2 * K + 1, 2 * K + 2, 2 * K + 3, 5 * K + 40], size=60)
+        lens = rng.integers(1, 2 * K + 4, size=60)
+        ind = np.repeat(np.tile([False, True], 60),
+                        np.column_stack([gaps, lens]).ravel())
+        rows.append(ind)
+        rows.append(ind[::-1].copy())
+    hit_ends = np.zeros(3000, dtype=bool)
+    hit_ends[[0, 1500, 2999]] = True          # hits at index 0 and n - 1
+    rows.append(hit_ends)
+    _assert_same_tallies(*_dense_and_runs(rows, K))
+
+    # adjacent hit blocks (gap 0) given as separate intervals
+    ind = np.zeros(400, dtype=bool)
+    ind[100:110] = True
+    ind[300:301] = True
+    split = (np.array([100, 104, 107, 300]), np.array([104, 107, 110, 301]))
+    _assert_same_tallies(*_dense_and_runs([ind], K, runs=[split]))
 
 
 def test_cluster_statistics_validation_and_insufficient_flag():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from returnstats.distributions import ClusterSizeDist
-from returnstats.regenerative import (RegenSpec, SymbolStream,
+from returnstats.distributions import ClusterSizeDist, empirical_distribution
+from returnstats.estimators import cluster_stats_from_indicators
+from returnstats.regenerative import (_GUIDE_BUCKETS, RegenSpec, SymbolStream,
                                       _block_lengths, _size_biased_first_block,
                                       generate_stationary, level_measure,
                                       regen_cluster_stats,
-                                      regen_counting_distribution)
+                                      regen_counting_distribution,
+                                      stationary_blocks)
 from returnstats.rngstreams import trial_rng
 
 SEED = 424242
@@ -143,3 +145,147 @@ def test_regen_counting_distribution_mean():
     se = np.sqrt(max(second - mean**2, 0.0) / n_trials)
     assert abs(mean - n_points * mu) < 4 * se + 1e-9
     assert dist.n_samples == n_trials
+
+
+# ---------------------------------------------------------------------------
+# block streams, the guide-table draw and the size-biased cache against
+# plain references
+# ---------------------------------------------------------------------------
+
+
+def _first_block_reference(spec, rng):
+    """The size-biased first block with its weights rebuilt on every call."""
+    g = spec.symbol_probs
+    k = np.arange(1, g.size + 1)
+    if spec.block_rule == "smith":
+        w = np.concatenate([g * (1.0 - 1.0 / k) * 1.0, g * (1.0 / k) * (k + 1.0)])
+        i = rng.choice(w.size, p=w / w.sum())
+        return (int(i + 1), 1) if i < g.size else (int(i - g.size + 1), int(i - g.size + 2))
+    lam = spec.cluster_dist.lambdas
+    ell = np.arange(1, lam.size + 1)
+    w = ell * lam
+    length = int(rng.choice(ell, p=w / w.sum()))
+    return int(rng.choice(k, p=g)), length
+
+
+def _dense_reference(spec, length, seed):
+    """Symbol-by-symbol stationary stream: the same draws in the same chunks,
+    symbols by a plain cdf search, then expanded and cut at `length`.
+    Also says whether `length` fell on a block boundary."""
+    rng = trial_rng(*seed)
+    sym0, len0 = _first_block_reference(spec, rng)
+    phase = int(rng.integers(0, len0))
+    syms, lens = [np.array([sym0])], [np.array([len0 - phase])]
+    total = len0 - phase
+    while total < length:
+        n = max(64, int((length - total) / spec.mean_block_length() * 1.2))
+        s = np.searchsorted(spec._symbol_cdf(), rng.random(n), side="right") + 1
+        syms.append(s)
+        lens.append(_block_lengths(spec, s, rng))
+        total += int(lens[-1].sum())
+    syms, lens = np.concatenate(syms), np.concatenate(lens)
+    starts = np.cumsum(lens) - lens
+    on_boundary = bool(np.any(np.cumsum(lens) == length))
+    return (np.repeat(syms, lens)[:length], starts[starts < length], phase,
+            on_boundary)
+
+
+@pytest.mark.parametrize("spec", [RegenSpec.smith(100), RegenSpec.fixed_lengths(LAM, 100)],
+                         ids=["smith", "fixed_lengths"])
+def test_stationary_blocks_expand_to_the_dense_reference(spec):
+    cases = {"mid_block": 0, "boundary": 0}
+    for length in [*range(1, 120), 5000, 20_011]:
+        for trial in range(3):
+            seed = (SEED, trial)
+            symbols, boundaries, phase, on_boundary = _dense_reference(spec, length, seed)
+            block_syms, block_lens, block_phase = stationary_blocks(spec, length, seed)
+            assert block_lens.sum() == length and np.all(block_lens >= 1)
+            np.testing.assert_array_equal(np.repeat(block_syms, block_lens), symbols)
+            np.testing.assert_array_equal(np.cumsum(block_lens) - block_lens, boundaries)
+            assert block_phase == phase
+            s = generate_stationary(spec, length, seed)
+            np.testing.assert_array_equal(s.symbols, symbols)
+            np.testing.assert_array_equal(s.block_boundaries, boundaries)
+            assert s.phase == phase
+            cases["boundary" if on_boundary else "mid_block"] += 1
+    assert min(cases.values()) > 10
+
+
+def test_regen_tallies_equal_the_dense_reference():
+    # the block tallies print what dense indicator rows of the same streams give
+    for spec, m, K, n_streams, stream_len in (
+            (RegenSpec.smith(3000), 30, 10, 4, 60_000),
+            (RegenSpec.smith(3000), 3, 2, 2, 20_000),
+            (RegenSpec.fixed_lengths(LAM, 100), 10, 3, 3, 30_000)):
+        rows = (generate_stationary(spec, stream_len, (SEED, t)).symbols > m
+                for t in range(n_streams))
+        want = cluster_stats_from_indicators(rows, K)
+        got = regen_cluster_stats(spec, m, K, n_streams, SEED, stream_len=stream_len)
+        assert got.to_json() == want.to_json()
+        assert got.to_csv() == want.to_csv()
+
+        t = 2.0
+        n_points = int(np.floor(t / level_measure(spec, m))) + 1
+        counts = [np.count_nonzero(generate_stationary(spec, n_points, (SEED, i)).symbols > m)
+                  for i in range(300)]
+        got = regen_counting_distribution(spec, m, t, 300, SEED)
+        assert got.to_json() == empirical_distribution(np.array(counts)).to_json()
+
+
+class _StubRng:
+    """Hands out prescribed uniforms in place of rng.random."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+# a law whose plain cumulative sums reach 1.0000000000000002 before its
+# last, zero-probability symbol
+_OVERSHOOT = RegenSpec(np.array([0.15324321880937372, 0.1741020222634683,
+                                 0.16984617858461468, 0.02639650050407304,
+                                 0.17258204177922165, 0.15790905335663924,
+                                 0.14592098470260945, 0.0]), "smith")
+
+
+@pytest.mark.parametrize("spec", [RegenSpec.smith(10), RegenSpec.smith(100),
+                                  RegenSpec.smith(1000), RegenSpec.smith(3000),
+                                  RegenSpec.fixed_lengths(LAM, 100), _OVERSHOOT],
+                         ids=["smith10", "smith100", "smith1000", "smith3000",
+                              "fixed_lengths", "overshoot"])
+def test_guide_table_draw_equals_the_cdf_search(spec):
+    cdf = spec._symbol_cdf()
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
+    edges = np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+                        edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    got = spec.draw_symbols(u.size, _StubRng(u))
+    np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right") + 1)
+    assert got.min() >= 1 and got.max() <= spec.k_cap
+    # the largest uniform below 1 draws the last symbol of positive
+    # probability (k_cap in the shipped laws), never k_cap + 1
+    last = np.flatnonzero(spec.symbol_probs)[-1] + 1
+    assert spec.draw_symbols(1, _StubRng([np.nextafter(1.0, 0.0)]))[0] == last
+
+
+def test_symbol_cdf_ends_at_one():
+    # the plain cumulative sums fall short of 1 here, which let a u above
+    # them draw symbol k_cap + 1
+    for k_cap in (100, 1000):
+        spec = RegenSpec.smith(k_cap)
+        assert np.cumsum(spec.symbol_probs)[-1] < 1.0
+        assert spec._symbol_cdf()[-1] == 1.0
+
+
+@pytest.mark.parametrize("spec", [RegenSpec.smith(500), RegenSpec.fixed_lengths(LAM, 100)],
+                         ids=["smith", "fixed_lengths"])
+def test_cached_size_biased_weights_draw_the_same_blocks(spec):
+    a, b = trial_rng(SEED, 11), trial_rng(SEED, 11)
+    got = [_size_biased_first_block(spec, a) for _ in range(200)]
+    want = [_first_block_reference(spec, b) for _ in range(200)]
+    assert got == want
+    assert a.random() == b.random()

@@ -1,10 +1,10 @@
 """Return-time and cluster statistics of chaotic maps on shrinking targets.
 
-Simulation of expanding interval maps, a hyperbolic torus map, coupled map
-lattices and symbolic regenerative processes, together with the compound
-Poisson / Polya-Aeppli / compound binomial limit laws their return-time
-statistics converge to, and estimators + goodness-of-fit tooling to compare
-the two.
+Simulation of expanding interval maps, a torus skew product over a*y mod 1,
+coupled map lattices and symbolic regenerative processes, together with the
+compound Poisson / Polya-Aeppli / compound binomial limit laws their
+return-time statistics converge to, and estimators + goodness-of-fit tooling
+to compare the two.
 """
 
 from .distributions import (ClusterSizeDist, CompoundSpec, DiscreteDistribution,
@@ -13,13 +13,12 @@ from .distributions import (ClusterSizeDist, CompoundSpec, DiscreteDistribution,
                             generating_function_eval, polya_aeppli_pmf,
                             sample_compound_poisson)
 from .dynamics import (CmlSpec, CmlSystem, IntervalMap, LinearInterval,
-                       LinearMod1System, OrbitState, PiecewiseSystem,
-                       SingularPointError, SinePerturbedInterval,
-                       TorusAffineSystem, derivative_along, orbit_visitor,
-                       sample_stationary, step)
+                       LinearMod1System, PiecewiseSystem, SingularPointError,
+                       SinePerturbedInterval, TorusAffineSystem,
+                       derivative_along)
 from .estimators import (ClusterStats, ReturnTimeRecord, cluster_statistics,
-                         count_visits, counting_distribution, entry_time_ratio,
-                         r2_overlap, return_time_records)
+                         counting_distribution, entry_time_ratio, r2_overlap,
+                         return_time_records)
 from .regenerative import (RegenSpec, SymbolStream, generate_stationary,
                            level_measure, regen_cluster_stats)
 from .cml_theory import (CmlPrediction, DiagonalDensity, ExpansionWarning,
@@ -27,7 +26,7 @@ from .cml_theory import (CmlPrediction, DiagonalDensity, ExpansionWarning,
 from .stats import (AlphaSequences, GofReport, chi_square_gof,
                     lambda_from_alpha_hat, total_variation)
 from .targets import (Ball, DiagonalStrip, MeasureEstimate, TargetSet,
-                      TorusStrip, contains, measure)
+                      TorusStrip, measure)
 from .config import ExperimentConfig
 from .rngstreams import trial_rng, trial_seed_sequence
 

@@ -33,6 +33,7 @@ Scale parameter per row: ``rho`` (ball / torus_strip), ``nu``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,6 +115,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown target kind {tkind!r}")
         if (kind == "regenerative") != (tkind == "level_set"):
             raise ConfigError("level_set targets pair with regenerative systems only")
+        if kind == "torus" and tkind == "ball":
+            raise ConfigError("torus orbits keep (a-1)x - y mod 1 constant, so a ball "
+                              "sees one line per orbit and its counting law is not "
+                              "the predicted one; use torus_strip")
 
         rows = raw["schedule"]
         if not isinstance(rows, list) or not rows:
@@ -129,6 +134,10 @@ class ExperimentConfig:
             unknown = set(merged) - set(_ROW_DEFAULTS)
             if unknown:
                 raise ConfigError(f"unknown schedule keys {sorted(unknown)}")
+            if not 0 < float(merged["t"]) < math.inf:
+                raise ConfigError("schedule row t must be finite and positive")
+            if float(merged["n_trials"]) < 1:
+                raise ConfigError("schedule row n_trials must be >= 1")
             schedule.append(ScheduleRow(scale=float(row[scale_name]), **merged))
 
         seed = int(raw.get("seed", 0))
@@ -241,9 +250,7 @@ class ExperimentConfig:
         t = self.target
         kind = t["kind"]
         if kind == "ball":
-            center = t.get("center", [0.5])
-            periodic = self.system["kind"] == "torus"
-            return Ball(center=tuple(center), rho=row.scale, periodic=periodic)
+            return Ball(center=tuple(t.get("center", [0.5])), rho=row.scale)
         if kind == "torus_strip":
             return TorusStrip(rho=row.scale)
         if kind == "diagonal_strip":

@@ -2,24 +2,26 @@
 
 Built-in systems:
 
-* ``LinearMod1System``    -- T(x) = a*x mod 1 on [0,1), exact-digit backend
+* ``LinearMod1System``    -- T(x) = a*x mod 1 on [0,1), exact digits
 * ``TorusAffineSystem``   -- (x, y) -> (x + y, a*y) mod 1 on the 2-torus
 * ``CmlSystem``           -- coupled map lattice over a 1-d expanding base map
 * ``PiecewiseSystem``     -- generic piecewise-smooth interval map, float64
 
-The exact-digit backend realises a stationary orbit of a*x mod 1 as a
-sliding window over an i.i.d. base-a digit stream: x_n is the value of
-digits n, n+1, ..., n+W-1, which is exact in law for Lebesgue measure and
-immune to the mantissa-draining that makes float64 iteration of the
-doubling map hit 0 within 53 steps.  W is the largest width with
-a**W <= 2**53 so window values convert to float64 without rounding.
+Every system builds its orbits through one vectorized interface,
+``indicator_block`` and ``stationary_samples``.  The exact-digit systems
+realise a stationary orbit of a*x mod 1 as a sliding window over an i.i.d.
+base-a digit stream: x_n is the value of digits n, n+1, ..., n+W-1, which is
+exact in law for Lebesgue measure and immune to the mantissa-draining that
+makes float64 iteration of the doubling map hit 0 within 53 steps.  W is the
+largest width with a**W <= 2**53 so window values convert to float64 without
+rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -31,20 +33,15 @@ __all__ = [
     "IntervalMap",
     "LinearInterval",
     "SinePerturbedInterval",
-    "OrbitState",
     "MapSystem",
     "LinearMod1System",
     "TorusAffineSystem",
     "CmlSpec",
     "CmlSystem",
     "PiecewiseSystem",
-    "step",
-    "orbit_visitor",
-    "sample_stationary",
     "derivative_along",
 ]
 
-_DIGIT_CHUNK = 1 << 14
 # digits per orbit group of the exact-digit systems (a working-set budget)
 _GROUP_DIGITS = 1 << 16
 
@@ -219,73 +216,15 @@ def sliding_window_values(digits: np.ndarray, a: int, width: int) -> np.ndarray:
     return values
 
 
-class _DigitSource:
-    """Lazily extended i.i.d. base-a digit stream for one trial."""
-
-    def __init__(self, a: int, master_seed: int, trial_index: int):
-        self.a = a
-        self._rng = trial_rng(master_seed, trial_index)
-        self._buf = np.empty(0, dtype=np.int64)
-        self.rng_cursor = 0
-
-    def digits(self, n: int) -> np.ndarray:
-        if n > self._buf.size:
-            grow = max(n - self._buf.size, _DIGIT_CHUNK)
-            fresh = self._rng.integers(0, self.a, size=grow, dtype=np.int64)
-            self._buf = np.concatenate([self._buf, fresh])
-            self.rng_cursor += grow
-        return self._buf[:n]
-
-    def value_at(self, pos: int, width: int) -> float:
-        d = self.digits(pos + width)
-        v = 0
-        for i in range(width):
-            v = v * self.a + int(d[pos + i])
-        return v / float(self.a**width)
-
-
 # ---------------------------------------------------------------------------
-# orbit state and map systems
+# map systems
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class OrbitState:
-    """Point of an orbit; exact-digit states carry their digit stream."""
-
-    coords: np.ndarray
-    digit_source: _DigitSource | None = None
-    digit_pos: int = 0
-
-    def __post_init__(self):
-        self.coords = np.atleast_1d(np.asarray(self.coords, dtype=float))
-        if np.any(self.coords < 0) or np.any(self.coords >= 1):
-            raise ValueError("coordinates must lie in [0, 1)")
-
-    @property
-    def rng_cursor(self) -> int:
-        return self.digit_source.rng_cursor if self.digit_source is not None else 0
 
 
 class MapSystem:
-    """Base class: a concrete system with stepping and stationary sampling."""
+    """Base class: a concrete system with vectorized stationary orbits."""
 
     dimension: int
-    backend: str
-
-    # -- scalar interface -------------------------------------------------
-
-    def step(self, state: OrbitState) -> OrbitState:
-        raise NotImplementedError
-
-    def sample_stationary(self, master_seed: int, trial_index: int) -> OrbitState:
-        raise NotImplementedError
-
-    def branch_derivative(self, state: OrbitState) -> float:
-        """|DT| along the expanding direction at the state."""
-        raise NotImplementedError
-
-    # -- vectorized interface (estimators) ---------------------------------
 
     def indicator_block(self, target, master_seed: int, trial_indices,
                         n_points: int) -> np.ndarray:
@@ -310,15 +249,11 @@ class _DigitOrbitSystem(MapSystem):
     the orbit length changes a bit of any trial's orbit.
     """
 
-    def __init__(self, a: int, dimension: int, backend: str = "exact-digit"):
+    def __init__(self, a: int, dimension: int):
         self.interval_map = LinearInterval(a)
         self.a = self.interval_map.a
         self.dimension = dimension
-        self.backend = backend
         self.width = digit_window_width(self.a)
-
-    def branch_derivative(self, state: OrbitState) -> float:
-        return float(self.a)
 
     def _with_windows(self, master_seed: int, trials: list, y: np.ndarray) -> np.ndarray:
         """(g, n_points, dimension) orbit coordinates from the (g, n_points)
@@ -356,23 +291,10 @@ class _DigitOrbitSystem(MapSystem):
 
 
 class LinearMod1System(_DigitOrbitSystem):
-    """T(x) = a*x mod 1; default backend is the exact digit stream."""
+    """T(x) = a*x mod 1 as a sliding window over the exact digit stream."""
 
-    def __init__(self, a: int, backend: str = "exact-digit"):
-        if backend not in ("exact-digit", "float64"):
-            raise ValueError(f"unsupported backend {backend!r}")
-        super().__init__(a, dimension=1, backend=backend)
-
-    def step(self, state: OrbitState) -> OrbitState:
-        if state.digit_source is not None:
-            pos = state.digit_pos + 1
-            x = state.digit_source.value_at(pos, self.width)
-            return OrbitState(np.array([x]), state.digit_source, pos)
-        return OrbitState((self.a * state.coords) % 1.0)
-
-    def sample_stationary(self, master_seed: int, trial_index: int) -> OrbitState:
-        src = _DigitSource(self.a, master_seed, trial_index)
-        return OrbitState(np.array([src.value_at(0, self.width)]), src, 0)
+    def __init__(self, a: int):
+        super().__init__(a, dimension=1)
 
     def _with_windows(self, master_seed, trials, y):
         return y[..., None]
@@ -387,20 +309,6 @@ class TorusAffineSystem(_DigitOrbitSystem):
 
     def __init__(self, a: int):
         super().__init__(a, dimension=2)
-
-    def step(self, state: OrbitState) -> OrbitState:
-        x, y = state.coords
-        if state.digit_source is not None:
-            pos = state.digit_pos + 1
-            y_new = state.digit_source.value_at(pos, self.width)
-            return OrbitState(np.array([(x + y) % 1.0, y_new]), state.digit_source, pos)
-        return OrbitState(np.array([(x + y) % 1.0, (self.a * y) % 1.0]))
-
-    def sample_stationary(self, master_seed, trial_index):
-        src = _DigitSource(self.a, master_seed, trial_index)
-        x0 = float(trial_rng(master_seed, trial_index, substream=1).random())
-        y0 = src.value_at(0, self.width)
-        return OrbitState(np.array([x0, y0]), src, 0)
 
     def _with_windows(self, master_seed, trials, y):
         coords = np.empty(y.shape + (2,))
@@ -441,14 +349,13 @@ class CmlSystem(MapSystem):
 
     For gamma > 0 Lebesgue measure is not invariant (the coupling contracts
     transversally to the diagonal), so stationary sampling starts uniform and
-    burns in.  Backend is float64; an optional per-step dither of magnitude
+    burns in.  Orbits are float64; an optional per-step dither of magnitude
     2**-40 exists for stress tests.
     """
 
     def __init__(self, spec: CmlSpec, burn_in: int = 1024, dither: bool = False):
         self.spec = spec
         self.dimension = spec.n
-        self.backend = "float64+dither" if dither else "float64"
         self.burn_in = int(burn_in)
         self.dither = dither
 
@@ -456,21 +363,6 @@ class CmlSystem(MapSystem):
         y = self.spec.base_map.apply(coords)
         coupled = y @ self.spec.weights
         return (1.0 - self.spec.gamma) * y + self.spec.gamma * np.expand_dims(coupled, -1)
-
-    def step(self, state: OrbitState) -> OrbitState:
-        return OrbitState(self._apply(state.coords))
-
-    def branch_derivative(self, state: OrbitState) -> float:
-        # scalar |DT| of the base map at the diagonal projection
-        x0 = float(np.mean(state.coords))
-        return float(np.abs(self.spec.base_map.derivative(x0)))
-
-    def sample_stationary(self, master_seed, trial_index):
-        rng = trial_rng(master_seed, trial_index)
-        coords = rng.random(self.spec.n)
-        for _ in range(self.burn_in):
-            coords = self._apply(coords)
-        return OrbitState(coords)
 
     def _simulate(self, master_seed, trial_indices, n_points, visit):
         """Run a chunk of trials in lockstep; `visit(step_index, coords)` is
@@ -521,39 +413,20 @@ class CmlSystem(MapSystem):
 
 
 class PiecewiseSystem(MapSystem):
-    """Generic piecewise-smooth interval map, float64 backend.
+    """Generic piecewise-smooth interval map, iterated in float64.
 
-    Has no built-in invariant measure; stationary sampling requires an
-    explicit burn-in count.
+    Has no built-in invariant measure; stationary orbits start uniform and
+    burn in for an explicit number of steps.
     """
 
-    def __init__(self, interval_map: IntervalMap, burn_in: int | None = None):
+    def __init__(self, interval_map: IntervalMap, burn_in: int):
+        if burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         self.interval_map = interval_map
         self.dimension = 1
-        self.backend = "float64"
-        self.burn_in = burn_in
-
-    def step(self, state: OrbitState) -> OrbitState:
-        return OrbitState(self.interval_map.apply(state.coords))
-
-    def branch_derivative(self, state: OrbitState) -> float:
-        x = float(state.coords[0])
-        if self.interval_map.is_breakpoint(x):
-            raise SingularPointError(f"{x} is a branch endpoint")
-        return float(np.abs(self.interval_map.derivative(x)))
-
-    def sample_stationary(self, master_seed, trial_index):
-        if self.burn_in is None:
-            raise ValueError("map without built-in invariant measure needs a burn-in count")
-        rng = trial_rng(master_seed, trial_index)
-        x = rng.random(1)
-        for _ in range(self.burn_in):
-            x = self.interval_map.apply(x)
-        return OrbitState(x)
+        self.burn_in = int(burn_in)
 
     def indicator_block(self, target, master_seed, trial_indices, n_points):
-        if self.burn_in is None:
-            raise ValueError("map without built-in invariant measure needs a burn-in count")
         n_tr = len(trial_indices)
         x = np.empty(n_tr)
         for row, t in enumerate(trial_indices):
@@ -568,8 +441,6 @@ class PiecewiseSystem(MapSystem):
         return out
 
     def stationary_samples(self, master_seed, trial_index, n_samples):
-        if self.burn_in is None:
-            raise ValueError("map without built-in invariant measure needs a burn-in count")
         rng = trial_rng(master_seed, trial_index)
         x = float(rng.random())
         for _ in range(self.burn_in):
@@ -581,33 +452,6 @@ class PiecewiseSystem(MapSystem):
                 x = float(self.interval_map.apply(x))
             out[i] = x
         return out[:, None]
-
-
-# ---------------------------------------------------------------------------
-# module-level operations (thin wrappers over the system methods)
-# ---------------------------------------------------------------------------
-
-
-def step(system: MapSystem, state: OrbitState) -> OrbitState:
-    return system.step(state)
-
-
-def orbit_visitor(system: MapSystem, s0: OrbitState, n_steps: int,
-                  visit: Callable[[np.ndarray], None]) -> OrbitState:
-    """Invoke `visit` on the coordinates of s0, T(s0), ..., T^n_steps(s0)."""
-    if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
-    state = s0
-    visit(state.coords)
-    for _ in range(n_steps):
-        state = system.step(state)
-        visit(state.coords)
-    return state
-
-
-def sample_stationary(system: MapSystem, seed: tuple[int, int]) -> OrbitState:
-    master_seed, trial_index = seed
-    return system.sample_stationary(master_seed, trial_index)
 
 
 def derivative_along(system: MapSystem, x: float, k: int) -> float:

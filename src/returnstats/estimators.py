@@ -27,7 +27,6 @@ from .targets import MeasureEstimate, measure
 __all__ = [
     "ClusterStats",
     "ReturnTimeRecord",
-    "count_visits",
     "counting_distribution",
     "cluster_statistics",
     "cluster_stats_from_indicators",
@@ -78,37 +77,19 @@ def _indicator_batch(map_system, target, master_seed, trial_indices, n_points,
 # ---------------------------------------------------------------------------
 
 
-def count_visits(map_system, target, s0, t: float, mu: float) -> int:
-    """xi^t_U(s0) = sum_{n=0}^{N} 1_U(T^n s0) with N = floor(t/mu)."""
-    if not mu > 0:
-        raise ValueError("mu must be positive")
-    if not t > 0:
-        raise ValueError("t must be positive")
-    n_steps = math.floor(t / mu)
-    if n_steps > 10**12:
-        raise ValueError(f"horizon N={n_steps} exceeds 10^12; refusing to iterate")
-    from .dynamics import orbit_visitor  # local import avoids a cycle
-
-    hits = 0
-
-    def visit(coords):
-        nonlocal hits
-        if target.contains_points(coords[None, :])[0]:
-            hits += 1
-
-    orbit_visitor(map_system, s0, n_steps, visit)
-    return hits
-
-
 def counting_distribution(map_system, target, t: float, n_trials: int, seed,
                           mu: float | None = None, workers: int = 1):
     """Empirical law of xi^t_U over independent stationary starts."""
     from .distributions import empirical_distribution
 
+    if not 0 < t < math.inf:
+        raise ValueError("t must be finite and positive")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     master_seed = master_seed_of(seed)
     mu = _resolve_mu(map_system, target, master_seed, mu)
+    if not 0 < mu < math.inf:
+        raise ValueError("mu must be finite and positive")
     n_steps = math.floor(t / mu)
     if n_steps > 10**12:
         raise ValueError(f"horizon N={n_steps} exceeds 10^12; refusing to iterate")
@@ -438,6 +419,8 @@ def entry_time_ratio(map_system, target, L: int, n_trials: int, seed,
     the target shrinks and then L grows."""
     if L < 1:
         raise ValueError("L must be >= 1")
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
     master_seed = master_seed_of(seed)
     mu = _resolve_mu(map_system, target, master_seed, mu)
     hits = 0
@@ -459,6 +442,8 @@ def r2_overlap(map_system, target, K: int, delta: int, n_trials: int, seed,
     independent stationary starts."""
     if delta < 2:
         raise ValueError("delta must be >= 2")
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
     win = 2 * K + 1
     n_points = win * delta + win
     total = np.zeros(delta - 1, dtype=np.int64)

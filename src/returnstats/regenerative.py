@@ -104,10 +104,10 @@ class RegenSpec:
         symbols[split] = np.searchsorted(self._symbol_cdf(), u[split], side="right") + 1
         return symbols
 
-    def _size_biased_probs(self) -> np.ndarray:
-        """Normalised weights of the size-biased first block: over
-        (short, long) blocks of symbols 1..k_cap for smith, over the lengths
-        for fixed_lengths."""
+    def _size_biased_cdf(self) -> np.ndarray:
+        """`_choice_cdf` of the normalised weights of the size-biased first
+        block: over (short, long) blocks of symbols 1..k_cap for smith, over
+        the lengths for fixed_lengths."""
         def build():
             if self.block_rule == "smith":
                 g = self.symbol_probs
@@ -116,7 +116,7 @@ class RegenSpec:
             else:
                 lam = self.cluster_dist.lambdas
                 w = np.arange(1, lam.size + 1) * lam
-            return w / w.sum()
+            return _choice_cdf(w / w.sum())
         return self._cached("_size_biased_cache", build)
 
     def mean_block_length(self) -> float:
@@ -179,20 +179,34 @@ def _block_lengths(spec: RegenSpec, symbols: np.ndarray,
     return rng.choice(np.arange(1, lam.size + 1), size=symbols.size, p=lam)
 
 
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The cdf that `Generator.choice(..., p=p)` searches: the cumulative sums
+    divided by their last value (unlike `_symbol_cdf`, which is clamped)."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _choose(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """The index `rng.choice(cdf.size, p=p)` draws, by the same algorithm (one
+    `rng.random()` and a right-sided search of `_choice_cdf(p)`), without
+    re-validating and re-summing `p` on every call."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _size_biased_first_block(spec: RegenSpec, rng: np.random.Generator):
     """Draw (symbol, length) of the block covering index 0: probability
     proportional to length times the block law."""
-    g = spec.symbol_probs
-    p = spec._size_biased_probs()
+    k_cap = spec.k_cap
+    i = _choose(spec._size_biased_cdf(), rng)
     if spec.block_rule == "smith":
-        i = rng.choice(p.size, p=p)
-        if i < g.size:
-            return int(i + 1), 1
-        j = i - g.size
-        return int(j + 1), int(j + 2)
-    length = int(rng.choice(np.arange(1, p.size + 1), p=p))
-    symbol = int(rng.choice(np.arange(1, g.size + 1), p=g))
-    return symbol, length
+        if i < k_cap:
+            return i + 1, 1
+        j = i - k_cap
+        return j + 1, j + 2
+    symbol_cdf = spec._cached("_symbol_choice_cache",
+                              lambda: _choice_cdf(spec.symbol_probs))
+    return _choose(symbol_cdf, rng) + 1, i + 1
 
 
 def stationary_blocks(spec: RegenSpec, length: int, seed):

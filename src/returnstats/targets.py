@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["TargetSet", "Ball", "TorusStrip", "DiagonalStrip",
-           "MeasureEstimate", "contains", "measure"]
+           "MeasureEstimate", "measure"]
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,6 @@ class TargetSet:
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (n_points, dim) array."""
         raise NotImplementedError
-
-    def contains(self, s) -> bool:
-        coords = np.atleast_1d(np.asarray(getattr(s, "coords", s), dtype=float))
-        return bool(self.contains_points(coords[None, :])[0])
 
     def exact_measure(self) -> float | None:
         """Closed-form Lebesgue measure, or None if only MC is available."""
@@ -128,10 +124,6 @@ class DiagonalStrip(TargetSet):
         return None
 
 
-def contains(target: TargetSet, s) -> bool:
-    return target.contains(s)
-
-
 def measure(target: TargetSet, map_system, n_samples: int, seed) -> MeasureEstimate:
     """mu(U) under the system's stationary law.
 
@@ -141,13 +133,12 @@ def measure(target: TargetSet, map_system, n_samples: int, seed) -> MeasureEstim
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    from .dynamics import LinearInterval  # local import avoids a cycle
+    from .dynamics import LinearInterval, _DigitOrbitSystem  # avoids a cycle
 
     spec = getattr(map_system, "spec", None)
     uncoupled_linear = (spec is not None and spec.gamma == 0.0
                         and isinstance(spec.base_map, LinearInterval))
-    lebesgue = getattr(map_system, "backend", "").startswith("exact-digit") \
-        or uncoupled_linear
+    lebesgue = isinstance(map_system, _DigitOrbitSystem) or uncoupled_linear
     if lebesgue:
         if isinstance(target, DiagonalStrip):
             exact = target.exact_measure_for_dim(map_system.dimension)

@@ -62,6 +62,15 @@ outputs: {{dir: "{out}"}}
 """)
     assert main(["--config", cfg, "predict"]) == 2
     assert not out.exists()
+    # a row with t = 0 used to simulate a counting law of one point mass
+    cfg = _write_cfg(tmp_path, f"""
+system: {{kind: linear_mod1, a: 2}}
+target: {{kind: ball, center: [0.3]}}
+schedule: [{{rho: 0.01, t: 0}}]
+outputs: {{dir: "{out}"}}
+""")
+    assert main(["--config", cfg, "simulate"]) == 2
+    assert not out.exists()
     assert main(["--config", str(tmp_path / "missing.yaml"), "predict"]) == 2
     assert main(["predict"]) == 2  # --config required
 

@@ -76,6 +76,12 @@ def test_schedule_validation():
         ExperimentConfig.from_dict(dict(base, schedule=[{"K": 5}]))  # missing rho
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(dict(base, schedule=[{"rho": 0.1, "frobnicate": 1}]))
+    for row, message in (({"rho": 0.1, "t": 0}, "t must be finite and positive"),
+                         ({"rho": 0.1, "t": -1.0}, "t must be finite and positive"),
+                         ({"rho": 0.1, "t": float("inf")}, "t must be finite"),
+                         ({"rho": 0.1, "n_trials": 0}, "n_trials must be >= 1")):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(dict(base, schedule=[row]))
 
 
 def test_numeric_range_validation():
@@ -116,13 +122,15 @@ schedule: [{rho: 1.0e-2}]
     assert isinstance(pw.build_system(), PiecewiseSystem)
 
 
-def test_ball_is_periodic_exactly_on_the_torus():
-    torus_ball = ExperimentConfig.from_yaml("""
+def test_torus_takes_the_strip_and_rejects_a_ball():
+    # (a-1)x - y mod 1 is constant along torus orbits, so a ball sees one
+    # line per orbit and the predicted counting law does not apply
+    with pytest.raises(ConfigError, match=r"\(a-1\)x - y mod 1"):
+        ExperimentConfig.from_yaml("""
 system: {kind: torus, a: 2}
 target: {kind: ball, center: [0.3, 0.7]}
 schedule: [{rho: 1.0e-2}]
 """)
-    assert torus_ball.build_target(torus_ball.schedule[0]).periodic
     strip = ExperimentConfig.from_yaml(TORUS_YAML)
     assert isinstance(strip.build_target(strip.schedule[0]), TorusStrip)
 

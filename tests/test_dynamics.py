@@ -6,12 +6,10 @@ from scipy.stats import kstest
 
 from returnstats import dynamics
 from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
-                                  LinearMod1System, OrbitState,
-                                  PiecewiseSystem, SingularPointError,
-                                  SinePerturbedInterval, TorusAffineSystem,
-                                  derivative_along, digit_window_width,
-                                  orbit_visitor, sample_stationary,
-                                  sliding_window_values, step)
+                                  LinearMod1System, PiecewiseSystem,
+                                  SingularPointError, SinePerturbedInterval,
+                                  TorusAffineSystem, derivative_along,
+                                  digit_window_width, sliding_window_values)
 from returnstats.rngstreams import trial_rng
 from returnstats.targets import Ball, TorusStrip
 
@@ -57,25 +55,17 @@ def test_sliding_window_values_too_few_digits():
 # ---------------------------------------------------------------------------
 
 
-def test_linear_mod1_step_tracks_multiplication():
-    sys2 = LinearMod1System(2)
-    state = sample_stationary(sys2, (SEED, 0))
-    for _ in range(50):
-        nxt = step(sys2, state)
-        # the new window drops one digit and appends a fresh one, so it can
-        # differ from exact multiplication only in the last digit slot
-        want = (2 * state.coords[0]) % 1.0
-        assert abs(nxt.coords[0] - want) <= 2.0 ** (1 - sys2.width)
-        state = nxt
-
-
 def test_linear_mod1_vectorized_matches_scalar_stepping():
+    # x_i is the base-3 window of digits i..i+W-1 of the trial's stream,
+    # evaluated point by point with a Horner loop
     sys3 = LinearMod1System(3)
     vals = sys3._orbit_coords(SEED, [5], 100)[0, :, 0]
-    state = sample_stationary(sys3, (SEED, 5))
+    digits = trial_rng(SEED, 5).integers(0, 3, size=100 + sys3.width - 1)
     for i in range(100):
-        assert state.coords[0] == vals[i]  # bit-exact
-        state = step(sys3, state)
+        v = 0
+        for d in digits[i : i + sys3.width]:
+            v = v * 3 + int(d)
+        assert vals[i] == v / float(3**sys3.width)  # bit-exact
 
 
 def test_linear_mod1_no_mantissa_draining():
@@ -115,19 +105,14 @@ def test_torus_orbit_satisfies_the_recursion():
     want = (x[:-1] + y[:-1]) % 1.0
     d = np.abs(x[1:] - want)
     assert np.max(np.minimum(d, 1.0 - d)) < 1e-9
-    # y_{n+1} = 2 y_n mod 1 up to the refreshed last digit
+    # y_{n+1} = 2 y_n mod 1 up to the refreshed last digit: the new window
+    # drops one digit and appends a fresh one
     assert np.max(np.abs(y[1:] - (2 * y[:-1]) % 1.0)) <= 2.0 ** (1 - sys_t.width)
-
-
-def test_torus_scalar_step_matches_vectorized_orbit():
-    sys_t = TorusAffineSystem(2)
-    coords = sys_t._orbit_coords(SEED, [9], 50)[0]
-    state = sample_stationary(sys_t, (SEED, 9))
-    for i in range(50):
-        assert state.coords[1] == coords[i, 1]          # y bit-exact
-        d = abs(state.coords[0] - coords[i, 0])
-        assert min(d, 1.0 - d) < 1e-9                    # x within rounding
-        state = step(sys_t, state)
+    # the same for 3x mod 1, where the window values and 3 y_n also round
+    # (by a few units of 2^-53)
+    sys3 = LinearMod1System(3)
+    y = sys3._orbit_coords(SEED, [3], 5000)[0, :, 0]
+    assert np.max(np.abs(y[1:] - (3 * y[:-1]) % 1.0)) <= 2 / 3.0**sys3.width + 2.0**-50
 
 
 def test_torus_initial_point_uniform_in_both_coordinates():
@@ -320,25 +305,9 @@ def test_cml_dither_stays_in_unit_cube():
 
 
 def test_piecewise_requires_burn_in():
-    system = PiecewiseSystem(SinePerturbedInterval(3, 0.05))
+    imap = SinePerturbedInterval(3, 0.05)
+    with pytest.raises(TypeError):
+        PiecewiseSystem(imap)
     with pytest.raises(ValueError):
-        system.sample_stationary(SEED, 0)
-    with pytest.raises(ValueError):
-        system.indicator_block(None, SEED, [0], 10)
-
-
-def test_orbit_state_validation():
-    with pytest.raises(ValueError):
-        OrbitState(np.array([1.5]))
-    with pytest.raises(ValueError):
-        OrbitState(np.array([-0.1]))
-
-
-def test_orbit_visitor_counts_points():
-    sys2 = LinearMod1System(2)
-    seen = []
-    orbit_visitor(sys2, sample_stationary(sys2, (SEED, 0)), 10,
-                  lambda c: seen.append(c[0]))
-    assert len(seen) == 11
-    vals = sys2._orbit_coords(SEED, [0], 11)[0, :, 0]
-    np.testing.assert_array_equal(np.asarray(seen), vals)
+        PiecewiseSystem(imap, burn_in=-1)
+    assert PiecewiseSystem(imap, burn_in=0).burn_in == 0

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from returnstats.distributions import DiscreteDistribution
-from returnstats.dynamics import (LinearMod1System, TorusAffineSystem,
-                                  sample_stationary)
+from returnstats.dynamics import LinearMod1System, TorusAffineSystem
 from returnstats.estimators import (ClusterAccumulator, ClusterStats,
                                     ReturnTimeRecord, alpha_hat_from_records,
                                     cluster_statistics,
                                     cluster_stats_from_indicators,
-                                    count_visits, counting_distribution,
-                                    entry_time_ratio, r2_overlap_from_indicators,
+                                    counting_distribution, entry_time_ratio,
+                                    r2_overlap, r2_overlap_from_indicators,
                                     return_time_records)
 
 SEED = 31337
@@ -22,23 +21,25 @@ SEED = 31337
 # ---------------------------------------------------------------------------
 
 
-def test_count_visits_full_space_counts_every_point():
-    sys2 = LinearMod1System(2)
-    target = type("All", (), {"contains_points": staticmethod(
-        lambda pts: np.ones(pts.shape[0], dtype=bool))})()
-    s0 = sample_stationary(sys2, (SEED, 0))
-    assert count_visits(sys2, target, s0, t=0.02, mu=0.001) == 21  # N = 20
+def test_counting_distribution_rejects_a_non_positive_horizon():
+    from returnstats.targets import Ball
+
+    for t in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t must be finite and positive"):
+            counting_distribution(LinearMod1System(2), Ball((0.3,), 0.01), t=t,
+                                  n_trials=10, seed=SEED, mu=0.02)
 
 
-def test_count_visits_validation():
-    sys2 = LinearMod1System(2)
-    s0 = sample_stationary(sys2, (SEED, 0))
-    with pytest.raises(ValueError):
-        count_visits(sys2, None, s0, t=1.0, mu=0.0)
-    with pytest.raises(ValueError):
-        count_visits(sys2, None, s0, t=0.0, mu=0.1)
-    with pytest.raises(ValueError):
-        count_visits(sys2, None, s0, t=1.0, mu=1e-14)  # horizon > 1e12
+def test_counting_distribution_rejects_a_bad_measure():
+    from returnstats.targets import Ball
+
+    for mu in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="mu must be finite and positive"):
+            counting_distribution(LinearMod1System(2), Ball((0.3,), 0.01), t=1.0,
+                                  n_trials=10, seed=SEED, mu=mu)
+    with pytest.raises(ValueError, match="exceeds 10"):
+        counting_distribution(LinearMod1System(2), Ball((0.3,), 0.01), t=1.0,
+                              n_trials=10, seed=SEED, mu=1e-14)
 
 
 def test_counting_distribution_mean_is_stationary():
@@ -315,6 +316,22 @@ def test_entry_time_ratio_warns_when_no_hits():
         r = entry_time_ratio(sys2, Ball((1 / math.sqrt(2),), 1e-9), L=5,
                              n_trials=10, seed=SEED)
     assert r == 0.0
+
+
+def test_entry_time_ratio_rejects_no_trials():
+    from returnstats.targets import Ball
+
+    with pytest.raises(ValueError, match="n_trials"):
+        entry_time_ratio(LinearMod1System(2), Ball((0.3,), 0.01), L=5, n_trials=0,
+                         seed=SEED, mu=0.02)
+
+
+def test_r2_overlap_rejects_no_trials():
+    from returnstats.targets import Ball
+
+    with pytest.raises(ValueError, match="n_trials"):
+        r2_overlap(LinearMod1System(2), Ball((0.3,), 0.01), K=2, delta=3, n_trials=0,
+                   seed=SEED)
 
 
 def test_r2_overlap_iid_closed_form():

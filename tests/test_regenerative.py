@@ -281,11 +281,18 @@ def test_symbol_cdf_ends_at_one():
         assert spec._symbol_cdf()[-1] == 1.0
 
 
-@pytest.mark.parametrize("spec", [RegenSpec.smith(500), RegenSpec.fixed_lengths(LAM, 100)],
-                         ids=["smith", "fixed_lengths"])
+@pytest.mark.parametrize("spec", [RegenSpec.smith(500), RegenSpec.fixed_lengths(LAM, 100),
+                                  RegenSpec.smith(), RegenSpec.fixed_lengths(LAM)],
+                         ids=["smith", "fixed_lengths", "smith_1e5", "fixed_lengths_1e5"])
 def test_cached_size_biased_weights_draw_the_same_blocks(spec):
+    # consecutive draws of one stream, then the first draw of fresh trial
+    # streams, each against rng.choice and followed by the same next draw
     a, b = trial_rng(SEED, 11), trial_rng(SEED, 11)
     got = [_size_biased_first_block(spec, a) for _ in range(200)]
     want = [_first_block_reference(spec, b) for _ in range(200)]
     assert got == want
     assert a.random() == b.random()
+    for trial in range(100):
+        a, b = trial_rng(SEED, trial), trial_rng(SEED, trial)
+        assert _size_biased_first_block(spec, a) == _first_block_reference(spec, b)
+        assert a.random() == b.random()

@@ -6,30 +6,28 @@ import pytest
 from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
                                   LinearMod1System, TorusAffineSystem)
 from returnstats.targets import (Ball, DiagonalStrip, MeasureEstimate,
-                                 TorusStrip, contains, measure)
+                                 TorusStrip, measure)
 
 SEED = 99
 
 
 def test_ball_membership_interval():
     b = Ball((0.5,), 0.1)
-    assert contains(b, np.array([0.45]))
-    assert contains(b, np.array([0.6]))      # boundary is closed
-    assert not contains(b, np.array([0.605]))
+    # the boundary 0.6 is closed
+    assert b.contains_points(np.array([[0.45], [0.6], [0.605]])).tolist() \
+        == [True, True, False]
 
 
 def test_ball_membership_periodic_wraps():
-    b = Ball((0.01,), 0.05, periodic=True)
-    assert contains(b, np.array([0.99]))
-    assert not contains(b, np.array([0.90]))
-    plain = Ball((0.01,), 0.05, periodic=False)
-    assert not contains(plain, np.array([0.99]))
+    pts = np.array([[0.99], [0.90]])
+    assert Ball((0.01,), 0.05, periodic=True).contains_points(pts).tolist() == [True, False]
+    assert not Ball((0.01,), 0.05, periodic=False).contains_points(pts).any()
 
 
 def test_ball_sup_metric_in_2d():
     b = Ball((0.5, 0.5), 0.1, periodic=True)
-    assert contains(b, np.array([0.59, 0.41]))
-    assert not contains(b, np.array([0.59, 0.39]))
+    assert b.contains_points(np.array([[0.59, 0.41], [0.59, 0.39]])).tolist() \
+        == [True, False]
 
 
 def test_torus_strip_membership():
@@ -40,8 +38,8 @@ def test_torus_strip_membership():
 
 def test_diagonal_strip_membership():
     d = DiagonalStrip(0.1)
-    assert contains(d, np.array([0.5, 0.54, 0.46]))
-    assert not contains(d, np.array([0.5, 0.65, 0.45]))
+    assert d.contains_points(np.array([[0.5, 0.54, 0.46], [0.5, 0.65, 0.45]])).tolist() \
+        == [True, False]
 
 
 def test_exact_measures():

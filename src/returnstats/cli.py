@@ -186,7 +186,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
                 row.min_entries / max(level_measure(spec, m), 1e-12)
                 / (row.stream_len or 200_000)) + 1)
             cs = regen_cluster_stats(spec, m, row.K, n_streams, config.seed,
-                                     stream_len=row.stream_len)
+                                     stream_len=row.stream_len, workers=config.workers)
             cd = regen_counting_distribution(spec, m, row.t, row.n_trials, config.seed)
         else:
             target = config.build_target(row)

@@ -57,18 +57,26 @@ def _window_sums(ind: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate([first, rest], axis=-1)
 
 
+def _ordered_map(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, computed on up to `workers` threads; the
+    results are always in item order."""
+    items = list(items)
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 def _indicator_batch(map_system, target, master_seed, trial_indices, n_points,
                      workers: int = 1) -> np.ndarray:
     """Indicator rows for a batch of trials, optionally split across threads;
     rows are always assembled in trial order."""
     if workers <= 1 or len(trial_indices) == 1:
         return map_system.indicator_block(target, master_seed, trial_indices, n_points)
-    parts = np.array_split(np.asarray(trial_indices), workers)
-    parts = [p for p in parts if p.size]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        blocks = list(pool.map(
-            lambda p: map_system.indicator_block(target, master_seed, list(p), n_points),
-            parts))
+    parts = [p for p in np.array_split(np.asarray(trial_indices), workers) if p.size]
+    blocks = _ordered_map(
+        lambda p: map_system.indicator_block(target, master_seed, list(p), n_points),
+        parts, workers)
     return np.concatenate(blocks, axis=0)
 
 

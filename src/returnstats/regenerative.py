@@ -18,21 +18,26 @@ Targets are the level sets U_m = {X_0 > m}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import ClusterSizeDist
-from .estimators import ClusterAccumulator, ClusterStats
+from .estimators import ClusterAccumulator, ClusterStats, _ordered_map
 from .rngstreams import master_seed_of, trial_rng
 
 __all__ = ["RegenSpec", "SymbolStream", "generate_stationary", "stationary_blocks",
-           "level_measure", "regen_cluster_stats", "regen_counting_distribution"]
+           "stationary_hit_runs", "level_measure", "regen_cluster_stats",
+           "regen_counting_distribution"]
 
 _DEFAULT_K_CAP = 10**5
 # buckets of the symbol draw's guide table; a power of two, so u * _GUIDE_BUCKETS
 # is exact and floor() of it is the bucket holding u
 _GUIDE_BUCKETS = 2**14
+# blocks per slice of a stream's draws: bounds the float and per-block
+# temporaries of one stream, whatever its length
+_SLICE_BLOCKS = 2**16
 
 
 @dataclass(frozen=True)
@@ -88,19 +93,20 @@ class RegenSpec:
             edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
             lo = np.searchsorted(cdf, edges[:-1], side="right")
             hi = np.searchsorted(cdf, np.nextafter(edges[1:], 0.0), side="right")
-            return np.where(lo == hi, lo + 1, 0)
+            # symbols are int32 (a k_cap beyond 2^31 would not fit in memory)
+            return np.where(lo == hi, lo + 1, 0).astype(np.int32)
         return self._cached("_guide_cache", build)
 
     def draw_symbols(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n i.i.d. symbols via inverse-cdf sampling (fast path for the very
-        long streams the cluster estimators need): the guide table answers
-        most draws, and the rest search the cdf, with the same result
+        """n i.i.d. int32 symbols via inverse-cdf sampling (fast path for the
+        very long streams the cluster estimators need): the guide table
+        answers most draws, and the rest search the cdf, with the same result
         searchsorted(cdf, u, "right") + 1 for every u."""
         u = rng.random(n)
         bucket = np.empty(n, dtype=np.intp)
         np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")  # truncates
         symbols = self._symbol_guide()[bucket]
-        split = np.flatnonzero(symbols == 0)
+        split = (symbols == 0).nonzero()[0]
         symbols[split] = np.searchsorted(self._symbol_cdf(), u[split], side="right") + 1
         return symbols
 
@@ -118,6 +124,19 @@ class RegenSpec:
                 w = np.arange(1, lam.size + 1) * lam
             return _choice_cdf(w / w.sum())
         return self._cached("_size_biased_cache", build)
+
+    def _symbol_choice_cdf(self) -> np.ndarray:
+        """`_choice_cdf` of the symbol law (the fixed_lengths first block)."""
+        return self._cached("_symbol_choice_cache",
+                            lambda: _choice_cdf(self.symbol_probs))
+
+    def _warm_caches(self) -> None:
+        """Build every cache the rule's streams read, so that threads building
+        streams concurrently only read them."""
+        self._symbol_guide()
+        self._size_biased_cdf()
+        if self.block_rule == "fixed_lengths":
+            self._symbol_choice_cdf()
 
     def mean_block_length(self) -> float:
         if self.block_rule == "smith":
@@ -169,10 +188,11 @@ class SymbolStream:
 
 def _block_lengths(spec: RegenSpec, symbols: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
+    """int64 lengths of the blocks of `symbols`, one uniform per block."""
     if spec.block_rule == "smith":
         # length 1 w.p. 1 - 1/k, else k + 1
-        long = rng.random(symbols.size) < 1.0 / symbols
-        lengths = symbols * long
+        lengths = (rng.random(symbols.size) < 1.0 / symbols).astype(np.int64)
+        lengths *= symbols
         lengths += 1
         return lengths
     lam = spec.cluster_dist.lambdas
@@ -204,48 +224,73 @@ def _size_biased_first_block(spec: RegenSpec, rng: np.random.Generator):
             return i + 1, 1
         j = i - k_cap
         return j + 1, j + 2
-    symbol_cdf = spec._cached("_symbol_choice_cache",
-                              lambda: _choice_cdf(spec.symbol_probs))
-    return _choose(symbol_cdf, rng) + 1, i + 1
+    return _choose(spec._symbol_choice_cdf(), rng) + 1, i + 1
 
 
-def stationary_blocks(spec: RegenSpec, length: int, seed):
-    """Blocks of the stationary stream of the requested length, as
-    ``(block_symbols, block_lengths, phase)``: block i repeats its symbol
-    block_lengths[i] times, and the last length is cut at `length`.
+def _block_slices(spec: RegenSpec, length: int, seed):
+    """The blocks of the stationary stream of the requested length, drawn a
+    bounded slice at a time: ``(phase, slices)``, where `slices` yields
+    ``(symbols, lengths, ends)`` in stream order (int32 symbols, int64
+    lengths and stream positions where the blocks end), the first holding
+    the block that covers index 0 and the last ending with the block that
+    reaches `length`, cut there.
 
     The block covering index 0 is drawn from the size-biased block law with
     a uniform phase (``phase`` is the offset of index 0 inside it; its
-    remaining length is the first entry); subsequent blocks are i.i.d.
+    remaining length is the first length); subsequent blocks are i.i.d.
+    They are drawn in chunks: a chunk first draws all its symbols, then its
+    lengths, and the next chunk follows only if the stream is not yet long
+    enough.  Both draws go `_SLICE_BLOCKS` blocks at a time, which consumes
+    the same uniforms in the same order as drawing the whole chunk at once,
+    and the lengths stop at the block that reaches `length`: nothing reads
+    the stream's generator after it.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     mean_len = spec.mean_block_length()
-    if not np.isfinite(mean_len) or mean_len <= 0:
+    if not math.isfinite(mean_len) or mean_len <= 0:
         raise ValueError("mean block length must be finite and positive")
     master_seed, trial_index = seed if isinstance(seed, tuple) else (int(seed), 0)
     rng = trial_rng(master_seed, trial_index)
-
     sym0, len0 = _size_biased_first_block(spec, rng)
     phase = int(rng.integers(0, len0))
-    sym_pieces = [np.full(1, sym0, dtype=np.int64)]
-    len_pieces = [np.full(1, len0 - phase, dtype=np.int64)]
-    total = len0 - phase
-    while total < length:
-        # the over-draw fixes which uniforms go to symbols and which to
-        # lengths, so it is part of every stream's definition
-        n_blocks = max(64, int((length - total) / mean_len * 1.2))
-        syms = spec.draw_symbols(n_blocks, rng)
-        lens = _block_lengths(spec, syms, rng)
-        sym_pieces.append(syms)
-        len_pieces.append(lens)
-        total += int(lens.sum())
-    block_lens = np.concatenate(len_pieces)
-    ends = np.cumsum(block_lens)
-    last = int(np.searchsorted(ends, length))  # first block reaching `length`
-    block_lens = block_lens[: last + 1]
-    block_lens[last] -= ends[last] - length
-    return np.concatenate(sym_pieces)[: last + 1], block_lens, phase
+
+    def slices():
+        total = min(len0 - phase, length)
+        first = np.array([total], dtype=np.int64)
+        yield np.array([sym0], dtype=np.int32), first, first
+        while total < length:
+            # the over-draw fixes which uniforms go to symbols and which to
+            # lengths, so it is part of every stream's definition
+            n_blocks = max(64, int((length - total) / mean_len * 1.2))
+            chunk = [spec.draw_symbols(min(_SLICE_BLOCKS, n_blocks - lo), rng)
+                     for lo in range(0, n_blocks, _SLICE_BLOCKS)]
+            for syms in chunk:
+                lens = _block_lengths(spec, syms, rng)
+                ends = lens.cumsum()
+                ends += total
+                if ends[-1] >= length:
+                    last = int(ends.searchsorted(length))
+                    lens, ends = lens[: last + 1], ends[: last + 1]
+                    lens[last] -= ends[last] - length
+                    ends[last] = length
+                    yield syms[: last + 1], lens, ends
+                    return
+                total = int(ends[-1])
+                yield syms, lens, ends
+
+    return phase, slices()
+
+
+def stationary_blocks(spec: RegenSpec, length: int, seed):
+    """Blocks of the stationary stream of the requested length, as
+    ``(block_symbols, block_lengths, phase)`` (int64 arrays): block i
+    repeats its symbol block_lengths[i] times, the last length is cut at
+    `length`, and ``phase`` is the offset of index 0 inside the first block
+    (see `_block_slices`)."""
+    phase, slices = _block_slices(spec, length, seed)
+    syms, lens, _ = zip(*slices)
+    return np.concatenate(syms, dtype=np.int64), np.concatenate(lens), phase
 
 
 def generate_stationary(spec: RegenSpec, length: int, seed) -> SymbolStream:
@@ -257,12 +302,17 @@ def generate_stationary(spec: RegenSpec, length: int, seed) -> SymbolStream:
                         block_boundaries=starts, phase=phase)
 
 
-def _hit_runs(block_syms: np.ndarray, block_lens: np.ndarray, m: int):
-    """``(starts, ends)`` of the blocks inside U_m = {X_0 > m}: the sorted,
-    disjoint intervals [start, end) on which the stream's indicator is 1."""
-    ends = np.cumsum(block_lens)
-    hit = np.flatnonzero(block_syms > m)
-    return ends[hit] - block_lens[hit], ends[hit]
+def stationary_hit_runs(spec: RegenSpec, length: int, seed, m: int):
+    """``(starts, ends)`` of the blocks of the stationary stream inside
+    U_m = {X_0 > m}: the sorted, disjoint intervals [start, end) on which the
+    stream's indicator is 1, gathered slice by slice."""
+    _, slices = _block_slices(spec, length, seed)
+    starts, stops = [], []
+    for syms, lens, ends in slices:
+        hit = np.flatnonzero(syms > m)
+        stops.append(ends[hit])
+        starts.append(ends[hit] - lens[hit])
+    return np.concatenate(starts), np.concatenate(stops)
 
 
 def level_measure(spec: RegenSpec, m: int) -> float:
@@ -275,10 +325,18 @@ def level_measure(spec: RegenSpec, m: int) -> float:
 
 
 def regen_cluster_stats(spec: RegenSpec, m: int, K: int, n_streams: int, seed,
-                        stream_len: int | None = None) -> ClusterStats:
+                        stream_len: int | None = None, workers: int = 1) -> ClusterStats:
     """Windowed cluster statistics of the indicator of U_m = {X_0 > m} under
     the shift map on stationary streams, tallied from each stream's hit
-    blocks without expanding it into symbols."""
+    blocks without expanding it into symbols.  Streams are built on up to
+    `workers` threads and tallied in stream order, so the result does not
+    depend on `workers`."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if n_streams < 1:
+        raise ValueError("n_streams must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     mu = level_measure(spec, m)
     if mu <= 0.0:
         raise ValueError(f"U_m has zero measure under the truncation (m={m}, "
@@ -287,10 +345,13 @@ def regen_cluster_stats(spec: RegenSpec, m: int, K: int, n_streams: int, seed,
     if stream_len is None:
         stream_len = max(200_000, 100 * (2 * K + 1))
 
+    spec._warm_caches()
+    runs = _ordered_map(
+        lambda trial: stationary_hit_runs(spec, stream_len, (master_seed, trial), m),
+        range(n_streams), workers)
     acc = ClusterAccumulator(K=K)
-    for trial in range(n_streams):
-        block_syms, block_lens, _ = stationary_blocks(spec, stream_len, (master_seed, trial))
-        acc.add_runs(*_hit_runs(block_syms, block_lens, m), stream_len)
+    for starts, ends in runs:
+        acc.add_runs(starts, ends, stream_len)
     return acc.finalize(insufficient=False)
 
 
@@ -298,10 +359,12 @@ def regen_counting_distribution(spec: RegenSpec, m: int, t: float,
                                 n_trials: int, seed):
     """Empirical law of the visit count to U_m over the Kac horizon
     N = floor(t / mu(U_m)), one independent stationary stream per trial."""
-    import math
-
     from .distributions import empirical_distribution
 
+    if not 0 < t < math.inf:
+        raise ValueError("t must be finite and positive")
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
     mu = level_measure(spec, m)
     if mu <= 0.0:
         raise ValueError("U_m has zero measure under the truncation")
@@ -309,6 +372,9 @@ def regen_counting_distribution(spec: RegenSpec, m: int, t: float,
     n_points = math.floor(t / mu) + 1
     values = np.empty(n_trials, dtype=np.int64)
     for trial in range(n_trials):
-        block_syms, block_lens, _ = stationary_blocks(spec, n_points, (master_seed, trial))
-        values[trial] = int(block_lens[block_syms > m].sum())
+        _, slices = _block_slices(spec, n_points, (master_seed, trial))
+        count = 0
+        for syms, lens, _ in slices:
+            count += int(lens[syms > m].sum())
+        values[trial] = count
     return empirical_distribution(values)

@@ -18,9 +18,10 @@ from returnstats.distributions import (ClusterSizeDist, CompoundSpec,
                                        compound_poisson_pmf, polya_aeppli_pmf)
 from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
                                   LinearMod1System, TorusAffineSystem)
-from returnstats.estimators import (ClusterAccumulator, cluster_statistics,
-                                    counting_distribution, entry_time_ratio)
-from returnstats.regenerative import RegenSpec, _hit_runs, stationary_blocks
+from returnstats.estimators import (ClusterAccumulator, _ordered_map,
+                                    cluster_statistics, counting_distribution,
+                                    entry_time_ratio)
+from returnstats.regenerative import RegenSpec, stationary_hit_runs
 from returnstats.stats import lambda_from_alpha_hat, total_variation
 from returnstats.targets import Ball, DiagonalStrip, TorusStrip
 
@@ -192,10 +193,12 @@ def test_criterion_09_smith_pathology():
     m = 1000
     acc10, acc100 = ClusterAccumulator(K=10), ClusterAccumulator(K=100)
     t0 = time.time()
-    for trial in range(400):
-        # tallied from the hit blocks: the same numbers as the dense rows
-        block_syms, block_lens, _ = stationary_blocks(spec, 5_000_000, (909, trial))
-        starts, ends = _hit_runs(block_syms, block_lens, m)
+    # tallied from the hit blocks (the same numbers as the dense rows), the
+    # streams built on two threads and tallied in stream order
+    spec._warm_caches()
+    runs = _ordered_map(lambda trial: stationary_hit_runs(spec, 5_000_000, (909, trial), m),
+                        range(400), 2)
+    for starts, ends in runs:
         acc10.add_runs(starts, ends, 5_000_000)
         acc100.add_runs(starts, ends, 5_000_000)
     cs10 = acc10.finalize(insufficient=False)
@@ -250,31 +253,43 @@ def test_criterion_12_determinism_across_workers(tmp_path):
     from returnstats.cli import main
 
     cfg = tmp_path / "cfg.yaml"
-    files = ("cluster_rho0p02_K5.json", "cluster_rho0p02_K5.csv",
-             "counting_rho0p02_K5.json", "counting_rho0p02_K5.csv")
-    outs = {}
-    for workers, sub in ((1, "w1"), (4, "w4")):
-        cfg.write_text(f"""
-system: {{kind: torus, a: 2}}
-target: {{kind: torus_strip}}
+    runs = {
+        "torus": ("""
+system: {kind: torus, a: 2}
+target: {kind: torus_strip}
 schedule:
-  - {{rho: 0.02, K: 5, t: 1.0, n_trials: 300, min_entries: 200, orbit_len: 20000}}
+  - {rho: 0.02, K: 5, t: 1.0, n_trials: 300, min_entries: 200, orbit_len: 20000}
 seed: 5150
-outputs: {{dir: "{tmp_path / sub}"}}
-""")
-        assert main(["--config", str(cfg), "--workers", str(workers),
-                     "simulate"]) == 0
-        outs[sub] = {f: (tmp_path / sub / f).read_bytes() for f in files}
-    identical = all(outs["w1"][f] == outs["w4"][f] for f in files)
-    # the manifests must agree on everything except the echoed worker count
-    m1 = json.loads((tmp_path / "w1" / "manifest.json").read_text())
-    m4 = json.loads((tmp_path / "w4" / "manifest.json").read_text())
-    for m in (m1, m4):
-        m["config"].pop("workers")
-        m["config"]["outputs"].pop("dir")
-    manifests_agree = m1 == m4
+""", "rho0p02_K5"),
+        # five streams, so that four workers build several at once
+        "smith": ("""
+system: {kind: regenerative, block_rule: smith, k_cap: 3000}
+target: {kind: level_set}
+schedule:
+  - {m: 100, K: 5, t: 1.0, n_trials: 200, min_entries: 2000, stream_len: 100000}
+seed: 5150
+""", "m100_K5"),
+    }
+    identical = manifests_agree = True
+    for system, (text, label) in runs.items():
+        files = [f"{kind}_{label}.{ext}" for kind in ("cluster", "counting")
+                 for ext in ("json", "csv")]
+        outs, manifests = {}, {}
+        for workers in (1, 4):
+            out = tmp_path / f"{system}_w{workers}"
+            cfg.write_text(text + f'outputs: {{dir: "{out}"}}\n')
+            assert main(["--config", str(cfg), "--workers", str(workers),
+                         "simulate"]) == 0
+            outs[workers] = {f: (out / f).read_bytes() for f in files}
+            manifests[workers] = json.loads((out / "manifest.json").read_text())
+        identical &= outs[1] == outs[4]
+        # the manifests must agree on everything except the echoed worker count
+        for m in manifests.values():
+            m["config"].pop("workers")
+            m["config"]["outputs"].pop("dir")
+        manifests_agree &= manifests[1] == manifests[4]
     ok = identical and manifests_agree
     _report(12, "worker-count determinism", ok,
-            f"result files byte-identical for workers 1 vs 4: {identical}; "
+            f"result files byte-identical for workers 1 vs 4 (torus, smith): {identical}; "
             f"manifests identical up to echoed worker count: {manifests_agree}")
     assert ok

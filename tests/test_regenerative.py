@@ -1,14 +1,18 @@
+import sys
+
 import numpy as np
 import pytest
 
+from returnstats import regenerative
 from returnstats.distributions import ClusterSizeDist, empirical_distribution
 from returnstats.estimators import cluster_stats_from_indicators
-from returnstats.regenerative import (_GUIDE_BUCKETS, RegenSpec, SymbolStream,
-                                      _block_lengths, _size_biased_first_block,
+from returnstats.regenerative import (_GUIDE_BUCKETS, _SLICE_BLOCKS, RegenSpec,
+                                      SymbolStream, _block_lengths, _block_slices,
+                                      _size_biased_first_block,
                                       generate_stationary, level_measure,
                                       regen_cluster_stats,
                                       regen_counting_distribution,
-                                      stationary_blocks)
+                                      stationary_blocks, stationary_hit_runs)
 from returnstats.rngstreams import trial_rng
 
 SEED = 424242
@@ -168,26 +172,42 @@ def _first_block_reference(spec, rng):
     return int(rng.choice(k, p=g)), length
 
 
-def _dense_reference(spec, length, seed):
-    """Symbol-by-symbol stationary stream: the same draws in the same chunks,
-    symbols by a plain cdf search, then expanded and cut at `length`.
-    Also says whether `length` fell on a block boundary."""
+def _chunked_reference(spec, length, seed):
+    """The stationary blocks drawn a whole chunk at a time: each chunk's
+    symbols by one plain cdf search, then its lengths by one draw, and the
+    blocks cut at the first one that reaches `length`.  Also returns the
+    number of chunks drawn and whether the last block was cut."""
     rng = trial_rng(*seed)
     sym0, len0 = _first_block_reference(spec, rng)
     phase = int(rng.integers(0, len0))
     syms, lens = [np.array([sym0])], [np.array([len0 - phase])]
-    total = len0 - phase
+    total, chunks = len0 - phase, 0
     while total < length:
+        chunks += 1
         n = max(64, int((length - total) / spec.mean_block_length() * 1.2))
         s = np.searchsorted(spec._symbol_cdf(), rng.random(n), side="right") + 1
+        if spec.block_rule == "smith":
+            lens.append(np.where(rng.random(n) < 1.0 / s, s + 1, 1))
+        else:
+            lam = spec.cluster_dist.lambdas
+            lens.append(rng.choice(np.arange(1, lam.size + 1), size=n, p=lam))
         syms.append(s)
-        lens.append(_block_lengths(spec, s, rng))
         total += int(lens[-1].sum())
     syms, lens = np.concatenate(syms), np.concatenate(lens)
+    ends = np.cumsum(lens)
+    last = int(np.searchsorted(ends, length))
+    cut = bool(ends[last] > length)
+    lens = lens[: last + 1]
+    lens[last] -= ends[last] - length
+    return syms[: last + 1], lens, phase, chunks, cut
+
+
+def _dense_reference(spec, length, seed):
+    """Symbol-by-symbol stationary stream: the chunked reference expanded.
+    Also says whether `length` fell on a block boundary."""
+    syms, lens, phase, _, cut = _chunked_reference(spec, length, seed)
     starts = np.cumsum(lens) - lens
-    on_boundary = bool(np.any(np.cumsum(lens) == length))
-    return (np.repeat(syms, lens)[:length], starts[starts < length], phase,
-            on_boundary)
+    return np.repeat(syms, lens), starts, phase, not cut
 
 
 @pytest.mark.parametrize("spec", [RegenSpec.smith(100), RegenSpec.fixed_lengths(LAM, 100)],
@@ -209,6 +229,139 @@ def test_stationary_blocks_expand_to_the_dense_reference(spec):
             assert s.phase == phase
             cases["boundary" if on_boundary else "mid_block"] += 1
     assert min(cases.values()) > 10
+
+
+# laws whose short streams often need a second chunk of blocks: a smith law
+# on symbols 1 and 40, and a cluster-size law spread wide
+TWO_SYMBOLS = RegenSpec(np.array([0.5] + [0.0] * 38 + [0.5]), "smith")
+SPIKY = ClusterSizeDist(np.array([0.9] + [0.0] * 18 + [0.1]))
+CHUNK_SIZES = (_SLICE_BLOCKS - 1, _SLICE_BLOCKS, _SLICE_BLOCKS + 1, 3 * _SLICE_BLOCKS + 7)
+
+
+def _length_for_first_chunk(spec, seed, n_blocks):
+    """A stream length whose first chunk draws exactly `n_blocks` blocks."""
+    rng = trial_rng(*seed)
+    _, len0 = _first_block_reference(spec, rng)
+    rest = len0 - int(rng.integers(0, len0))
+    mean = spec.mean_block_length()
+
+    def chunk(length):
+        return max(64, int((length - rest) / mean * 1.2))
+
+    length = rest + int(n_blocks * mean / 1.2)
+    while chunk(length) < n_blocks:
+        length += 1
+    while chunk(length) > n_blocks:
+        length -= 1
+    assert chunk(length) == n_blocks
+    return length
+
+
+def _check_slices(spec, length, seed, levels):
+    """`stationary_blocks` and `stationary_hit_runs` at each level against the
+    chunked reference; returns the reference's chunk count and cut flag."""
+    syms, lens, phase, chunks, cut = _chunked_reference(spec, length, seed)
+    got_syms, got_lens, got_phase = stationary_blocks(spec, length, seed)
+    assert got_syms.dtype == got_lens.dtype == np.int64
+    np.testing.assert_array_equal(got_syms, syms)
+    np.testing.assert_array_equal(got_lens, lens)
+    assert got_phase == phase
+    assert all(s.size <= regenerative._SLICE_BLOCKS
+               for s, _, _ in _block_slices(spec, length, seed)[1])
+    ends = np.cumsum(lens)
+    for m in levels:
+        starts, stops = stationary_hit_runs(spec, length, seed, m)
+        np.testing.assert_array_equal(starts, (ends - lens)[syms > m])
+        np.testing.assert_array_equal(stops, ends[syms > m])
+    # a level below the first symbol makes the block covering index 0 a hit
+    assert stationary_hit_runs(spec, length, seed, int(syms[0]) - 1)[0][0] == 0
+    return chunks, cut
+
+
+@pytest.mark.parametrize("spec", [TWO_SYMBOLS, RegenSpec.fixed_lengths(SPIKY, 100)],
+                         ids=["smith", "fixed_lengths"])
+def test_slices_equal_the_chunked_reference(spec):
+    cases = [((SEED, trial), _length_for_first_chunk(spec, (SEED, trial), n))
+             for n in CHUNK_SIZES for trial in range(3)]
+    cases += [((SEED, trial), length) for trial in range(8)
+              for length in (1, 2, 3, 5, 40, 100, 129, 150, 200)]
+    seen = set()
+    for seed, length in cases:
+        chunks, cut = _check_slices(spec, length, seed, (0, 1, 3, 39, 40))
+        seen.add("first block covers the stream" if chunks == 0 else
+                 "one chunk" if chunks == 1 else "several chunks")
+        seen.add("last block cut" if cut else "ends on a boundary")
+    assert seen == {"first block covers the stream", "one chunk", "several chunks",
+                    "last block cut", "ends on a boundary"}
+
+
+@pytest.mark.parametrize("spec", [TWO_SYMBOLS, RegenSpec.fixed_lengths(SPIKY, 100)],
+                         ids=["smith", "fixed_lengths"])
+def test_streams_do_not_depend_on_the_slice_size(spec, monkeypatch):
+    # tiny slices put slice ends everywhere, including on the last block
+    for size in (1, 2, 5):
+        monkeypatch.setattr(regenerative, "_SLICE_BLOCKS", size)
+        for length in range(1, 150, 7):
+            for trial in range(3):
+                _check_slices(spec, length, (SEED, trial), (3, 39))
+
+
+def test_shipped_smith_slices_equal_the_chunked_reference():
+    spec = RegenSpec.smith(3000)
+    for n in CHUNK_SIZES:
+        for trial in range(2):
+            _check_slices(spec, _length_for_first_chunk(spec, (SEED, trial), n),
+                          (SEED, trial), (0, 3, 1000))
+
+
+def test_regen_estimators_accept_the_smallest_valid_inputs():
+    spec = RegenSpec.smith(100)
+    regen_cluster_stats(spec, m=10, K=1, n_streams=1, seed=SEED, stream_len=1000, workers=1)
+    regen_counting_distribution(spec, m=10, t=0.5, n_trials=1, seed=SEED)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, np.inf, np.nan])
+def test_regen_counting_distribution_rejects_a_bad_horizon(t):
+    with pytest.raises(ValueError, match="t must be finite and positive"):
+        regen_counting_distribution(RegenSpec.smith(100), 10, t, 10, SEED)
+
+
+def test_regen_counting_distribution_rejects_no_trials():
+    with pytest.raises(ValueError, match="n_trials must be >= 1"):
+        regen_counting_distribution(RegenSpec.smith(100), 10, 1.0, 0, SEED)
+
+
+def test_regen_cluster_stats_rejects_an_empty_window():
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        regen_cluster_stats(RegenSpec.smith(100), 10, 0, 2, SEED, stream_len=1000)
+
+
+def test_regen_cluster_stats_rejects_no_streams():
+    with pytest.raises(ValueError, match="n_streams must be >= 1"):
+        regen_cluster_stats(RegenSpec.smith(100), 10, 5, 0, SEED, stream_len=1000)
+
+
+def test_regen_cluster_stats_rejects_no_workers():
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        regen_cluster_stats(RegenSpec.smith(100), 10, 5, 2, SEED, stream_len=1000, workers=0)
+
+
+@pytest.mark.parametrize("spec", [RegenSpec.smith(3000), RegenSpec.fixed_lengths(LAM, 100)],
+                         ids=["smith", "fixed_lengths"])
+def test_regen_cluster_stats_do_not_depend_on_workers(spec):
+    one = regen_cluster_stats(spec, 30, 5, 5, SEED, stream_len=50_000, workers=1)
+    # fresh specs, so the pooled calls start with cold caches, and more
+    # workers than streams or cores with frequent thread switches
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 8):
+            fresh = RegenSpec(spec.symbol_probs, spec.block_rule, spec.cluster_dist)
+            pooled = regen_cluster_stats(fresh, 30, 5, 5, SEED, stream_len=50_000,
+                                         workers=workers)
+            assert pooled.to_json() == one.to_json()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_regen_tallies_equal_the_dense_reference():

@@ -175,17 +175,55 @@ def digit_window_width(a: int) -> int:
     return w
 
 
-def sliding_window_values(digits: np.ndarray, a: int, width: int) -> np.ndarray:
+def sliding_window_values(digits: np.ndarray, a: int, width: int,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Float values in [0,1) of all base-a windows of `width` digits.
 
-    Works along the last axis; uses log2(width) doubling passes of exact
-    int64 arithmetic, so no precision is lost and no (n, width) matrix is
-    materialised.  Doubling powers that `width` does not use are dropped as
-    soon as the next one is built.
+    Works along the last axis and writes into `out` when given.  Binary
+    digits are bit-packed: every window is a shift of the big-endian 64-bit
+    word at its byte.  Other bases use log2(width) doubling passes of exact
+    int64 arithmetic.  Either way the window is an exact integer below
+    2**53, so no precision is lost and no (n, width) matrix is materialised.
     """
     n = digits.shape[-1]
     if n < width:
         raise ValueError("need at least `width` digits")
+    m = n - width + 1
+    if out is None:
+        out = np.empty(digits.shape[:-1] + (m,))
+    if a == 2:
+        _binary_windows(digits, width, out)
+    else:
+        out[...] = _doubling_windows(digits, a, width)[..., :m]
+    out /= float(a**width)
+    return out
+
+
+def _binary_windows(bits: np.ndarray, width: int, out: np.ndarray) -> None:
+    """Integer values of the `width`-bit windows (width <= 57) into `out`.
+
+    Bytes of the packed stream, padded with 7 zero bytes, are read as a
+    big-endian 64-bit word at every byte offset j; the window starting at bit
+    8j + r is that word shifted left by r and right by 64 - width.
+    """
+    packed = np.packbits(bits, axis=-1)
+    nb = packed.shape[-1]
+    padded = np.zeros(packed.shape[:-1] + (nb + 7,), dtype=np.uint8)
+    padded[..., :nb] = packed
+    words = np.ndarray(packed.shape, dtype=">u8", buffer=padded,
+                       strides=padded.strides[:-1] + (1,)).astype(np.uint64)
+    m = out.shape[-1]
+    for r in range(min(8, m)):
+        part = words[..., : (m - r + 7) // 8] << np.uint64(r)
+        part >>= np.uint64(64 - width)
+        out[..., r::8] = part.view(np.int64)
+
+
+def _doubling_windows(digits: np.ndarray, a: int, width: int) -> np.ndarray:
+    """Integer values (int64) of the base-a windows, at least n - width + 1
+    along the last axis.  Doubling powers that `width` does not use are
+    dropped as soon as the next one is built."""
+    n = digits.shape[-1]
     pw = {1: np.asarray(digits, dtype=np.int64)}
     length = 1
     while 2 * length <= width:
@@ -210,10 +248,7 @@ def sliding_window_values(digits: np.ndarray, a: int, width: int) -> np.ndarray:
             res = res[..., :valid] * a**bit
             res += part[..., covered : covered + valid]
             covered = newlen
-    m = n - width + 1
-    values = res[..., :m].astype(np.float64)
-    values /= float(a**width)
-    return values
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -255,22 +290,39 @@ class _DigitOrbitSystem(MapSystem):
         self.dimension = dimension
         self.width = digit_window_width(self.a)
 
-    def _with_windows(self, master_seed: int, trials: list, y: np.ndarray) -> np.ndarray:
-        """(g, n_points, dimension) orbit coordinates from the (g, n_points)
-        digit-window values of the trials."""
-        raise NotImplementedError
+    def _fill_planes(self, master_seed: int, trials: list, coords: np.ndarray) -> None:
+        """Fill the coordinate planes before the last from the window plane
+        ``coords[-1]``; `coords` is (dimension, len(trials), n_points)."""
+
+    def _digits(self, master_seed: int, trials: list, n_digits: int) -> np.ndarray:
+        """(len(trials), n_digits) matrix of the trials' first base-a digits.
+
+        For a = 2, ``integers(0, 2)`` returns the top bit of each 32-bit half
+        of a raw 64-bit Philox word, low half first (Lemire's bound never
+        rejects for a range of 2), so the digits are read off the same raw
+        words directly, as booleans.
+        """
+        if self.a != 2:
+            digits = np.empty((len(trials), n_digits), dtype=np.int64)
+            for row, t in enumerate(trials):
+                digits[row] = trial_rng(master_seed, t).integers(0, self.a, size=n_digits,
+                                                                 dtype=np.int64)
+            return digits
+        raw = np.empty((len(trials), (n_digits + 1) // 2), dtype="<u8")
+        for row, t in enumerate(trials):
+            raw[row] = trial_rng(master_seed, t).bit_generator.random_raw(raw.shape[1])
+        return raw.view("<u4")[:, :n_digits] >= 1 << 31
 
     def _orbit_coords(self, master_seed: int, trials, n_points: int) -> np.ndarray:
-        """(len(trials), n_points, dimension) coordinates of the trials' orbits."""
+        """(len(trials), n_points, dimension) coordinates of the trials' orbits,
+        a transposed view of contiguous per-coordinate planes."""
         trials = [int(t) for t in trials]
-        n_digits = n_points + self.width - 1
-        digits = np.empty((len(trials), n_digits), dtype=np.int64)
-        for row, t in enumerate(trials):
-            digits[row] = trial_rng(master_seed, t).integers(0, self.a, size=n_digits,
-                                                             dtype=np.int64)
-        y = sliding_window_values(digits, self.a, self.width)
+        digits = self._digits(master_seed, trials, n_points + self.width - 1)
+        coords = np.empty((self.dimension, len(trials), n_points))
+        sliding_window_values(digits, self.a, self.width, out=coords[-1])
         del digits
-        return self._with_windows(master_seed, trials, y)
+        self._fill_planes(master_seed, trials, coords)
+        return coords.transpose(1, 2, 0)
 
     def indicator_block(self, target, master_seed, trial_indices, n_points):
         out = np.empty((len(trial_indices), n_points), dtype=bool)
@@ -296,9 +348,6 @@ class LinearMod1System(_DigitOrbitSystem):
     def __init__(self, a: int):
         super().__init__(a, dimension=1)
 
-    def _with_windows(self, master_seed, trials, y):
-        return y[..., None]
-
 
 class TorusAffineSystem(_DigitOrbitSystem):
     """(x, y) -> (x + y mod 1, a*y mod 1); Lebesgue measure is invariant.
@@ -310,17 +359,15 @@ class TorusAffineSystem(_DigitOrbitSystem):
     def __init__(self, a: int):
         super().__init__(a, dimension=2)
 
-    def _with_windows(self, master_seed, trials, y):
-        coords = np.empty(y.shape + (2,))
-        coords[..., 1] = y
+    def _fill_planes(self, master_seed, trials, coords):
         # x_0 from the trial's substream 1, then x_n = (x_0 + y_0 + ... +
-        # y_{n-1}) mod 1 with a sequential float64 cumsum
-        x = coords[..., 0]
+        # y_{n-1}) mod 1 with a sequential float64 cumsum; v - floor(v) is
+        # bitwise v % 1.0 for every float64 and several times cheaper
+        x, y = coords
         x[:, 0] = [trial_rng(master_seed, t, substream=1).random() for t in trials]
         np.cumsum(y[:, :-1], axis=1, out=x[:, 1:])
         x[:, 1:] += x[:, :1]
-        x[:, 1:] %= 1.0
-        return coords
+        x[:, 1:] -= np.floor(x[:, 1:])
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,50 @@ class ClusterAccumulator:
             self.w_hist = np.zeros(self.K + 2, dtype=np.int64)
 
     def add_orbit(self, ind: np.ndarray) -> None:
-        """Tally one orbit's boolean indicator row."""
+        """Tally one orbit's indicator row (boolean, or integers 0 and 1)
+        through `add_runs` on its runs of ones."""
+        ind = np.asarray(ind)
+        if ind.dtype != bool:
+            if ind.dtype.kind not in "iu" or np.any((ind != 0) & (ind != 1)):
+                raise ValueError("an indicator row holds booleans or 0/1 integers")
+            ind = ind.astype(bool)
+        # runs start and end where the zero-padded row changes value
+        padded = np.zeros(ind.size + 2, dtype=bool)
+        padded[1:-1] = ind
+        edges = np.flatnonzero(padded[1:] != padded[:-1])
+        self.add_runs(edges[0::2], edges[1::2], ind.size)
+
+    def add_runs(self, starts, ends, n_points: int) -> None:
+        """Tally one orbit of `n_points` steps whose indicator is 1 exactly on
+        the sorted, disjoint intervals [starts[i], ends[i]).
+
+        Every zero gap, the leading and trailing ones included, is cut to
+        2K+2 and the short row goes through the dense tally: no window of
+        width 2K+1 or K+1 reaches across such a gap and every hit keeps its
+        distance to the orbit end at or above 2K+1 exactly when it had it,
+        so only all-zero windows go, and they are added back to z_hist[0].
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        gaps = np.concatenate((starts, [n_points])) - np.concatenate(([0], ends))
+        runs = ends - starts
+        if np.any(gaps < 0) or np.any(runs < 0):
+            raise ValueError("runs must be sorted, disjoint and inside the orbit")
+        kept = np.minimum(gaps, 2 * self.K + 2)
+        cut = int((gaps - kept).sum())
+        # interleave gap, run, gap, ..., run, gap
+        lengths = np.empty(2 * runs.size + 1, dtype=np.int64)
+        lengths[0::2] = kept
+        lengths[1::2] = runs
+        values = np.zeros(lengths.size, dtype=bool)
+        values[1::2] = True
+        self._add_dense(np.repeat(values, lengths))
+        self.z_hist[0] += cut
+        self.n_windows += cut
+        self.total_steps += cut
+
+    def _add_dense(self, ind: np.ndarray) -> None:
+        """Tally one boolean row window by window."""
         K = self.K
         n_points = ind.size
         win = 2 * K + 1
@@ -235,36 +278,6 @@ class ClusterAccumulator:
         n_pos = int(z_hist[1:].sum())
         if n_pos > 0:
             self.orbit_lambda.append(z_hist[1:] / n_pos)
-
-    def add_runs(self, starts, ends, n_points: int) -> None:
-        """Tally one orbit of `n_points` steps whose indicator is 1 exactly on
-        the sorted, disjoint intervals [starts[i], ends[i]).
-
-        Same tallies as `add_orbit` on the dense row.  Every zero gap,
-        the leading and trailing ones included, is cut to 2K+2 first: no
-        window of width 2K+1 or K+1 reaches across such a gap and every
-        hit keeps its distance to the orbit end at or above 2K+1 exactly
-        when it had it, so only all-zero windows go, and they are added
-        back to z_hist[0].
-        """
-        starts = np.asarray(starts, dtype=np.int64)
-        ends = np.asarray(ends, dtype=np.int64)
-        gaps = np.concatenate((starts, [n_points])) - np.concatenate(([0], ends))
-        runs = ends - starts
-        if np.any(gaps < 0) or np.any(runs < 0):
-            raise ValueError("runs must be sorted, disjoint and inside the orbit")
-        kept = np.minimum(gaps, 2 * self.K + 2)
-        cut = int((gaps - kept).sum())
-        # interleave gap, run, gap, ..., run, gap
-        lengths = np.empty(2 * runs.size + 1, dtype=np.int64)
-        lengths[0::2] = kept
-        lengths[1::2] = runs
-        values = np.zeros(lengths.size, dtype=bool)
-        values[1::2] = True
-        self.add_orbit(np.repeat(values, lengths))
-        self.z_hist[0] += cut
-        self.n_windows += cut
-        self.total_steps += cut
 
     def finalize(self, insufficient: bool) -> ClusterStats:
         ge = np.cumsum(self.w_hist[::-1])[::-1]

@@ -29,7 +29,9 @@ class MeasureEstimate:
 
 
 def _circle_dist(u: np.ndarray, v) -> np.ndarray:
-    d = np.abs(u - v) % 1.0
+    # d - floor(d) is bitwise d % 1.0 for every float64, and cheaper
+    d = np.abs(u - v)
+    d -= np.floor(d)
     return np.minimum(d, 1.0 - d)
 
 
@@ -92,7 +94,15 @@ class TorusStrip(TargetSet):
             raise ValueError("rho must lie in (0, 1/2]")
 
     def contains_points(self, pts):
-        return _circle_dist(pts[..., 1], 0.0) <= self.rho
+        # _circle_dist(y, 0) <= rho, i.e. d <= rho or 1 - d <= rho, in two
+        # float buffers
+        d = np.abs(pts[..., 1])
+        scratch = np.floor(d)
+        d -= scratch
+        inside = d <= self.rho
+        np.subtract(1.0, d, out=scratch)
+        inside |= scratch <= self.rho
+        return inside
 
     def exact_measure(self):
         return min(2 * self.rho, 1.0)

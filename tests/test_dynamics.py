@@ -30,9 +30,20 @@ def test_digit_window_width_values():
         assert a**w <= 2**53 < a ** (w + 1)
 
 
+def _horner_windows(digits, a, width):
+    """Window values by Horner's rule along each window, vectorised over the
+    window starts: exact int64 sums, divided by a**width once."""
+    digits = np.asarray(digits, dtype=np.int64)
+    m = digits.shape[-1] - width + 1
+    v = np.zeros(digits.shape[:-1] + (m,), dtype=np.int64)
+    for k in range(width):
+        v = v * a + digits[..., k : k + m]
+    return v / float(a**width)
+
+
 def test_sliding_window_values_against_horner_oracle():
     rng = np.random.default_rng(0)
-    for a, width in ((2, 53), (3, 33), (5, 7), (7, 1)):
+    for a, width in ((2, 53), (2, 1), (3, 33), (5, 7), (7, 1)):
         digits = rng.integers(0, a, size=200)
         got = sliding_window_values(digits, a, width)
         n = digits.size - width + 1
@@ -43,6 +54,23 @@ def test_sliding_window_values_against_horner_oracle():
                 v = v * a + int(d)
             want[i] = v / float(a**width)
         np.testing.assert_array_equal(got, want)  # must be bit-exact
+        np.testing.assert_array_equal(_horner_windows(digits, a, width), want)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 118])
+def test_packed_binary_windows_match_horner_on_groups(rows):
+    # digit counts on both sides of multiples of 8, so the last packed byte
+    # is full, nearly empty or nearly full; bool and int64 digits alike
+    rng = np.random.default_rng(rows)
+    for n_digits in (53, 54, 55, 56, 57, 60, 61, 63, 64, 65, 71, 72, 73, 119, 120, 121,
+                     553, 1023, 1024, 1025):
+        for width in (53, 8, 1):
+            digits = rng.integers(0, 2, size=(rows, n_digits))
+            want = _horner_windows(digits, 2, width)
+            np.testing.assert_array_equal(sliding_window_values(digits, 2, width), want)
+            out = np.full(want.shape, np.nan)
+            sliding_window_values(digits.astype(bool), 2, width, out=out)
+            np.testing.assert_array_equal(out, want)
 
 
 def test_sliding_window_values_too_few_digits():
@@ -128,18 +156,47 @@ def test_torus_initial_point_uniform_in_both_coordinates():
 
 
 def _reference_orbit(system, master_seed, trial, n_points):
-    """One trial's (n_points, dim) orbit, built alone: digits are the prefix
-    of a draw of at least 16384, x is (x0 + cumsum(y[:-1])) mod 1."""
+    """One trial's (n_points, dim) orbit, built alone and without the
+    package's window code: digits are the prefix of an ``integers`` draw of
+    at least 16384, windows come from Horner's rule, x is (x0 +
+    cumsum(y[:-1])) mod 1."""
     n_digits = n_points + system.width - 1
     digits = trial_rng(master_seed, trial).integers(
         0, system.a, size=max(n_digits, 1 << 14), dtype=np.int64)[:n_digits]
-    y = sliding_window_values(digits, system.a, system.width)
+    y = _horner_windows(digits, system.a, system.width)
     if system.dimension == 1:
         return y[:, None]
     x = np.empty(n_points)
     x[0] = trial_rng(master_seed, trial, substream=1).random()
     x[1:] = (x[0] + np.cumsum(y[:-1])) % 1.0
     return np.column_stack([x, y])
+
+
+def test_binary_digits_from_raw_words_equal_integers():
+    # integers(0, 2) reads the top bit of each 32-bit half of a raw Philox
+    # word, low half first; the raw-word path must give the same digits
+    system = LinearMod1System(2)
+    for n in list(range(1, 301)) + [200_000 + 52]:
+        trial = n % 7
+        want = trial_rng(SEED, trial).integers(0, 2, size=n, dtype=np.int64)
+        got = system._digits(SEED, [trial], n)
+        assert got.shape == (1, n)
+        np.testing.assert_array_equal(got[0], want)
+    # a group of trials: one row per trial, in the given order
+    trials = [4, 0, 4, 9]
+    got = system._digits(SEED, trials, 77)
+    for row, t in zip(got, trials):
+        np.testing.assert_array_equal(
+            row, trial_rng(SEED, t).integers(0, 2, size=77, dtype=np.int64))
+
+
+def test_orbit_coords_are_a_view_of_contiguous_planes():
+    system = TorusAffineSystem(2)
+    coords = system._orbit_coords(SEED, [1, 2, 3], 400)
+    assert coords.shape == (3, 400, 2)
+    flat = coords.reshape(-1, 2)
+    assert np.shares_memory(flat, coords)          # no copy
+    assert flat[:, 1].flags.c_contiguous and flat[:, 0].flags.c_contiguous
 
 
 @pytest.mark.parametrize("a", [2, 3, 10])

@@ -104,8 +104,38 @@ def test_cluster_stats_serialization_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# sparse tallies: add_runs against the dense add_orbit
+# add_orbit and add_runs against a dense window-by-window reference
 # ---------------------------------------------------------------------------
+
+
+def _dense_reference(acc, ind):
+    """Tally a boolean row into `acc` window by window over the whole row:
+    the definition that `add_orbit` and `add_runs` must reproduce."""
+    K = acc.K
+    n_points = ind.size
+    win = 2 * K + 1
+    if n_points < win + 1:
+        raise ValueError("orbit shorter than one full window")
+    c = np.concatenate([[0], np.cumsum(ind, dtype=np.int64)])
+    z = c[win:] - c[:-win]
+    z_hist = np.bincount(z, minlength=2 * K + 2)
+    w_full = c[K + 1:] - c[: -(K + 1)]
+    # entries: I_t = 1 with t at least 2K+1 steps from the orbit end
+    valid = n_points - win
+    entry_w = w_full[:valid][ind[:valid]]
+    w_hist = np.bincount(entry_w, minlength=K + 2)
+    acc.z_hist += z_hist
+    acc.w_hist += w_hist
+    acc.n_windows += z.size
+    acc.n_entries += entry_w.size
+    acc.n_orbits += 1
+    acc.total_steps += n_points
+    if entry_w.size > 0:
+        ge = np.cumsum(w_hist[::-1])[::-1]
+        acc.orbit_alpha.append(ge[1:] / entry_w.size)
+    n_pos = int(z_hist[1:].sum())
+    if n_pos > 0:
+        acc.orbit_lambda.append(z_hist[1:] / n_pos)
 
 
 def _runs_of(ind):
@@ -114,47 +144,53 @@ def _runs_of(ind):
     return np.flatnonzero(d == 1), np.flatnonzero(d == -1)
 
 
+def _state(acc):
+    return (acc.z_hist.tolist(), acc.w_hist.tolist(), acc.n_windows,
+            acc.n_entries, acc.n_orbits, acc.total_steps)
+
+
 def _assert_same_tallies(a, b):
-    np.testing.assert_array_equal(a.z_hist, b.z_hist)
-    np.testing.assert_array_equal(a.w_hist, b.w_hist)
-    assert (a.n_windows, a.n_entries, a.n_orbits, a.total_steps) == \
-        (b.n_windows, b.n_entries, b.n_orbits, b.total_steps)
+    assert _state(a) == _state(b)
     for x, y in ((a.orbit_alpha, b.orbit_alpha), (a.orbit_lambda, b.orbit_lambda)):
         assert len(x) == len(y)
         assert not x or np.array_equal(np.stack(x), np.stack(y))
 
 
-def _dense_and_runs(rows, K, runs=None):
-    dense, sparse = ClusterAccumulator(K=K), ClusterAccumulator(K=K)
+def _three_ways(rows, K, runs=None):
+    """Reference, add_orbit and add_runs accumulators over the same rows."""
+    ref, dense, sparse = (ClusterAccumulator(K=K) for _ in range(3))
     for i, ind in enumerate(rows):
+        _dense_reference(ref, ind)
         dense.add_orbit(ind)
         starts, ends = _runs_of(ind) if runs is None else runs[i]
         sparse.add_runs(starts, ends, ind.size)
-    return dense, sparse
+    return ref, dense, sparse
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_add_runs_equals_add_orbit_on_every_short_row(K):
     # every 0/1 row of length 2K+2 .. 14; the integer tallies are compared
     # after each row, so each orbit's increments must agree
-    def state(acc):
-        return (acc.z_hist.tolist(), acc.w_hist.tolist(), acc.n_windows,
-                acc.n_entries, acc.n_orbits, acc.total_steps)
-
     for n in range(2 * K + 2, 15):
-        dense, sparse = ClusterAccumulator(K=K), ClusterAccumulator(K=K)
+        ref, dense, sparse = (ClusterAccumulator(K=K) for _ in range(3))
         bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
         for ind in bits.astype(bool):
+            _dense_reference(ref, ind)
             dense.add_orbit(ind)
             sparse.add_runs(*_runs_of(ind), n)
-            assert state(sparse) == state(dense)
-        _assert_same_tallies(dense, sparse)
+            assert _state(dense) == _state(ref)
+            assert _state(sparse) == _state(ref)
+        _assert_same_tallies(ref, dense)
+        _assert_same_tallies(ref, sparse)
 
 
 def test_add_runs_rejects_what_add_orbit_rejects():
     acc = ClusterAccumulator(K=2)
-    with pytest.raises(ValueError):
-        acc.add_runs([1], [2], 5)             # shorter than one full window
+    with pytest.raises(ValueError, match="shorter than one full window"):
+        acc.add_orbit(np.ones(5, dtype=bool))
+    with pytest.raises(ValueError, match="shorter than one full window"):
+        acc.add_runs([1], [2], 5)
+    assert _state(acc) == _state(ClusterAccumulator(K=2))
     with pytest.raises(ValueError):
         acc.add_runs([3, 4], [6, 8], 40)      # overlapping runs
     with pytest.raises(ValueError):
@@ -176,14 +212,45 @@ def test_add_runs_equals_add_orbit_on_long_sparse_rows(K):
     hit_ends = np.zeros(3000, dtype=bool)
     hit_ends[[0, 1500, 2999]] = True          # hits at index 0 and n - 1
     rows.append(hit_ends)
-    _assert_same_tallies(*_dense_and_runs(rows, K))
+    rows.append(np.ones(2 * K + 2, dtype=bool))
+    ref, dense, sparse = _three_ways(rows, K)
+    _assert_same_tallies(ref, dense)
+    _assert_same_tallies(ref, sparse)
 
     # adjacent hit blocks (gap 0) given as separate intervals
     ind = np.zeros(400, dtype=bool)
     ind[100:110] = True
     ind[300:301] = True
     split = (np.array([100, 104, 107, 300]), np.array([104, 107, 110, 301]))
-    _assert_same_tallies(*_dense_and_runs([ind], K, runs=[split]))
+    ref, _, sparse = _three_ways([ind], K, runs=[split])
+    _assert_same_tallies(ref, sparse)
+
+
+def test_add_orbit_tallies_a_0_1_integer_row_like_the_boolean_row():
+    ind = np.zeros(40, dtype=bool)
+    ind[[5, 6, 20]] = True
+    for dtype in (np.int64, np.int8, np.uint8):
+        acc = ClusterAccumulator(K=2)
+        acc.add_orbit(ind.astype(dtype))
+        assert acc.n_entries == 3
+        assert acc.w_hist.tolist() == [0, 2, 1, 0]
+        ref = ClusterAccumulator(K=2)
+        _dense_reference(ref, ind)
+        _assert_same_tallies(ref, acc)
+
+
+def test_add_orbit_rejects_a_row_that_is_not_0_1():
+    acc = ClusterAccumulator(K=2)
+    ind = np.zeros(40, dtype=np.int64)
+    ind[[5, 6]] = 1
+    for bad_value in (2, -1):
+        row = ind.copy()
+        row[20] = bad_value
+        with pytest.raises(ValueError, match="0/1"):
+            acc.add_orbit(row)
+    with pytest.raises(ValueError, match="0/1"):
+        acc.add_orbit(ind.astype(float))
+    assert _state(acc) == _state(ClusterAccumulator(K=2))
 
 
 def test_cluster_statistics_validation_and_insufficient_flag():

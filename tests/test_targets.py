@@ -109,3 +109,72 @@ def test_measure_mc_path_for_coupled_lattice():
 def test_measure_validation():
     with pytest.raises(ValueError):
         measure(TorusStrip(0.01), TorusAffineSystem(2), 0, (SEED, 0))
+
+
+# ---------------------------------------------------------------------------
+# mod 1 as v - floor(v), and circle-distance membership at its edges
+# ---------------------------------------------------------------------------
+
+
+def _old_circle_dist(u, v):
+    """The circle distance as first written, with the % operator."""
+    d = np.abs(u - v) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
+def _edge_values():
+    tiny = np.nextafter(0.0, 1.0)
+    base = [0.0, -0.0, tiny, -tiny, 1e-300, -1e-300, 1e-17, -1e-17, 0.5, -0.5,
+            1.0, -1.0, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0),
+            np.nextafter(1.0, 2.0), 3.0, -3.0, 2.0**52 + 0.5, -(2.0**52 + 0.5),
+            2.0**53, 2.0**53 + 2, -(2.0**53), 1e300, -1e300,
+            np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(7)
+    scale = 10.0 ** rng.integers(-20, 20, size=20_000)
+    return np.concatenate([base, rng.standard_normal(20_000) * scale,
+                           rng.integers(-10**6, 10**6, size=2000).astype(float)])
+
+
+def test_v_minus_floor_v_is_bitwise_v_mod_1():
+    v = _edge_values()
+    with np.errstate(invalid="ignore"):
+        want = v % 1.0
+        got = v - np.floor(v)
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def _membership_edges(rho):
+    pts = []
+    for p in (0.0, rho, -rho, 1.0 - rho, 1.0, 1.0 + rho, 0.5):
+        lo, hi = np.nextafter(p, -np.inf), np.nextafter(p, np.inf)
+        pts += [p, lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
+    pts = np.array(pts)
+    return np.concatenate([pts, pts - 1.0, pts + 1.0, -pts, pts + 7.0, pts - 7.0,
+                           [-0.0, 2.0**53, -(2.0**53), np.inf, -np.inf, np.nan]])
+
+
+@pytest.mark.parametrize("rho", [2.0**-6, 1e-3, 0.01, 0.25, 0.5])
+def test_torus_strip_membership_equals_the_mod_formula_at_its_edges(rho):
+    y = _membership_edges(rho)
+    pts = np.column_stack([np.full(y.size, 0.3), y])
+    with np.errstate(invalid="ignore"):
+        want = _old_circle_dist(pts[:, 1], 0.0) <= rho
+        got = TorusStrip(rho).contains_points(pts)
+    assert want.any() and not want.all()
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("rho", [2.0**-6, 1e-3, 0.25])
+@pytest.mark.parametrize("center", [(0.0,), (0.3,), (0.3, 0.0)])
+def test_periodic_ball_membership_equals_the_mod_formula_at_its_edges(center, rho):
+    u = _membership_edges(rho)
+    offsets = np.column_stack([u] * len(center))
+    offsets[1::2, 0] = 0.0             # let the second coordinate decide too
+    pts = offsets + np.asarray(center)
+    with np.errstate(invalid="ignore"):
+        want = _old_circle_dist(pts, np.asarray(center)).max(axis=-1) <= rho
+        got = Ball(center, rho, periodic=True).contains_points(pts)
+    assert want.any() and not want.all()
+    np.testing.assert_array_equal(got, want)

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +30,10 @@ from .config import ConfigError, ExperimentConfig
 from .distributions import (ClusterSizeDist, CompoundSpec, DiscreteDistribution,
                             compound_poisson_pmf, polya_aeppli_pmf)
 from .estimators import cluster_statistics, counting_distribution
+from .records import csv_table, from_json_fields, json_fields
 from .regenerative import (level_measure, regen_cluster_stats,
                            regen_counting_distribution)
 from .stats import chi_square_gof
-from .targets import measure
 
 __all__ = ["main", "cmd_predict", "cmd_simulate", "cmd_compare"]
 
@@ -75,9 +76,19 @@ def _write(path: Path, text: str, manifest_entries: list) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _analytic_prediction(config: ExperimentConfig, row):
-    """(alpha_hat list, lambdas list, extremal index, counting pmf) for the
-    built-in families; raises ConfigError if no analytic form exists."""
+@dataclass(frozen=True)
+class _Prediction:
+    """A schedule row's analytic law, as written to ``predict_<label>.json``."""
+
+    alpha_hat: np.ndarray
+    lambdas: np.ndarray
+    extremal_index: float
+    counting_pmf: DiscreteDistribution | None = None
+
+
+def _analytic_prediction(config: ExperimentConfig, row) -> _Prediction:
+    """The prediction for the built-in families; raises ConfigError if no
+    analytic form exists."""
     kind = config.system["kind"]
     t = row.t
     if kind == "torus":
@@ -88,7 +99,7 @@ def _analytic_prediction(config: ExperimentConfig, row):
         alpha1 = 1.0 - p
         lambdas = (1 - p) * p ** np.arange(row.k_max)
         pmf = polya_aeppli_pmf(alpha1 * t, p, _PMF_KMAX)
-        return alpha_hat, lambdas, alpha1, pmf
+        return _Prediction(alpha_hat, lambdas, alpha1, pmf)
     if kind == "linear_mod1":
         a = int(config.system.get("a", 2))
         period = config.target.get("periodic_period")
@@ -98,12 +109,12 @@ def _analytic_prediction(config: ExperimentConfig, row):
             alpha_hat = p ** np.arange(row.k_max + 1)  # alpha_hat_k = p^(k-1)
             lambdas = (1 - p) * p ** np.arange(row.k_max)
             pmf = polya_aeppli_pmf(alpha1 * t, p, _PMF_KMAX)
-            return alpha_hat, lambdas, alpha1, pmf
+            return _Prediction(alpha_hat, lambdas, alpha1, pmf)
         # non-periodic center: Poisson limit
         alpha_hat = np.concatenate([[1.0], np.zeros(row.k_max)])
         lambdas = np.concatenate([[1.0], np.zeros(row.k_max - 1)])
         pmf = polya_aeppli_pmf(t, 0.0, _PMF_KMAX)
-        return alpha_hat, lambdas, 1.0, pmf
+        return _Prediction(alpha_hat, lambdas, 1.0, pmf)
     if kind == "cml":
         from .cml_theory import DiagonalDensity, cml_prediction
 
@@ -117,13 +128,13 @@ def _analytic_prediction(config: ExperimentConfig, row):
         if total > 0:
             cd = ClusterSizeDist(lam / total)
             pmf = compound_poisson_pmf(CompoundSpec(pred.extremal_index * t, cd), _PMF_KMAX)
-        return pred.alpha_hat, pred.lambdas, pred.extremal_index, pmf
+        return _Prediction(pred.alpha_hat, pred.lambdas, pred.extremal_index, pmf)
     if kind == "regenerative":
         rule = config.system.get("block_rule", "smith")
         if rule == "smith":
             alpha_hat = np.concatenate([[1.0], np.full(row.k_max, 0.5)])
             lambdas = np.concatenate([[1.0], np.zeros(row.k_max - 1)])
-            return alpha_hat, lambdas, 0.5, None
+            return _Prediction(alpha_hat, lambdas, 0.5)
         lam = np.asarray(config.system["cluster_lambdas"], dtype=float)
         mean_len = float(np.arange(1, lam.size + 1) @ lam)
         alpha = np.array([lam[k - 1:].sum() / mean_len
@@ -133,7 +144,7 @@ def _analytic_prediction(config: ExperimentConfig, row):
         alpha1 = float(alpha[0])
         pmf = compound_poisson_pmf(CompoundSpec(alpha1 * t, ClusterSizeDist(lam)),
                                    _PMF_KMAX)
-        return alpha_hat, lam, alpha1, pmf
+        return _Prediction(alpha_hat, lam, alpha1, pmf)
     raise ConfigError(f"no analytic prediction for system kind {kind!r}")
 
 
@@ -143,23 +154,16 @@ def cmd_predict(config: ExperimentConfig) -> int:
     out = _out_dir(config)
     entries: list = []
     fmts = config.outputs["formats"]
-    for row, (alpha_hat, lambdas, alpha1, pmf) in results:
+    for row, pred in results:
         label = row.label(config.scale_name)
-        payload = {"alpha_hat": np.asarray(alpha_hat).tolist(),
-                   "lambdas": np.asarray(lambdas).tolist(),
-                   "extremal_index": float(alpha1)}
-        if pmf is not None:
-            payload["counting_pmf"] = json.loads(pmf.to_json())
         if "json" in fmts:
-            _write(out / f"predict_{label}.json", json.dumps(payload), entries)
-            if pmf is not None:
-                _write(out / f"counting_pmf_{label}.json", pmf.to_json(), entries)
+            _write(out / f"predict_{label}.json", json.dumps(json_fields(pred)), entries)
+            if pred.counting_pmf is not None:
+                _write(out / f"counting_pmf_{label}.json", pred.counting_pmf.to_json(),
+                       entries)
         if "csv" in fmts:
-            lines = ["k,alpha_hat,lambda"]
-            for i, a in enumerate(np.asarray(alpha_hat)):
-                l = repr(float(lambdas[i])) if i < len(lambdas) else ""
-                lines.append(f"{i + 1},{float(a)!r},{l}")
-            _write(out / f"predict_{label}.csv", "\n".join(lines) + "\n", entries)
+            table = csv_table("k", {"alpha_hat": pred.alpha_hat, "lambda": pred.lambdas})
+            _write(out / f"predict_{label}.csv", table, entries)
     _write_manifest(config, out, entries, {})
     return 0
 
@@ -224,9 +228,7 @@ def _load_distribution(path: Path, need_samples: bool):
         d = d["counting_pmf"]
     if "probs" not in d:
         raise ConfigError(f"{path}: no pmf found (expected 'probs')")
-    dist = DiscreteDistribution(np.asarray(d["probs"], dtype=float),
-                                float(d.get("tail_mass", 0.0)),
-                                d.get("n_samples"))
+    dist = from_json_fields(DiscreteDistribution, d)
     if need_samples and dist.n_samples is None:
         raise ConfigError(f"{path}: empirical file must carry n_samples")
     return dist

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import IntervalMap
+from .records import csv_table, from_json_fields, json_fields
 
 __all__ = ["DiagonalDensity", "CmlPrediction", "alpha_hat_integral",
            "cml_prediction", "ExpansionWarning"]
@@ -154,28 +155,15 @@ class CmlPrediction:
             raise ValueError("alpha_hat must be non-increasing")
 
     def to_json(self) -> str:
-        return json.dumps({
-            "alpha_hat": self.alpha_hat.tolist(),
-            "alphas": self.alphas.tolist(),
-            "lambdas": self.lambdas.tolist(),
-            "extremal_index": self.extremal_index,
-            "quadrature_error": self.quadrature_error,
-        })
+        return json.dumps(json_fields(self))
 
     @classmethod
     def from_json(cls, text: str) -> "CmlPrediction":
-        d = json.loads(text)
-        return cls(np.asarray(d["alpha_hat"]), np.asarray(d["alphas"]),
-                   np.asarray(d["lambdas"]), float(d["extremal_index"]),
-                   float(d["quadrature_error"]))
+        return from_json_fields(cls, json.loads(text))
 
     def to_csv(self) -> str:
-        lines = ["k,alpha_hat,alpha,lambda"]
-        for i in range(self.alpha_hat.size):
-            a = repr(float(self.alphas[i])) if i < self.alphas.size else ""
-            l = repr(float(self.lambdas[i])) if i < self.lambdas.size else ""
-            lines.append(f"{i + 1},{self.alpha_hat[i]!r},{a},{l}")
-        return "\n".join(lines) + "\n"
+        return csv_table("k", {"alpha_hat": self.alpha_hat, "alpha": self.alphas,
+                               "lambda": self.lambdas})
 
 
 def cml_prediction(base_map: IntervalMap, h: DiagonalDensity, n: int,

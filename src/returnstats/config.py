@@ -34,7 +34,7 @@ Scale parameter per row: ``rho`` (ball / torus_strip), ``nu``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,22 +43,11 @@ import yaml
 from .distributions import ClusterSizeDist
 from .dynamics import (CmlSpec, CmlSystem, LinearMod1System, PiecewiseSystem,
                        SinePerturbedInterval, TorusAffineSystem)
+from .records import json_fields
 from .regenerative import RegenSpec
 from .targets import Ball, DiagonalStrip, TorusStrip
 
 __all__ = ["ExperimentConfig", "ConfigError", "ScheduleRow"]
-
-_ROW_DEFAULTS = {
-    "K": 10,
-    "L": 1000,
-    "t": 1.0,
-    "n_trials": 10000,
-    "min_entries": 1000,
-    "max_orbit": 20_000_000,
-    "orbit_len": None,
-    "stream_len": None,
-    "k_max": 6,
-}
 
 
 class ConfigError(ValueError):
@@ -68,12 +57,12 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ScheduleRow:
     scale: float            # rho, nu or m depending on the target kind
-    K: int
-    L: int
-    t: float
-    n_trials: int
-    min_entries: int
-    max_orbit: int
+    K: int = 10
+    L: int = 1000
+    t: float = 1.0
+    n_trials: int = 10000
+    min_entries: int = 1000
+    max_orbit: int = 20_000_000
     orbit_len: int | None = None
     stream_len: int | None = None
     k_max: int = 6
@@ -125,20 +114,23 @@ class ExperimentConfig:
             raise ConfigError("schedule must be a non-empty list")
         scale_name = cls._scale_name(tkind)
         schedule = []
+        knobs = {f.name for f in fields(ScheduleRow)} - {"scale"}
         for row in rows:
             row = dict(row)
             if scale_name not in row:
                 raise ConfigError(f"schedule row missing scale parameter {scale_name!r}")
-            merged = dict(_ROW_DEFAULTS)
-            merged.update({k: v for k, v in row.items() if k != scale_name})
-            unknown = set(merged) - set(_ROW_DEFAULTS)
+            scale = float(row.pop(scale_name))
+            if not math.isfinite(scale):
+                raise ConfigError(f"schedule row {scale_name} must be finite")
+            unknown = set(row) - knobs
             if unknown:
                 raise ConfigError(f"unknown schedule keys {sorted(unknown)}")
-            if not 0 < float(merged["t"]) < math.inf:
+            r = ScheduleRow(scale=scale, **row)
+            if not 0 < float(r.t) < math.inf:
                 raise ConfigError("schedule row t must be finite and positive")
-            if float(merged["n_trials"]) < 1:
+            if float(r.n_trials) < 1:
                 raise ConfigError("schedule row n_trials must be >= 1")
-            schedule.append(ScheduleRow(scale=float(row[scale_name]), **merged))
+            schedule.append(r)
 
         seed = int(raw.get("seed", 0))
         if not 0 <= seed < 2**64:
@@ -171,17 +163,10 @@ class ExperimentConfig:
         return cls.from_yaml(Path(path).read_text())
 
     def to_dict(self) -> dict:
-        scale_name = self._scale_name(self.target["kind"])
         rows = []
         for r in self.schedule:
-            d = {scale_name: r.scale, "K": r.K, "L": r.L, "t": r.t,
-                 "n_trials": r.n_trials, "min_entries": r.min_entries,
-                 "max_orbit": r.max_orbit, "k_max": r.k_max}
-            if r.orbit_len is not None:
-                d["orbit_len"] = r.orbit_len
-            if r.stream_len is not None:
-                d["stream_len"] = r.stream_len
-            rows.append(d)
+            d = json_fields(r)
+            rows.append({self.scale_name: d.pop("scale"), **d})
         return {"experiment": self.experiment, "system": dict(self.system),
                 "target": dict(self.target), "schedule": rows, "seed": self.seed,
                 "workers": self.workers, "threshold": self.threshold,

@@ -9,14 +9,14 @@ normalisation is exact bookkeeping, never a silent renormalisation.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
+
+from .records import csv_table, from_json_fields, json_fields
 
 __all__ = [
     "DiscreteDistribution",
@@ -49,6 +49,7 @@ class DiscreteDistribution:
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "tail_mass", float(self.tail_mass))
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty 1-d array")
         if np.any(probs < -_NORM_TOL) or np.any(probs > 1 + _NORM_TOL):
@@ -73,32 +74,14 @@ class DiscreteDistribution:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
-        payload = {"probs": self.probs.tolist(), "tail_mass": float(self.tail_mass)}
-        if self.n_samples is not None:
-            payload["n_samples"] = int(self.n_samples)
-        return json.dumps(payload)
+        return json.dumps(json_fields(self))
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteDistribution":
-        d = json.loads(text)
-        return cls(np.asarray(d["probs"], dtype=float), float(d.get("tail_mass", 0.0)),
-                   d.get("n_samples"))
+        return from_json_fields(cls, json.loads(text))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["k", "prob"])
-        for k, p in enumerate(self.probs):
-            w.writerow([k, repr(float(p))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, tail_mass: float | None = None) -> "DiscreteDistribution":
-        rows = list(csv.reader(io.StringIO(text)))
-        probs = np.array([float(p) for _, p in rows[1:]])
-        if tail_mass is None:
-            tail_mass = max(0.0, 1.0 - probs.sum())
-        return cls(probs, tail_mass)
+        return csv_table("k", {"prob": self.probs}, start=0)
 
 
 @dataclass(frozen=True)

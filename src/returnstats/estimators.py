@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .records import csv_table, from_json_fields, json_fields
 from .rngstreams import master_seed_of
 from .targets import MeasureEstimate, measure
 
@@ -152,38 +153,18 @@ class ClusterStats:
         return float(self.alpha_se[1]) if self.alpha_se.size > 1 else 0.0
 
     def to_json(self) -> str:
-        d = {
-            "K": self.K, "n_entries": self.n_entries, "n_windows": self.n_windows,
-            "n_orbits": self.n_orbits, "total_steps": self.total_steps,
-            "alpha_hat": self.alpha_hat.tolist(), "alpha_se": self.alpha_se.tolist(),
-            "lambda_hat": self.lambda_hat.tolist(), "lambda_se": self.lambda_se.tolist(),
-            "ell_max_alpha": self.ell_max_alpha, "ell_max_lambda": self.ell_max_lambda,
-            "extremal_index": self.extremal_index, "insufficient": self.insufficient,
-        }
+        d = json_fields(self, extremal_index=self.extremal_index)
+        d["insufficient"] = d.pop("insufficient")  # written after extremal_index
         return json.dumps(d)
 
     @classmethod
     def from_json(cls, text: str) -> "ClusterStats":
-        d = json.loads(text)
-        return cls(K=int(d["K"]), n_entries=int(d["n_entries"]),
-                   n_windows=int(d["n_windows"]), n_orbits=int(d["n_orbits"]),
-                   total_steps=int(d["total_steps"]),
-                   alpha_hat=np.asarray(d["alpha_hat"]), alpha_se=np.asarray(d["alpha_se"]),
-                   lambda_hat=np.asarray(d["lambda_hat"]), lambda_se=np.asarray(d["lambda_se"]),
-                   ell_max_alpha=int(d["ell_max_alpha"]),
-                   ell_max_lambda=int(d["ell_max_lambda"]),
-                   insufficient=bool(d["insufficient"]))
+        return from_json_fields(cls, json.loads(text))
 
     def to_csv(self) -> str:
-        lines = ["ell,alpha_hat,alpha_se,lambda_hat,lambda_se"]
-        n = max(self.alpha_hat.size, self.lambda_hat.size)
-        for i in range(n):
-            a = repr(float(self.alpha_hat[i])) if i < self.alpha_hat.size else ""
-            ase = repr(float(self.alpha_se[i])) if i < self.alpha_se.size else ""
-            l = repr(float(self.lambda_hat[i])) if i < self.lambda_hat.size else ""
-            lse = repr(float(self.lambda_se[i])) if i < self.lambda_se.size else ""
-            lines.append(f"{i + 1},{a},{ase},{l},{lse}")
-        return "\n".join(lines) + "\n"
+        return csv_table("ell", {"alpha_hat": self.alpha_hat, "alpha_se": self.alpha_se,
+                                 "lambda_hat": self.lambda_hat,
+                                 "lambda_se": self.lambda_se})
 
 
 @dataclass

@@ -180,11 +180,6 @@ class SymbolStream:
         if b.size and b[0] != 0:
             raise ValueError("block boundaries must start at 0")
 
-    def to_csv(self) -> str:
-        lines = ["index,symbol"]
-        lines += [f"{i},{int(s)}" for i, s in enumerate(self.symbols)]
-        return "\n".join(lines) + "\n"
-
 
 def _block_lengths(spec: RegenSpec, symbols: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:

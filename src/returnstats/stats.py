@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .distributions import DiscreteDistribution
+from .records import from_json_fields, json_fields
 
 __all__ = ["AlphaSequences", "GofReport", "lambda_from_alpha_hat",
            "total_variation", "chi_square_gof"]
@@ -108,19 +109,11 @@ class GofReport:
     n: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "tv_distance": self.tv_distance,
-            "chi_square": self.chi_square,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "n": self.n,
-        })
+        return json.dumps(json_fields(self))
 
     @classmethod
     def from_json(cls, text: str) -> "GofReport":
-        d = json.loads(text)
-        return cls(d["tv_distance"], d["chi_square"], int(d["dof"]),
-                   d["p_value"], int(d["n"]))
+        return from_json_fields(cls, json.loads(text))
 
 
 def chi_square_gof(empirical: DiscreteDistribution, n: int,

@@ -79,7 +79,10 @@ def test_schedule_validation():
     for row, message in (({"rho": 0.1, "t": 0}, "t must be finite and positive"),
                          ({"rho": 0.1, "t": -1.0}, "t must be finite and positive"),
                          ({"rho": 0.1, "t": float("inf")}, "t must be finite"),
-                         ({"rho": 0.1, "n_trials": 0}, "n_trials must be >= 1")):
+                         ({"rho": 0.1, "n_trials": 0}, "n_trials must be >= 1"),
+                         ({"rho": float("nan")}, "rho must be finite"),
+                         ({"rho": float("inf")}, "rho must be finite"),
+                         ({"rho": 0.1, "scale": 0.5}, "unknown schedule keys")):
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(dict(base, schedule=[row]))
 

@@ -114,10 +114,9 @@ def test_streams_are_deterministic_per_trial():
     assert not np.array_equal(a.symbols, c.symbols)
 
 
-def test_symbol_stream_csv_and_validation():
+def test_symbol_stream_validation():
     s = SymbolStream(np.array([2, 2, 5]), np.array([0, 2]))
-    lines = s.to_csv().splitlines()
-    assert lines[0] == "index,symbol" and lines[1] == "0,2" and lines[3] == "2,5"
+    assert s.symbols.dtype == np.int64 and s.block_boundaries.dtype == np.int64
     with pytest.raises(ValueError):
         SymbolStream(np.array([1]), np.array([1]))
 

@@ -10,15 +10,12 @@ to compare the two.
 from .distributions import (ClusterSizeDist, CompoundSpec, DiscreteDistribution,
                             TruncationError, compound_binomial_pmf,
                             compound_poisson_pmf, empirical_distribution,
-                            generating_function_eval, polya_aeppli_pmf,
-                            sample_compound_poisson)
+                            polya_aeppli_pmf)
 from .dynamics import (CmlSpec, CmlSystem, IntervalMap, LinearInterval,
-                       LinearMod1System, PiecewiseSystem, SingularPointError,
-                       SinePerturbedInterval, TorusAffineSystem,
-                       derivative_along)
-from .estimators import (ClusterStats, ReturnTimeRecord, cluster_statistics,
-                         counting_distribution, entry_time_ratio, r2_overlap,
-                         return_time_records)
+                       LinearMod1System, PiecewiseSystem, SinePerturbedInterval,
+                       TorusAffineSystem)
+from .estimators import (ClusterStats, cluster_statistics, counting_distribution,
+                         entry_time_ratio)
 from .regenerative import (RegenSpec, SymbolStream, generate_stationary,
                            level_measure, regen_cluster_stats)
 from .cml_theory import (CmlPrediction, DiagonalDensity, ExpansionWarning,

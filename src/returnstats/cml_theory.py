@@ -16,7 +16,6 @@ fall below the requested tolerance.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -24,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import IntervalMap
-from .records import csv_table, from_json_fields, json_fields
 
 __all__ = ["DiagonalDensity", "CmlPrediction", "alpha_hat_integral",
            "cml_prediction", "ExpansionWarning"]
@@ -153,17 +151,6 @@ class CmlPrediction:
             raise ValueError("alpha_hat_1 must equal 1")
         if np.any(np.diff(ah) > 1e-12):
             raise ValueError("alpha_hat must be non-increasing")
-
-    def to_json(self) -> str:
-        return json.dumps(json_fields(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "CmlPrediction":
-        return from_json_fields(cls, json.loads(text))
-
-    def to_csv(self) -> str:
-        return csv_table("k", {"alpha_hat": self.alpha_hat, "alpha": self.alphas,
-                               "lambda": self.lambdas})
 
 
 def cml_prediction(base_map: IntervalMap, h: DiagonalDensity, n: int,

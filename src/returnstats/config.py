@@ -11,7 +11,7 @@ Schema (YAML):
     system:
       kind: torus                        # torus | linear_mod1 | cml |
       a: 2                               #   piecewise_sine | regenerative
-      # cml only: n, gamma, weights
+      # cml only: n, gamma, weights, eps, burn_in
       # piecewise_sine only: eps, burn_in
       # regenerative only: block_rule, cluster_lambdas, k_cap
     target:
@@ -114,6 +114,7 @@ class ExperimentConfig:
             raise ConfigError("schedule must be a non-empty list")
         scale_name = cls._scale_name(tkind)
         schedule = []
+        labels = set()
         knobs = {f.name for f in fields(ScheduleRow)} - {"scale"}
         for row in rows:
             row = dict(row)
@@ -128,8 +129,23 @@ class ExperimentConfig:
             r = ScheduleRow(scale=scale, **row)
             if not 0 < float(r.t) < math.inf:
                 raise ConfigError("schedule row t must be finite and positive")
-            if float(r.n_trials) < 1:
-                raise ConfigError("schedule row n_trials must be >= 1")
+            # the estimators' own bounds, checked before any row runs
+            for name in ("K", "n_trials", "max_orbit", "orbit_len", "stream_len", "k_max"):
+                value = getattr(r, name)
+                if value is not None and float(value) < 1:
+                    raise ConfigError(f"schedule row {name} must be >= 1")
+            if kind != "regenerative" and float(r.min_entries) < 100:
+                raise ConfigError("schedule row min_entries must be >= 100")
+            # a tallied orbit holds at least one full window of 2K+1 and a point
+            run = (r.stream_len if kind == "regenerative"
+                   else min(r.orbit_len or math.inf, r.max_orbit))
+            if run is not None and float(run) < 2 * float(r.K) + 2:
+                raise ConfigError("schedule row orbits must be at least 2K+2 steps long")
+            label = r.label(scale_name)
+            if label in labels:
+                raise ConfigError(f"two schedule rows share the label {label!r}, so "
+                                  "the second would overwrite the first's files")
+            labels.add(label)
             schedule.append(r)
 
         seed = int(raw.get("seed", 0))

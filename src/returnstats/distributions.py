@@ -26,8 +26,6 @@ __all__ = [
     "compound_poisson_pmf",
     "polya_aeppli_pmf",
     "compound_binomial_pmf",
-    "generating_function_eval",
-    "sample_compound_poisson",
     "empirical_distribution",
 ]
 
@@ -68,9 +66,6 @@ class DiscreteDistribution:
         """Mean of the truncated part (exact when tail_mass is negligible)."""
         return float(np.arange(self.probs.size) @ self.probs)
 
-    def pgf(self, z: float) -> float:
-        return generating_function_eval(self, z)
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
@@ -106,10 +101,6 @@ class ClusterSizeDist:
 
     def mean(self) -> float:
         return float(np.arange(1, self.lambdas.size + 1) @ self.lambdas)
-
-    def pgf(self, z: float) -> float:
-        # phi_X(z) = sum_{ell>=1} z^ell lambda_ell
-        return float(z * np.polynomial.polynomial.polyval(z, self.lambdas))
 
     @classmethod
     def single(cls) -> "ClusterSizeDist":
@@ -242,25 +233,6 @@ def compound_binomial_pmf(n_trials: int, p: float, clusters: ClusterSizeDist,
         raise TruncationError(
             f"tail mass {tail:.3e} above tolerance {tail_tol:.3e}; increase k_max")
     return DiscreteDistribution(probs, tail)
-
-
-def generating_function_eval(dist: DiscreteDistribution, z: float) -> float:
-    """sum_k z^k P(W=k) over the truncated support, z in [0, 1]."""
-    if not 0.0 <= z <= 1.0:
-        raise ValueError("z must lie in [0, 1]")
-    return float(np.polynomial.polynomial.polyval(z, dist.probs))
-
-
-def sample_compound_poisson(spec: CompoundSpec, n_samples: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Direct Monte Carlo draws of W (the independent oracle for the pmfs)."""
-    counts = rng.poisson(spec.intensity, size=n_samples)
-    total_clusters = int(counts.sum())
-    sizes = rng.choice(np.arange(1, spec.clusters.ell_max + 1), size=total_clusters,
-                       p=spec.clusters.lambdas)
-    out = np.zeros(n_samples, dtype=np.int64)
-    np.add.at(out, np.repeat(np.arange(n_samples), counts), sizes)
-    return out
 
 
 def empirical_distribution(values: np.ndarray, k_max: int | None = None) -> DiscreteDistribution:

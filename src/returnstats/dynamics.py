@@ -29,7 +29,6 @@ from scipy.optimize import brentq
 from .rngstreams import trial_rng
 
 __all__ = [
-    "SingularPointError",
     "IntervalMap",
     "LinearInterval",
     "SinePerturbedInterval",
@@ -39,15 +38,10 @@ __all__ = [
     "CmlSpec",
     "CmlSystem",
     "PiecewiseSystem",
-    "derivative_along",
 ]
 
 # digits per orbit group of the exact-digit systems (a working-set budget)
 _GROUP_DIGITS = 1 << 16
-
-
-class SingularPointError(ValueError):
-    """A membership or derivative query landed exactly on a branch endpoint."""
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +63,6 @@ class IntervalMap:
 
     def derivative(self, x):
         raise NotImplementedError
-
-    def is_breakpoint(self, x: float, atol: float = 0.0) -> bool:
-        b = self.breakpoints
-        return bool(np.any(np.abs(b - x) <= atol) or x in b)
 
     def branch_points_of_power(self, k: int) -> np.ndarray:
         """Branch endpoints of T^k, found by pulling the breakpoints of T
@@ -257,9 +247,14 @@ def _doubling_windows(digits: np.ndarray, a: int, width: int) -> np.ndarray:
 
 
 class MapSystem:
-    """Base class: a concrete system with vectorized stationary orbits."""
+    """Base class: a concrete system with vectorized stationary orbits.
+
+    ``preserves_lebesgue`` is true when Lebesgue measure is the system's
+    stationary law, so a target's closed-form volume is its mu(U).
+    """
 
     dimension: int
+    preserves_lebesgue = False
 
     def indicator_block(self, target, master_seed: int, trial_indices,
                         n_points: int) -> np.ndarray:
@@ -283,6 +278,8 @@ class _DigitOrbitSystem(MapSystem):
     shorter draw is a prefix of a longer one, so neither the grouping nor
     the orbit length changes a bit of any trial's orbit.
     """
+
+    preserves_lebesgue = True
 
     def __init__(self, a: int, dimension: int):
         self.interval_map = LinearInterval(a)
@@ -396,15 +393,18 @@ class CmlSystem(MapSystem):
 
     For gamma > 0 Lebesgue measure is not invariant (the coupling contracts
     transversally to the diagonal), so stationary sampling starts uniform and
-    burns in.  Orbits are float64; an optional per-step dither of magnitude
-    2**-40 exists for stress tests.
+    burns in.  Orbits are float64.
     """
 
-    def __init__(self, spec: CmlSpec, burn_in: int = 1024, dither: bool = False):
+    def __init__(self, spec: CmlSpec, burn_in: int = 1024):
         self.spec = spec
         self.dimension = spec.n
         self.burn_in = int(burn_in)
-        self.dither = dither
+
+    @property
+    def preserves_lebesgue(self) -> bool:
+        # uncoupled copies of a*x mod 1: the product of Lebesgue measures
+        return self.spec.gamma == 0.0 and isinstance(self.spec.base_map, LinearInterval)
 
     def _apply(self, coords: np.ndarray) -> np.ndarray:
         y = self.spec.base_map.apply(coords)
@@ -416,25 +416,14 @@ class CmlSystem(MapSystem):
         called with the (n_trials, n) coordinate array at every time point."""
         n_tr = len(trial_indices)
         coords = np.empty((n_tr, self.spec.n))
-        rngs = []
         for row, t in enumerate(trial_indices):
-            rng = trial_rng(master_seed, int(t))
-            coords[row] = rng.random(self.spec.n)
-            rngs.append(rng)
+            coords[row] = trial_rng(master_seed, int(t)).random(self.spec.n)
         for _ in range(self.burn_in):
             coords = self._apply(coords)
-            if self.dither:
-                coords = self._dithered(coords, rngs)
         visit(0, coords)
         for i in range(1, n_points):
             coords = self._apply(coords)
-            if self.dither:
-                coords = self._dithered(coords, rngs)
             visit(i, coords)
-
-    def _dithered(self, coords, rngs):
-        noise = np.stack([rng.uniform(-1.0, 1.0, size=self.spec.n) for rng in rngs])
-        return (coords + noise * 2.0**-40) % 1.0
 
     def indicator_block(self, target, master_seed, trial_indices, n_points):
         out = np.empty((len(trial_indices), n_points), dtype=bool)
@@ -500,17 +489,3 @@ class PiecewiseSystem(MapSystem):
             out[i] = x
         return out[:, None]
 
-
-def derivative_along(system: MapSystem, x: float, k: int) -> float:
-    """|DT^k(x)| of the system's 1-d base map by the chain rule."""
-    imap = getattr(system, "interval_map", None)
-    if imap is None:
-        imap = system.spec.base_map  # CML: derivative of the base map
-    prod = 1.0
-    xi = float(x)
-    for _ in range(k):
-        if imap.is_breakpoint(xi):
-            raise SingularPointError(f"orbit hit branch endpoint {xi}")
-        prod *= float(np.abs(imap.derivative(xi)))
-        xi = float(imap.apply(xi))
-    return prod

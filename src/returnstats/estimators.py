@@ -3,8 +3,8 @@
 Estimates the counting function xi, the centered-window cluster counts
 Z^K, forward windows W^K at entry events, the tail probabilities
 alpha_hat_ell(K), the cluster-size probabilities lambda_hat_ell(K), the
-extremal index 1 - alpha_hat_2, the entry-time ratio P(tau <= L)/(L mu),
-and the R2 window-overlap diagnostic.
+extremal index 1 - alpha_hat_2 and the entry-time ratio
+P(tau <= L)/(L mu).
 
 All Monte Carlo paths draw one independent stream per orbit (trial
 index) and merge integer count histograms in trial order, so results are
@@ -27,16 +27,10 @@ from .targets import MeasureEstimate, measure
 
 __all__ = [
     "ClusterStats",
-    "ReturnTimeRecord",
     "counting_distribution",
     "cluster_statistics",
-    "cluster_stats_from_indicators",
     "ClusterAccumulator",
-    "return_time_records",
-    "alpha_hat_from_records",
     "entry_time_ratio",
-    "r2_overlap",
-    "r2_overlap_from_indicators",
 ]
 
 _MEASURE_TRIAL = 2**32  # trial index reserved for internal mu(U) estimation
@@ -324,94 +318,8 @@ def cluster_statistics(map_system, target, K: int, min_entries: int,
     return acc.finalize(insufficient=acc.n_entries < min_entries)
 
 
-def cluster_stats_from_indicators(indicator_rows, K: int) -> ClusterStats:
-    """Same tallies applied to caller-supplied boolean rows (synthetic
-    streams, regenerative symbol processes)."""
-    acc = ClusterAccumulator(K=K)
-    for row in indicator_rows:
-        acc.add_orbit(np.asarray(row, dtype=bool))
-    return acc.finalize(insufficient=False)
-
-
 # ---------------------------------------------------------------------------
-# return-time records
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReturnTimeRecord:
-    """Successive return gaps tau, tau^2 - tau, ... after one entry event."""
-
-    entry_index: int
-    successive_gaps: tuple
-    censored: bool  # last observed gap exceeded max_gap
-
-    def __post_init__(self):
-        if any(g < 1 for g in self.successive_gaps):
-            raise ValueError("gaps must be >= 1")
-
-
-def return_time_records(map_system, target, n_entries: int, max_gap: int, seed,
-                        orbit_len: int | None = None) -> list[ReturnTimeRecord]:
-    """Gap sequences following the first ``n_entries`` entry events.
-
-    Each record lists the successive return gaps while they stay <= max_gap;
-    a gap exceeding max_gap ends the record with ``censored=True``.  Entries
-    whose continuation is not resolved within the orbit are skipped.
-    """
-    if n_entries < 1:
-        raise ValueError("n_entries must be >= 1")
-    master_seed = master_seed_of(seed)
-    if orbit_len is None:
-        orbit_len = 500_000
-
-    records: list[ReturnTimeRecord] = []
-    trial = 0
-    while len(records) < n_entries and trial < 10_000:
-        ind = map_system.indicator_block(target, master_seed, [trial], orbit_len)[0]
-        hits = np.flatnonzero(ind)
-        gaps = np.diff(hits)
-        # censor[i]: index of the first gap >= i exceeding max_gap (gaps.size
-        # if none), filled by one backward running minimum
-        censor = np.where(gaps > max_gap, np.arange(gaps.size), gaps.size)
-        censor = np.append(np.minimum.accumulate(censor[::-1])[::-1], gaps.size)
-        # an entry without a later censoring gap is resolved only if the tail
-        # of the orbit past the last hit exceeds max_gap
-        tail_resolved = hits.size and orbit_len - 1 - hits[-1] > max_gap
-        for i, t in enumerate(hits):
-            if len(records) >= n_entries:
-                break
-            end = int(censor[i])
-            if end < gaps.size:
-                records.append(ReturnTimeRecord(int(t), tuple(gaps[i:end].tolist()),
-                                                censored=True))
-            elif tail_resolved:
-                records.append(ReturnTimeRecord(int(t), tuple(gaps[i:].tolist()),
-                                                censored=False))
-            # otherwise unresolved: skip
-        trial += 1
-    return records
-
-
-def alpha_hat_from_records(records, K: int) -> np.ndarray:
-    """Re-aggregate records into alpha_hat_ell(K): the fraction of entries
-    with at least ell-1 further returns within K steps."""
-    counts = np.zeros(K + 2, dtype=np.int64)
-    n = 0
-    for rec in records:
-        # a record censored at max_gap < K would leave the window unresolved
-        times = np.cumsum(rec.successive_gaps) if rec.successive_gaps else np.empty(0)
-        w = 1 + int(np.count_nonzero(times <= K))
-        counts[min(w, K + 1)] += 1
-        n += 1
-    if n == 0:
-        raise ValueError("no records")
-    ge = np.cumsum(counts[::-1])[::-1]
-    return ge[1:] / n
-
-
-# ---------------------------------------------------------------------------
-# entry-time ratio and R2 overlap
+# entry-time ratio
 # ---------------------------------------------------------------------------
 
 
@@ -436,41 +344,3 @@ def entry_time_ratio(map_system, target, L: int, n_trials: int, seed,
     if hits == 0:
         warnings.warn("no entries within L steps in any trial; ratio is 0")
     return hits / (n_trials * L * mu)
-
-
-def r2_overlap(map_system, target, K: int, delta: int, n_trials: int, seed,
-               workers: int = 1) -> float:
-    """sum_{n=2}^{delta} P(Z >= 1 and Z o T^{(2K+1)n} >= 1), estimated over
-    independent stationary starts."""
-    if delta < 2:
-        raise ValueError("delta must be >= 2")
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    win = 2 * K + 1
-    n_points = win * delta + win
-    total = np.zeros(delta - 1, dtype=np.int64)
-    chunk = max(1, int(4e7 // n_points))
-    done = 0
-    while done < n_trials:
-        idx = list(range(done, min(done + chunk, n_trials)))
-        block = _indicator_batch(map_system, target, master_seed_of(seed), idx,
-                                 n_points, workers)
-        total += _r2_counts(block, K, delta)
-        done += len(idx)
-    return float(total.sum() / n_trials)
-
-
-def _r2_counts(block: np.ndarray, K: int, delta: int) -> np.ndarray:
-    win = 2 * K + 1
-    z = _window_sums(block, win) >= 1
-    z0 = z[:, 0]
-    out = np.empty(delta - 1, dtype=np.int64)
-    for n in range(2, delta + 1):
-        out[n - 2] = np.count_nonzero(z0 & z[:, win * n])
-    return out
-
-
-def r2_overlap_from_indicators(block: np.ndarray, K: int, delta: int) -> float:
-    """R2 estimate from caller-supplied indicator rows (one trial per row)."""
-    return float(_r2_counts(np.asarray(block, dtype=bool), K, delta).sum()
-                 / block.shape[0])

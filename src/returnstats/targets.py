@@ -1,9 +1,9 @@
 """Shrinking target sets and their invariant measure.
 
-Three kinds: metric balls around a point (|.| on the interval, sup of
-circle metrics on the torus), the horizontal strip around the invariant
-line {y = 0} of the torus map, and the strip around the diagonal of a
-lattice.  Membership is closed (<=); boundaries carry zero measure.
+Three kinds: sup-metric balls around a point, the horizontal strip around
+the invariant line {y = 0} of the torus map, and the strip around the
+diagonal of a lattice.  Membership is closed (<=); boundaries carry zero
+measure.
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ class MeasureEstimate:
             raise ValueError("mean must lie in [0, 1]")
 
 
-def _circle_dist(u: np.ndarray, v) -> np.ndarray:
-    # d - floor(d) is bitwise d % 1.0 for every float64, and cheaper
-    d = np.abs(u - v)
-    d -= np.floor(d)
-    return np.minimum(d, 1.0 - d)
-
-
 class TargetSet:
     """Base: membership tests plus an exact Lebesgue measure when known."""
 
@@ -51,12 +44,10 @@ class TargetSet:
 
 @dataclass(frozen=True)
 class Ball(TargetSet):
-    """Sup-metric ball; circle metric per coordinate on the torus, plain
-    absolute distance on the interval (periodic=False)."""
+    """Closed ball of the sup metric, clipped to the unit cube."""
 
     center: tuple
     rho: float
-    periodic: bool = False
     kind: str = "ball"
 
     def __post_init__(self):
@@ -65,16 +56,9 @@ class Ball(TargetSet):
             raise ValueError("rho must be positive")
 
     def contains_points(self, pts):
-        c = np.asarray(self.center)
-        if self.periodic:
-            d = _circle_dist(pts, c)
-        else:
-            d = np.abs(pts - c)
-        return d.max(axis=-1) <= self.rho
+        return np.abs(pts - np.asarray(self.center)).max(axis=-1) <= self.rho
 
     def exact_measure(self):
-        if self.periodic:
-            return float(np.prod([min(2 * self.rho, 1.0)] * len(self.center)))
         vol = 1.0
         for c in self.center:
             vol *= min(c + self.rho, 1.0) - max(c - self.rho, 0.0)
@@ -94,8 +78,9 @@ class TorusStrip(TargetSet):
             raise ValueError("rho must lie in (0, 1/2]")
 
     def contains_points(self, pts):
-        # _circle_dist(y, 0) <= rho, i.e. d <= rho or 1 - d <= rho, in two
-        # float buffers
+        # circle distance of y to 0 at most rho: d <= rho or 1 - d <= rho
+        # with d = |y| mod 1, in two float buffers; d - floor(d) is bitwise
+        # d % 1.0 for every float64, and cheaper
         d = np.abs(pts[..., 1])
         scratch = np.floor(d)
         d -= scratch
@@ -143,13 +128,7 @@ def measure(target: TargetSet, map_system, n_samples: int, seed) -> MeasureEstim
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    from .dynamics import LinearInterval, _DigitOrbitSystem  # avoids a cycle
-
-    spec = getattr(map_system, "spec", None)
-    uncoupled_linear = (spec is not None and spec.gamma == 0.0
-                        and isinstance(spec.base_map, LinearInterval))
-    lebesgue = isinstance(map_system, _DigitOrbitSystem) or uncoupled_linear
-    if lebesgue:
+    if map_system.preserves_lebesgue:
         if isinstance(target, DiagonalStrip):
             exact = target.exact_measure_for_dim(map_system.dimension)
         else:

@@ -75,6 +75,22 @@ outputs: {{dir: "{out}"}}
     assert main(["predict"]) == 2  # --config required
 
 
+@pytest.mark.parametrize("second_row", ["{rho: 0.01, K: 3, t: 2}", "{rho: 0.02, K: 0}"],
+                         ids=["repeated-label", "K0"])
+def test_simulate_rejects_a_bad_later_row_before_writing(tmp_path, second_row):
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, f"""
+system: {{kind: linear_mod1, a: 2}}
+target: {{kind: ball, center: [0.3]}}
+schedule:
+  - {{rho: 0.01, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5000}}
+  - {second_row}
+outputs: {{dir: "{out}"}}
+""")
+    assert main(["--config", cfg, "simulate"]) == 2
+    assert not out.exists()
+
+
 def test_simulate_writes_results_and_manifest(tmp_path):
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path, TORUS_CFG % out)

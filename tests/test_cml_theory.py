@@ -94,16 +94,6 @@ def test_prediction_assembly_telescopes_exactly():
     assert abs(pred.lambdas.sum() + pred.alphas[-1] / pred.extremal_index - 1.0) < 1e-9
 
 
-def test_prediction_round_trips():
-    pred = cml_prediction(LinearInterval(3), LEB, 2, 0.1, k_max=4)
-    back = CmlPrediction.from_json(pred.to_json())
-    np.testing.assert_allclose(back.alpha_hat, pred.alpha_hat, atol=0)
-    assert back.extremal_index == pred.extremal_index
-    lines = pred.to_csv().splitlines()
-    assert lines[0] == "k,alpha_hat,alpha,lambda"
-    assert len(lines) == pred.alpha_hat.size + 1
-
-
 def test_prediction_validation():
     with pytest.raises(ValueError):
         cml_prediction(LinearInterval(2), LEB, 2, 0.0, k_max=0)

@@ -80,11 +80,35 @@ def test_schedule_validation():
                          ({"rho": 0.1, "t": -1.0}, "t must be finite and positive"),
                          ({"rho": 0.1, "t": float("inf")}, "t must be finite"),
                          ({"rho": 0.1, "n_trials": 0}, "n_trials must be >= 1"),
+                         ({"rho": 0.1, "K": 0}, "K must be >= 1"),
+                         ({"rho": 0.1, "k_max": 0}, "k_max must be >= 1"),
+                         ({"rho": 0.1, "max_orbit": 0}, "max_orbit must be >= 1"),
+                         ({"rho": 0.1, "orbit_len": -5}, "orbit_len must be >= 1"),
+                         ({"rho": 0.1, "stream_len": 0}, "stream_len must be >= 1"),
+                         ({"rho": 0.1, "min_entries": 99}, "min_entries must be >= 100"),
+                         ({"rho": 0.1, "K": 3, "orbit_len": 7}, "at least 2K\\+2"),
+                         ({"rho": 0.1, "K": 3, "max_orbit": 7}, "at least 2K\\+2"),
                          ({"rho": float("nan")}, "rho must be finite"),
                          ({"rho": float("inf")}, "rho must be finite"),
                          ({"rho": 0.1, "scale": 0.5}, "unknown schedule keys")):
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(dict(base, schedule=[row]))
+    # rows whose result files would share a name: the same scale and K, or
+    # scales that print alike
+    for rows in ([{"rho": 0.01, "K": 3, "t": 1}, {"rho": 0.01, "K": 3, "t": 2}],
+                 [{"rho": 0.01}, {"rho": 0.0100000001}]):
+        with pytest.raises(ConfigError, match="share the label"):
+            ExperimentConfig.from_dict(dict(base, schedule=rows))
+    # regenerative runs draw a fixed number of streams, not min_entries events
+    regen = ExperimentConfig.from_yaml("""
+system: {kind: regenerative, block_rule: smith}
+target: {kind: level_set}
+schedule: [{m: 100, min_entries: 10}]
+""")
+    assert regen.schedule[0].min_entries == 10
+    with pytest.raises(ConfigError, match="at least 2K\\+2"):
+        ExperimentConfig.from_dict(dict(regen.to_dict(),
+                                        schedule=[{"m": 100, "K": 3, "stream_len": 7}]))
 
 
 def test_numeric_range_validation():
@@ -105,7 +129,7 @@ schedule: [{rho: 1.0e-3}]
 """)
     assert isinstance(cfg.build_system(), LinearMod1System)
     target = cfg.build_target(cfg.schedule[0])
-    assert isinstance(target, Ball) and not target.periodic
+    assert isinstance(target, Ball) and target.center == (0.5,) and target.rho == 1e-3
 
     cml = ExperimentConfig.from_yaml("""
 system: {kind: cml, a: 2, n: 3, gamma: 0.1}

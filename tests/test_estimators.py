@@ -6,14 +6,17 @@ import pytest
 from returnstats.distributions import DiscreteDistribution
 from returnstats.dynamics import LinearMod1System, TorusAffineSystem
 from returnstats.estimators import (ClusterAccumulator, ClusterStats,
-                                    ReturnTimeRecord, alpha_hat_from_records,
-                                    cluster_statistics,
-                                    cluster_stats_from_indicators,
-                                    counting_distribution, entry_time_ratio,
-                                    r2_overlap, r2_overlap_from_indicators,
-                                    return_time_records)
+                                    cluster_statistics, counting_distribution,
+                                    entry_time_ratio)
 
 SEED = 31337
+
+
+def _stats_of_rows(rows, K: int) -> ClusterStats:
+    acc = ClusterAccumulator(K=K)
+    for row in rows:
+        acc.add_orbit(row)
+    return acc.finalize(insufficient=False)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +71,7 @@ def test_counting_distribution_mean_is_stationary():
 def test_cluster_tallies_match_hand_computation():
     # K=1, window width 3, one row of 12 points with a pair and two singletons
     ind = np.array([0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0], dtype=bool)
-    cs = cluster_stats_from_indicators([ind], K=1)
+    cs = _stats_of_rows([ind], K=1)
     # sliding sums of width 3: 1,2,2,1,0,1,1,1,0,0 -> 7 positive, two of them 2
     assert cs.n_windows == 10
     assert cs.lambda_hat[0] == pytest.approx(5 / 7)
@@ -86,7 +89,7 @@ def test_cluster_stats_iid_bernoulli():
     rng = np.random.default_rng(5)
     mu, K = 0.01, 10
     rows = [rng.random(200_000) < mu for _ in range(20)]
-    cs = cluster_stats_from_indicators(rows, K)
+    cs = _stats_of_rows(rows, K)
     want = 1.0 - (1.0 - mu) ** K
     assert abs(cs.alpha_hat[1] - want) < 4 * cs.alpha_se[1] + 0.003
 
@@ -94,7 +97,7 @@ def test_cluster_stats_iid_bernoulli():
 def test_cluster_stats_serialization_round_trip():
     ind = np.zeros(1000, dtype=bool)
     ind[[100, 300, 301, 600]] = True
-    cs = cluster_stats_from_indicators([ind], K=2)
+    cs = _stats_of_rows([ind], K=2)
     back = ClusterStats.from_json(cs.to_json())
     np.testing.assert_array_equal(back.alpha_hat, cs.alpha_hat)
     np.testing.assert_array_equal(back.lambda_hat, cs.lambda_hat)
@@ -289,75 +292,44 @@ def test_counting_distribution_deterministic_across_workers():
 
 
 # ---------------------------------------------------------------------------
-# return-time records
+# alpha_hat from hit times, an independent check of the window tallies
 # ---------------------------------------------------------------------------
 
 
-def test_return_time_record_validation():
-    with pytest.raises(ValueError):
-        ReturnTimeRecord(0, (0,), censored=False)
+def _alpha_hat_from_hit_times(map_system, target, K, n_entries, seed,
+                              orbit_len=500_000):
+    """alpha_hat_ell(K) read off the hit times of whole orbits: the fraction
+    of entries followed by at least ell-1 further hits within K steps."""
+    counts = np.zeros(K + 2, dtype=np.int64)
+    trial = 0
+    while counts.sum() < n_entries:
+        hits = np.flatnonzero(map_system.indicator_block(target, seed, [trial], orbit_len)[0])
+        entries = hits[hits + K < orbit_len]
+        later = (np.searchsorted(hits, entries + K, side="right")
+                 - np.searchsorted(hits, entries, side="right"))
+        np.add.at(counts, 1 + later, 1)
+        trial += 1
+    ge = np.cumsum(counts[::-1])[::-1]
+    return ge[1:] / counts.sum()
 
 
-def test_records_agree_with_cluster_alpha_hat():
+def test_hit_times_agree_with_cluster_alpha_hat():
     from returnstats.targets import Ball
 
     sys3 = LinearMod1System(3)
     ball = Ball((0.5,), 0.01)
     K = 5
-    recs = return_time_records(sys3, ball, n_entries=3000, max_gap=200, seed=SEED)
-    ah_rec = alpha_hat_from_records(recs, K)
+    ah_hits = _alpha_hat_from_hit_times(sys3, ball, K, n_entries=3000, seed=SEED)
     cs = cluster_statistics(sys3, ball, K=K, min_entries=3000,
                             max_orbit=10**7, seed=SEED)
     # two estimators of the same limit from overlapping data
     se = max(cs.alpha_se[1], 1e-3)
-    assert abs(ah_rec[1] - cs.alpha_hat[1]) < 5 * se + 0.02
-    assert ah_rec[0] == pytest.approx(1.0)
-
-
-def _records_by_rescanning(map_system, target, n_entries, max_gap, seed, orbit_len):
-    """return_time_records as a rescan of the remaining gaps at every hit."""
-    records = []
-    trial = 0
-    while len(records) < n_entries and trial < 10_000:
-        ind = map_system.indicator_block(target, seed, [trial], orbit_len)[0]
-        hits = np.flatnonzero(ind)
-        gaps = np.diff(hits)
-        for i, t in enumerate(hits):
-            if len(records) >= n_entries:
-                break
-            sub = gaps[i:]
-            over = np.flatnonzero(sub > max_gap)
-            if over.size:
-                kept = tuple(int(g) for g in sub[: over[0]])
-                records.append(ReturnTimeRecord(int(t), kept, censored=True))
-            elif hits.size and orbit_len - 1 - hits[-1] > max_gap:
-                kept = tuple(int(g) for g in sub)
-                records.append(ReturnTimeRecord(int(t), kept, censored=False))
-        trial += 1
-    return records
-
-
-def test_return_time_records_match_the_rescanning_formulation():
-    from returnstats.targets import Ball
-
-    sys2 = LinearMod1System(2)
-    ball = Ball((0.3,), 0.01)
-    args = (sys2, ball, 1000, 60, SEED)
-    got = return_time_records(*args, orbit_len=4000)
-    want = _records_by_rescanning(*args, orbit_len=4000)
-    assert got == want
-    assert len(got) == 1000 and len({r.entry_index for r in got}) < 1000  # several orbits
-    assert any(r.censored for r in got) and any(not r.censored for r in got)
-    assert any(len(r.successive_gaps) > 1 for r in got)
-
-
-def test_alpha_hat_from_records_empty():
-    with pytest.raises(ValueError):
-        alpha_hat_from_records([], K=3)
+    assert abs(ah_hits[1] - cs.alpha_hat[1]) < 5 * se + 0.02
+    assert ah_hits[0] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
-# entry-time ratio and R2 overlap
+# entry-time ratio
 # ---------------------------------------------------------------------------
 
 
@@ -391,28 +363,6 @@ def test_entry_time_ratio_rejects_no_trials():
     with pytest.raises(ValueError, match="n_trials"):
         entry_time_ratio(LinearMod1System(2), Ball((0.3,), 0.01), L=5, n_trials=0,
                          seed=SEED, mu=0.02)
-
-
-def test_r2_overlap_rejects_no_trials():
-    from returnstats.targets import Ball
-
-    with pytest.raises(ValueError, match="n_trials"):
-        r2_overlap(LinearMod1System(2), Ball((0.3,), 0.01), K=2, delta=3, n_trials=0,
-                   seed=SEED)
-
-
-def test_r2_overlap_iid_closed_form():
-    # i.i.d. Bernoulli rows: P(Z>=1 and Z o shift >= 1) = (1-(1-mu)^(2K+1))^2
-    rng = np.random.default_rng(8)
-    mu, K, delta = 0.02, 3, 5
-    win = 2 * K + 1
-    n_trials = 200_000
-    block = rng.random((n_trials, win * delta + win)) < mu
-    got = r2_overlap_from_indicators(block, K, delta)
-    q = 1.0 - (1.0 - mu) ** win
-    want = (delta - 1) * q * q
-    se = math.sqrt((delta - 1) * q * q * (1 - q * q) / n_trials)
-    assert abs(got - want) < 5 * se
 
 
 def test_counting_distribution_is_a_distribution():

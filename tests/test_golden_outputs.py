@@ -1,10 +1,11 @@
 """Byte-identity gate: pinned SHA-256 digests of the result files.
 
-`predict` runs on every example config and `simulate` on four small
-pinned-seed rows (torus strip, the fixed point of 3x mod 1, Smith and
-fixed cluster lengths).  Every result file is hashed; `manifest.json` is
-not, because it echoes the output directory.  A change that moves output
-bits on purpose updates these digests and says which files moved.
+`predict` runs on every example config and `simulate` on five small
+pinned-seed rows (torus strip, the fixed point of 3x mod 1, Smith, fixed
+cluster lengths and the uncoupled CML lockstep).  Every result file is
+hashed; `manifest.json` is not, because it echoes the output directory.
+A change that moves output bits on purpose updates these digests and
+says which files moved.
 
 Print the current digests with ``python tests/test_golden_outputs.py``.
 """
@@ -53,6 +54,14 @@ schedule:
   - {m: 100, K: 5, t: 1.0, n_trials: 200, min_entries: 2000, stream_len: 200000}
 seed: 1234
 workers: 1
+""",
+    "cml": """
+system: {kind: cml, a: 3, n: 2, gamma: 0.0}
+target: {kind: diagonal_strip}
+schedule:
+  - {nu: 0.05, K: 3, t: 1.0, n_trials: 400, min_entries: 200, orbit_len: 2000}
+seed: 77
+workers: 2
 """,
 }
 
@@ -164,6 +173,16 @@ GOLDEN = {
             "5a8505da83cef3a86cfa895c5ecc4d76c00cb4df71482b2a7ec31e8532590174",
         "counting_m100_K5.json":
             "e990bdcb722504546e9b2d9eafc8eba42b954dfe39ddbc572ae7f50c8bc7cd92",
+    },
+    "simulate/cml": {
+        "cluster_nu0p05_K3.csv":
+            "96dd1c1c433f46d4b0c86b6a67066e72cf7a61aa088d51b767a6228877cfbbe0",
+        "cluster_nu0p05_K3.json":
+            "4bdbcab16c5ef12f9a4f074920328757a77419071812d66d3f8108a5a4dc5423",
+        "counting_nu0p05_K3.csv":
+            "54675a6fa95ac48ab6d5f8bbf3998b3548f2d10408f1911c2ba30e317b72f0d1",
+        "counting_nu0p05_K3.json":
+            "16438b96e0cbaf9f542a728ba67bba413bc854f0e72ad5bf72e90dcd6e3deea6",
     },
 }
 

@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from returnstats.cli import main
-from returnstats.cml_theory import DiagonalDensity, cml_prediction
 from returnstats.distributions import DiscreteDistribution, polya_aeppli_pmf
-from returnstats.dynamics import LinearInterval
 from returnstats.estimators import ClusterAccumulator, ClusterStats
 from returnstats.records import csv_table, from_json_fields, json_fields
 from returnstats.stats import GofReport
@@ -76,11 +74,20 @@ def test_cluster_stats_with_one_orbit_writes_strict_json():
     assert back.insufficient and back.n_orbits == 1
 
 
-def test_every_record_csv_cell_is_empty_or_a_float():
-    pred = cml_prediction(LinearInterval(3), DiagonalDensity.lebesgue(), 2, 0.1, k_max=4)
-    rows = _cells_are_floats(pred.to_csv())
-    assert rows[0] == ["k", "alpha_hat", "alpha", "lambda"]
-    assert len(rows) == pred.alpha_hat.size + 1
+def test_every_record_csv_cell_is_empty_or_a_float(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"""
+system: {{kind: cml, a: 3, n: 2, gamma: 0.1}}
+target: {{kind: diagonal_strip}}
+schedule: [{{nu: 0.01, k_max: 4}}]
+outputs: {{dir: "{out}"}}
+""")
+    assert main(["--config", str(cfg), "predict"]) == 0
+    rows = _cells_are_floats((out / "predict_nu0p01_K10.csv").read_text())
+    # alpha_hat_1..alpha_hat_5 and lambda_1..lambda_3: two empty cells
+    assert rows[0] == ["k", "alpha_hat", "lambda"] and len(rows) == 1 + 5
+    assert [r[2] for r in rows[-2:]] == ["", ""]
     rows = _cells_are_floats(_one_orbit_stats().to_csv())
     assert rows[0] == ["ell", "alpha_hat", "alpha_se", "lambda_hat", "lambda_se"]
     rows = _cells_are_floats(polya_aeppli_pmf(1.0, 0.5, 10).to_csv())

@@ -5,7 +5,7 @@ import pytest
 
 from returnstats import regenerative
 from returnstats.distributions import ClusterSizeDist, empirical_distribution
-from returnstats.estimators import cluster_stats_from_indicators
+from returnstats.estimators import ClusterAccumulator
 from returnstats.regenerative import (_GUIDE_BUCKETS, _SLICE_BLOCKS, RegenSpec,
                                       SymbolStream, _block_lengths, _block_slices,
                                       _size_biased_first_block,
@@ -371,7 +371,10 @@ def test_regen_tallies_equal_the_dense_reference():
             (RegenSpec.fixed_lengths(LAM, 100), 10, 3, 3, 30_000)):
         rows = (generate_stationary(spec, stream_len, (SEED, t)).symbols > m
                 for t in range(n_streams))
-        want = cluster_stats_from_indicators(rows, K)
+        acc = ClusterAccumulator(K=K)
+        for row in rows:
+            acc.add_orbit(row)
+        want = acc.finalize(insufficient=False)
         got = regen_cluster_stats(spec, m, K, n_streams, SEED, stream_len=stream_len)
         assert got.to_json() == want.to_json()
         assert got.to_csv() == want.to_csv()

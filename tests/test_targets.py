@@ -16,16 +16,12 @@ def test_ball_membership_interval():
     # the boundary 0.6 is closed
     assert b.contains_points(np.array([[0.45], [0.6], [0.605]])).tolist() \
         == [True, True, False]
-
-
-def test_ball_membership_periodic_wraps():
-    pts = np.array([[0.99], [0.90]])
-    assert Ball((0.01,), 0.05, periodic=True).contains_points(pts).tolist() == [True, False]
-    assert not Ball((0.01,), 0.05, periodic=False).contains_points(pts).any()
+    # distance on the interval does not wrap around 1
+    assert not Ball((0.01,), 0.05).contains_points(np.array([[0.99], [0.90]])).any()
 
 
 def test_ball_sup_metric_in_2d():
-    b = Ball((0.5, 0.5), 0.1, periodic=True)
+    b = Ball((0.5, 0.5), 0.1)
     assert b.contains_points(np.array([[0.59, 0.41], [0.59, 0.39]])).tolist() \
         == [True, False]
 
@@ -46,7 +42,7 @@ def test_exact_measures():
     assert Ball((0.5,), 0.001).exact_measure() == pytest.approx(0.002)
     # clipped at the interval edge
     assert Ball((0.0005,), 0.001).exact_measure() == pytest.approx(0.0015)
-    assert Ball((0.3, 0.7), 0.01, periodic=True).exact_measure() == pytest.approx(4e-4)
+    assert Ball((0.3, 0.7), 0.01).exact_measure() == pytest.approx(4e-4)
     assert TorusStrip(0.05).exact_measure() == pytest.approx(0.1)
     assert DiagonalStrip(0.1).exact_measure_for_dim(2) == pytest.approx(0.19)
     assert DiagonalStrip(0.1).exact_measure() is None
@@ -66,8 +62,8 @@ def test_target_validation():
 def test_shrinking_targets_are_nested():
     rng = np.random.default_rng(1)
     pts = rng.random((10_000, 2))
-    small = Ball((0.3, 0.6), 0.05, periodic=True)
-    large = Ball((0.3, 0.6), 0.2, periodic=True)
+    small = Ball((0.3, 0.6), 0.05)
+    large = Ball((0.3, 0.6), 0.2)
     in_small = small.contains_points(pts)
     in_large = large.contains_points(pts)
     assert np.all(in_large[in_small])
@@ -112,7 +108,7 @@ def test_measure_validation():
 
 
 # ---------------------------------------------------------------------------
-# mod 1 as v - floor(v), and circle-distance membership at its edges
+# mod 1 as v - floor(v), and torus-strip membership at its edges
 # ---------------------------------------------------------------------------
 
 
@@ -165,16 +161,3 @@ def test_torus_strip_membership_equals_the_mod_formula_at_its_edges(rho):
     assert want.any() and not want.all()
     np.testing.assert_array_equal(got, want)
 
-
-@pytest.mark.parametrize("rho", [2.0**-6, 1e-3, 0.25])
-@pytest.mark.parametrize("center", [(0.0,), (0.3,), (0.3, 0.0)])
-def test_periodic_ball_membership_equals_the_mod_formula_at_its_edges(center, rho):
-    u = _membership_edges(rho)
-    offsets = np.column_stack([u] * len(center))
-    offsets[1::2, 0] = 0.0             # let the second coordinate decide too
-    pts = offsets + np.asarray(center)
-    with np.errstate(invalid="ignore"):
-        want = _old_circle_dist(pts, np.asarray(center)).max(axis=-1) <= rho
-        got = Ball(center, rho, periodic=True).contains_points(pts)
-    assert want.any() and not want.all()
-    np.testing.assert_array_equal(got, want)

@@ -18,8 +18,8 @@ from .estimators import (ClusterStats, cluster_statistics, counting_distribution
                          entry_time_ratio)
 from .regenerative import (RegenSpec, SymbolStream, generate_stationary,
                            level_measure, regen_cluster_stats)
-from .cml_theory import (CmlPrediction, DiagonalDensity, ExpansionWarning,
-                         alpha_hat_integral, cml_prediction)
+from .cml_theory import (DiagonalDensity, ExpansionWarning, alpha_hat_integral,
+                         cml_prediction)
 from .stats import (AlphaSequences, GofReport, chi_square_gof,
                     lambda_from_alpha_hat, total_variation)
 from .targets import (Ball, DiagonalStrip, MeasureEstimate, TargetSet,

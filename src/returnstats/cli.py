@@ -26,12 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .cml_theory import DiagonalDensity, cml_prediction
 from .config import ConfigError, ExperimentConfig
 from .distributions import (ClusterSizeDist, CompoundSpec, DiscreteDistribution,
                             compound_poisson_pmf, polya_aeppli_pmf)
+from .dynamics import CmlSystem, LinearMod1System, TorusAffineSystem
 from .estimators import cluster_statistics, counting_distribution
 from .records import csv_table, from_json_fields, json_fields
-from .regenerative import (level_measure, regen_cluster_stats,
+from .regenerative import (RegenSpec, level_measure, regen_cluster_stats,
                            regen_counting_distribution)
 from .stats import chi_square_gof
 
@@ -86,71 +88,54 @@ class _Prediction:
     counting_pmf: DiscreteDistribution | None = None
 
 
-def _analytic_prediction(config: ExperimentConfig, row) -> _Prediction:
-    """The prediction for the built-in families; raises ConfigError if no
-    analytic form exists."""
-    kind = config.system["kind"]
+def _analytic_prediction(config: ExperimentConfig, system, row) -> _Prediction:
+    """The row's limit law, read from the built system (or RegenSpec);
+    raises ConfigError for a pair the package has no law for."""
     t = row.t
-    if kind == "torus":
-        a = int(config.system.get("a", 2))
-        k = np.arange(row.k_max + 1)
-        alpha_hat = (1.0 / a) ** k            # alpha_hat_{k+1} = a^{-k}
-        p = 1.0 / a
+    if isinstance(system, (TorusAffineSystem, LinearMod1System)):
+        # Polya-Aeppli with cluster ratio p = a^-period: the torus strip
+        # surrounds the fixed line {y = 0}, and a ball around a point of no
+        # known period gets p = 0, the Poisson law
+        period = (1 if isinstance(system, TorusAffineSystem)
+                  else config.target.get("periodic_period"))
+        p = 0.0 if period is None else float(system.a) ** -int(period)
         alpha1 = 1.0 - p
-        lambdas = (1 - p) * p ** np.arange(row.k_max)
-        pmf = polya_aeppli_pmf(alpha1 * t, p, _PMF_KMAX)
-        return _Prediction(alpha_hat, lambdas, alpha1, pmf)
-    if kind == "linear_mod1":
-        a = int(config.system.get("a", 2))
-        period = config.target.get("periodic_period")
-        if period is not None:
-            p = float(a) ** (-int(period))
-            alpha1 = 1.0 - p
-            alpha_hat = p ** np.arange(row.k_max + 1)  # alpha_hat_k = p^(k-1)
-            lambdas = (1 - p) * p ** np.arange(row.k_max)
-            pmf = polya_aeppli_pmf(alpha1 * t, p, _PMF_KMAX)
-            return _Prediction(alpha_hat, lambdas, alpha1, pmf)
-        # non-periodic center: Poisson limit
-        alpha_hat = np.concatenate([[1.0], np.zeros(row.k_max)])
-        lambdas = np.concatenate([[1.0], np.zeros(row.k_max - 1)])
-        pmf = polya_aeppli_pmf(t, 0.0, _PMF_KMAX)
-        return _Prediction(alpha_hat, lambdas, 1.0, pmf)
-    if kind == "cml":
-        from .cml_theory import DiagonalDensity, cml_prediction
-
-        pred = cml_prediction(config._base_map(), DiagonalDensity.lebesgue(),
-                              int(config.system.get("n", 2)),
-                              float(config.system.get("gamma", 0.0)),
-                              row.k_max, tol=1e-10)
-        lam = np.clip(pred.lambdas, 0.0, None)
-        total = lam.sum()
+        return _Prediction(p ** np.arange(row.k_max + 1),       # alpha_hat_k = p^(k-1)
+                           alpha1 * p ** np.arange(row.k_max), alpha1,
+                           polya_aeppli_pmf(alpha1 * t, p, _PMF_KMAX))
+    if isinstance(system, CmlSystem) and config.target["kind"] == "diagonal_strip":
+        spec = system.spec
+        seqs = cml_prediction(spec.base_map, DiagonalDensity.lebesgue(), spec.n,
+                              spec.gamma, row.k_max)
+        lam = seqs.lam[:row.k_max - 1]
         pmf = None
-        if total > 0:
-            cd = ClusterSizeDist(lam / total)
-            pmf = compound_poisson_pmf(CompoundSpec(pred.extremal_index * t, cd), _PMF_KMAX)
-        return _Prediction(pred.alpha_hat, pred.lambdas, pred.extremal_index, pmf)
-    if kind == "regenerative":
-        rule = config.system.get("block_rule", "smith")
-        if rule == "smith":
+        if lam.sum() > 0:
+            cd = ClusterSizeDist(lam / lam.sum())
+            pmf = compound_poisson_pmf(CompoundSpec(seqs.extremal_index * t, cd), _PMF_KMAX)
+        return _Prediction(seqs.alpha_hat, lam, seqs.extremal_index, pmf)
+    if isinstance(system, RegenSpec):
+        if system.block_rule == "smith":
             alpha_hat = np.concatenate([[1.0], np.full(row.k_max, 0.5)])
             lambdas = np.concatenate([[1.0], np.zeros(row.k_max - 1)])
             return _Prediction(alpha_hat, lambdas, 0.5)
-        lam = np.asarray(config.system["cluster_lambdas"], dtype=float)
-        mean_len = float(np.arange(1, lam.size + 1) @ lam)
+        cd = system.cluster_dist
+        lam, mean_len = cd.lambdas, cd.mean()
         alpha = np.array([lam[k - 1:].sum() / mean_len
                           for k in range(1, row.k_max + 2)])
         alpha_hat = np.concatenate([[1.0], 1.0 - np.cumsum(alpha)[:-1]])
         alpha_hat = np.clip(alpha_hat, 0.0, 1.0)
         alpha1 = float(alpha[0])
-        pmf = compound_poisson_pmf(CompoundSpec(alpha1 * t, ClusterSizeDist(lam)),
-                                   _PMF_KMAX)
+        pmf = compound_poisson_pmf(CompoundSpec(alpha1 * t, cd), _PMF_KMAX)
         return _Prediction(alpha_hat, lam, alpha1, pmf)
-    raise ConfigError(f"no analytic prediction for system kind {kind!r}")
+    raise ConfigError(f"no analytic law for a {config.system['kind']} system with "
+                      f"a {config.target['kind']} target")
 
 
 def cmd_predict(config: ExperimentConfig) -> int:
+    system = config.build_system()
     # compute everything first so a failure leaves no partial files
-    results = [(row, _analytic_prediction(config, row)) for row in config.schedule]
+    results = [(row, _analytic_prediction(config, system, row))
+               for row in config.schedule]
     out = _out_dir(config)
     entries: list = []
     fmts = config.outputs["formats"]
@@ -178,20 +163,19 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     entries: list = []
     flags: dict = {}
     fmts = config.outputs["formats"]
-    regen = config.system["kind"] == "regenerative"
-    spec = config.build_regen_spec() if regen else None
-    system = None if regen else config.build_system()
+    system = config.build_system()
+    regen = isinstance(system, RegenSpec)
 
     for row in config.schedule:
         label = row.label(config.scale_name)
         if regen:
             m = int(row.scale)
             n_streams = max(4, math.ceil(
-                row.min_entries / max(level_measure(spec, m), 1e-12)
+                row.min_entries / max(level_measure(system, m), 1e-12)
                 / (row.stream_len or 200_000)) + 1)
-            cs = regen_cluster_stats(spec, m, row.K, n_streams, config.seed,
+            cs = regen_cluster_stats(system, m, row.K, n_streams, config.seed,
                                      stream_len=row.stream_len, workers=config.workers)
-            cd = regen_counting_distribution(spec, m, row.t, row.n_trials, config.seed)
+            cd = regen_counting_distribution(system, m, row.t, row.n_trials, config.seed)
         else:
             target = config.build_target(row)
             cs = cluster_statistics(system, target, row.K, row.min_entries,

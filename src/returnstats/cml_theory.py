@@ -23,9 +23,10 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import IntervalMap
+from .stats import AlphaSequences, lambda_from_alpha_hat
 
-__all__ = ["DiagonalDensity", "CmlPrediction", "alpha_hat_integral",
-           "cml_prediction", "ExpansionWarning"]
+__all__ = ["DiagonalDensity", "alpha_hat_integral", "cml_prediction",
+           "ExpansionWarning"]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_BRANCHES = 1 << 21
@@ -131,49 +132,12 @@ def alpha_hat_integral(base_map: IntervalMap, h: DiagonalDensity, n: int,
     return num / ((1.0 - gamma) ** (k * (n - 1)) * den)
 
 
-@dataclass(frozen=True)
-class CmlPrediction:
-    """Assembled prediction; index i of ``alpha_hat`` holds alpha_hat_{i+1},
-    of ``alphas`` holds alpha_{i+1}, of ``lambdas`` holds lambda_{i+1}."""
-
-    alpha_hat: np.ndarray
-    alphas: np.ndarray
-    lambdas: np.ndarray
-    extremal_index: float
-    quadrature_error: float
-
-    def __post_init__(self):
-        ah = np.asarray(self.alpha_hat, dtype=float)
-        object.__setattr__(self, "alpha_hat", ah)
-        object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
-        object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
-        if abs(ah[0] - 1.0) > 1e-12:
-            raise ValueError("alpha_hat_1 must equal 1")
-        if np.any(np.diff(ah) > 1e-12):
-            raise ValueError("alpha_hat must be non-increasing")
-
-
 def cml_prediction(base_map: IntervalMap, h: DiagonalDensity, n: int,
-                   gamma: float, k_max: int, tol: float = 1e-10) -> CmlPrediction:
-    """alpha_hat_{1..k_max+1}, alpha_{1..k_max}, lambda_{1..k_max-1} and the
-    extremal index alpha_1 = 1 - alpha_hat_2."""
+                   gamma: float, k_max: int, tol: float = 1e-10) -> AlphaSequences:
+    """alpha_hat_{1..k_max+1} by quadrature, with the alpha and lambda
+    sequences and the extremal index alpha_1 = 1 - alpha_hat_2 that
+    `lambda_from_alpha_hat` derives from them."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    alpha_hat = np.array([alpha_hat_integral(base_map, h, n, gamma, k, tol)
-                          for k in range(k_max + 1)])
-    alphas = alpha_hat[:-1] - alpha_hat[1:]
-    alpha1 = float(alphas[0])
-    if alpha1 <= 0:
-        raise ValueError("extremal index alpha_1 = 1 - alpha_hat_2 is not positive")
-    lambdas = (alphas[:-1] - alphas[1:]) / alpha1
-    # crude but honest error budget: k_max+1 integrals each within ~tol
-    quad_err = tol * (k_max + 1)
-
-    lam_sum = float(lambdas.sum())
-    # finite truncation leaves exactly alpha_{k_max}/alpha_1 outside the sum
-    tail = float(alphas[-1] / alpha1)
-    if abs(1.0 - lam_sum - tail) > 10 * max(quad_err, 1e-12):
-        warnings.warn(f"lambda normalization check off by "
-                      f"{abs(1.0 - lam_sum - tail):.3e}", stacklevel=2)
-    return CmlPrediction(alpha_hat=alpha_hat, alphas=alphas, lambdas=lambdas,
-                         extremal_index=alpha1, quadrature_error=quad_err)
+    return lambda_from_alpha_hat([alpha_hat_integral(base_map, h, n, gamma, k, tol)
+                                  for k in range(k_max + 1)])

@@ -15,12 +15,14 @@ Schema (YAML):
       # piecewise_sine only: eps, burn_in
       # regenerative only: block_rule, cluster_lambdas, k_cap
     target:
-      kind: torus_strip                  # ball | torus_strip | diagonal_strip
-      center: [0.5]                      #   | level_set (regenerative)
-      periodic_period: 1                 # optional: target around a periodic
+      kind: torus_strip                  # one of the kinds PAIRS lists for
+                                         # the system kind
+      center: [0.5]                      # ball only: one coordinate per
+                                         # system dimension
+      periodic_period: 1                 # optional: ball around a periodic
                                          # point of known period (predictions)
     schedule:
-      - {rho: 1.0e-3, K: 50, L: 1000, t: 1.0, n_trials: 100000,
+      - {rho: 1.0e-3, K: 50, t: 1.0, n_trials: 100000,
          min_entries: 10000, max_orbit: 50000000}
     seed: 1234
     workers: 1
@@ -28,7 +30,9 @@ Schema (YAML):
     outputs: {dir: results, formats: [json, csv]}
 
 Scale parameter per row: ``rho`` (ball / torus_strip), ``nu``
-(diagonal_strip) or ``m`` (level_set).
+(diagonal_strip) or ``m`` (level_set, 0 <= m < k_cap).  Loading builds
+the system and every row's target, so a row the system cannot run is an
+error before any row writes a file.
 """
 
 from __future__ import annotations
@@ -41,13 +45,24 @@ import numpy as np
 import yaml
 
 from .distributions import ClusterSizeDist
-from .dynamics import (CmlSpec, CmlSystem, LinearMod1System, PiecewiseSystem,
-                       SinePerturbedInterval, TorusAffineSystem)
+from .dynamics import (CmlSpec, CmlSystem, LinearInterval, LinearMod1System,
+                       PiecewiseSystem, SinePerturbedInterval, TorusAffineSystem)
 from .records import json_fields
 from .regenerative import RegenSpec
 from .targets import Ball, DiagonalStrip, TorusStrip
 
-__all__ = ["ExperimentConfig", "ConfigError", "ScheduleRow"]
+__all__ = ["ExperimentConfig", "ConfigError", "ScheduleRow", "PAIRS"]
+
+# the target kinds each system kind runs.  A torus orbit keeps (a-1)x - y
+# mod 1 constant, so only the strip around {y = 0} sees the whole torus;
+# a diagonal strip on an interval map is the whole interval.
+PAIRS = {
+    "torus": ("torus_strip",),
+    "linear_mod1": ("ball",),
+    "cml": ("diagonal_strip", "ball"),
+    "piecewise_sine": ("ball",),
+    "regenerative": ("level_set",),
+}
 
 
 class ConfigError(ValueError):
@@ -58,7 +73,6 @@ class ConfigError(ValueError):
 class ScheduleRow:
     scale: float            # rho, nu or m depending on the target kind
     K: int = 10
-    L: int = 1000
     t: float = 1.0
     n_trials: int = 10000
     min_entries: int = 1000
@@ -97,17 +111,17 @@ class ExperimentConfig:
         system = dict(raw["system"])
         target = dict(raw["target"])
         kind = system.get("kind")
-        if kind not in ("torus", "linear_mod1", "cml", "piecewise_sine", "regenerative"):
+        if kind not in PAIRS:
             raise ConfigError(f"unknown system kind {kind!r}")
         tkind = target.get("kind")
-        if tkind not in ("ball", "torus_strip", "diagonal_strip", "level_set"):
-            raise ConfigError(f"unknown target kind {tkind!r}")
-        if (kind == "regenerative") != (tkind == "level_set"):
-            raise ConfigError("level_set targets pair with regenerative systems only")
-        if kind == "torus" and tkind == "ball":
-            raise ConfigError("torus orbits keep (a-1)x - y mod 1 constant, so a ball "
-                              "sees one line per orbit and its counting law is not "
-                              "the predicted one; use torus_strip")
+        if tkind not in PAIRS[kind]:
+            why = ""
+            if kind == "torus" and tkind in ("ball", "diagonal_strip"):
+                why = ("; torus orbits keep (a-1)x - y mod 1 constant, so a ball or "
+                       "diagonal strip sees one line per orbit and its counting law "
+                       "is not the predicted one")
+            raise ConfigError(f"a {kind} system runs {' or '.join(PAIRS[kind])} "
+                              f"targets, not {tkind!r}{why}")
 
         rows = raw["schedule"]
         if not isinstance(rows, list) or not rows:
@@ -161,10 +175,28 @@ class ExperimentConfig:
         outputs.setdefault("dir", "results")
         outputs.setdefault("formats", ["json", "csv"])
 
-        return cls(experiment=str(raw.get("experiment", "experiment")),
-                   system=system, target=target, schedule=tuple(schedule),
-                   seed=seed, workers=workers, threshold=threshold,
-                   outputs=outputs)
+        config = cls(experiment=str(raw.get("experiment", "experiment")),
+                     system=system, target=target, schedule=tuple(schedule),
+                     seed=seed, workers=workers, threshold=threshold,
+                     outputs=outputs)
+        config._check_targets()
+        return config
+
+    def _check_targets(self) -> None:
+        """Build the system and every row's target, and check that the
+        system can run each one."""
+        try:
+            system = self.build_system()
+            targets = [self.build_target(row) for row in self.schedule]
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        for target in targets:
+            if isinstance(target, Ball) and len(target.center) != system.dimension:
+                raise ConfigError(f"a ball centre needs one coordinate per system "
+                                  f"dimension ({system.dimension}), got {target.center}")
+            if isinstance(system, RegenSpec) and not 0 <= target < system.k_cap:
+                raise ConfigError(f"level set m = {target} must lie in [0, k_cap) = "
+                                  f"[0, {system.k_cap}); U_m is empty from k_cap on")
 
     @classmethod
     def from_yaml(cls, text: str) -> "ExperimentConfig":
@@ -205,6 +237,7 @@ class ExperimentConfig:
         return self._scale_name(self.target["kind"])
 
     def build_system(self):
+        """The map system, or the RegenSpec of a regenerative process."""
         s = self.system
         kind = s["kind"]
         if kind == "torus":
@@ -215,24 +248,17 @@ class ExperimentConfig:
             n = int(s.get("n", 2))
             weights = s.get("weights")
             w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, float)
-            spec = CmlSpec(base_map=self._base_map(), n=n,
+            a, eps = int(s.get("a", 2)), float(s.get("eps", 0.0))
+            base_map = SinePerturbedInterval(a, eps) if eps else LinearInterval(a)
+            spec = CmlSpec(base_map=base_map, n=n,
                            gamma=float(s.get("gamma", 0.0)), weights=w)
             return CmlSystem(spec, burn_in=int(s.get("burn_in", 1024)))
         if kind == "piecewise_sine":
             imap = SinePerturbedInterval(int(s.get("a", 2)), float(s.get("eps", 0.1)))
             return PiecewiseSystem(imap, burn_in=int(s.get("burn_in", 1024)))
         if kind == "regenerative":
-            return None  # regenerative runs go through build_regen_spec
+            return self.build_regen_spec()
         raise ConfigError(f"unknown system kind {kind!r}")
-
-    def _base_map(self):
-        s = self.system
-        eps = float(s.get("eps", 0.0))
-        a = int(s.get("a", 2))
-        if eps:
-            return SinePerturbedInterval(a, eps)
-        from .dynamics import LinearInterval
-        return LinearInterval(a)
 
     def build_regen_spec(self) -> RegenSpec:
         s = self.system
@@ -257,5 +283,5 @@ class ExperimentConfig:
         if kind == "diagonal_strip":
             return DiagonalStrip(nu=row.scale)
         if kind == "level_set":
-            return int(row.scale)  # handled by the regenerative path
+            return int(row.scale)  # the level m of U_m = {X_0 > m}
         raise ConfigError(f"unknown target kind {kind!r}")

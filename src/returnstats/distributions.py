@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .records import csv_table, from_json_fields, json_fields
+from .records import csv_table, json_fields
 
 __all__ = [
     "DiscreteDistribution",
@@ -70,10 +70,6 @@ class DiscreteDistribution:
 
     def to_json(self) -> str:
         return json.dumps(json_fields(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteDistribution":
-        return from_json_fields(cls, json.loads(text))
 
     def to_csv(self) -> str:
         return csv_table("k", {"prob": self.probs}, start=0)

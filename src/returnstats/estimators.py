@@ -142,10 +142,6 @@ class ClusterStats:
         a2 = self.alpha_hat[1] if self.alpha_hat.size > 1 else 0.0
         return float(1.0 - a2)
 
-    @property
-    def extremal_index_se(self) -> float:
-        return float(self.alpha_se[1]) if self.alpha_se.size > 1 else 0.0
-
     def to_json(self) -> str:
         d = json_fields(self, extremal_index=self.extremal_index)
         d["insufficient"] = d.pop("insufficient")  # written after extremal_index

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .distributions import DiscreteDistribution
-from .records import from_json_fields, json_fields
+from .records import json_fields
 
 __all__ = ["AlphaSequences", "GofReport", "lambda_from_alpha_hat",
            "total_variation", "chi_square_gof"]
@@ -110,10 +110,6 @@ class GofReport:
 
     def to_json(self) -> str:
         return json.dumps(json_fields(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "GofReport":
-        return from_json_fields(cls, json.loads(text))
 
 
 def chi_square_gof(empirical: DiscreteDistribution, n: int,

@@ -37,8 +37,9 @@ class TargetSet:
         """Vectorized membership for an (n_points, dim) array."""
         raise NotImplementedError
 
-    def exact_measure(self) -> float | None:
-        """Closed-form Lebesgue measure, or None if only MC is available."""
+    def exact_measure(self, dimension: int) -> float | None:
+        """Closed-form Lebesgue measure in a `dimension`-dimensional system,
+        or None if only MC is available."""
         return None
 
 
@@ -58,7 +59,7 @@ class Ball(TargetSet):
     def contains_points(self, pts):
         return np.abs(pts - np.asarray(self.center)).max(axis=-1) <= self.rho
 
-    def exact_measure(self):
+    def exact_measure(self, dimension):
         vol = 1.0
         for c in self.center:
             vol *= min(c + self.rho, 1.0) - max(c - self.rho, 0.0)
@@ -89,7 +90,7 @@ class TorusStrip(TargetSet):
         inside |= scratch <= self.rho
         return inside
 
-    def exact_measure(self):
+    def exact_measure(self, dimension):
         return min(2 * self.rho, 1.0)
 
 
@@ -107,14 +108,12 @@ class DiagonalStrip(TargetSet):
     def contains_points(self, pts):
         return pts.max(axis=-1) - pts.min(axis=-1) <= self.nu
 
-    def exact_measure(self):
-        # closed form known for a pair of sites: area of {|x1 - x2| <= nu}
-        return None
-
-    def exact_measure_for_dim(self, n: int) -> float | None:
-        if n == 1:
+    def exact_measure(self, dimension):
+        # closed form known for one site (the whole interval) and for a pair
+        # of sites: the area of {|x1 - x2| <= nu}
+        if dimension == 1:
             return 1.0
-        if n == 2:
+        if dimension == 2:
             return 2 * self.nu - self.nu**2
         return None
 
@@ -129,10 +128,7 @@ def measure(target: TargetSet, map_system, n_samples: int, seed) -> MeasureEstim
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if map_system.preserves_lebesgue:
-        if isinstance(target, DiagonalStrip):
-            exact = target.exact_measure_for_dim(map_system.dimension)
-        else:
-            exact = target.exact_measure()
+        exact = target.exact_measure(map_system.dimension)
         if exact is not None:
             return MeasureEstimate(mean=exact, std_error=0.0, n_samples=n_samples)
 

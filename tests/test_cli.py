@@ -35,7 +35,7 @@ def test_predict_torus_lambda_table(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "predict_rho0p02_K5.json" in manifest["outputs"]
     # defaults are echoed
-    assert manifest["config"]["schedule"][0]["L"] == 1000
+    assert manifest["config"]["schedule"][0]["k_max"] == 6
 
 
 def test_predict_uncoupled_cml_alpha_table(tmp_path):
@@ -75,19 +75,49 @@ outputs: {{dir: "{out}"}}
     assert main(["predict"]) == 2  # --config required
 
 
-@pytest.mark.parametrize("second_row", ["{rho: 0.01, K: 3, t: 2}", "{rho: 0.02, K: 0}"],
-                         ids=["repeated-label", "K0"])
-def test_simulate_rejects_a_bad_later_row_before_writing(tmp_path, second_row):
+LINEAR_BALL = "system: {kind: linear_mod1, a: 2}\ntarget: {kind: ball, center: [0.3]}"
+FIRST_ROW = "{rho: 0.01, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5000}"
+
+
+@pytest.mark.parametrize("pair, rows", [
+    (LINEAR_BALL, [FIRST_ROW, "{rho: 0.01, K: 3, t: 2}"]),
+    (LINEAR_BALL, [FIRST_ROW, "{rho: 0.02, K: 0}"]),
+    ("system: {kind: torus, a: 2}\ntarget: {kind: torus_strip}",
+     [FIRST_ROW, "{rho: 0.6, K: 3}"]),
+    ("system: {kind: regenerative, block_rule: smith, k_cap: 300}\n"
+     "target: {kind: level_set}",
+     ["{m: 10, K: 3, n_trials: 20, min_entries: 10, stream_len: 2000}",
+      "{m: 400, K: 3}"]),
+    ("system: {kind: linear_mod1, a: 2}\ntarget: {kind: ball, center: [0.3, 0.7]}",
+     ["{rho: 0.01, K: 3, n_trials: 50, min_entries: 100, orbit_len: 5000, "
+      "max_orbit: 20000}"]),
+], ids=["repeated-label", "K0", "strip-rho-above-half", "m-from-k_cap",
+        "ball-centre-dimension"])
+def test_simulate_rejects_a_bad_later_row_before_writing(tmp_path, pair, rows):
     out = tmp_path / "out"
+    schedule = "".join(f"\n  - {row}" for row in rows)
     cfg = _write_cfg(tmp_path, f"""
-system: {{kind: linear_mod1, a: 2}}
-target: {{kind: ball, center: [0.3]}}
-schedule:
-  - {{rho: 0.01, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5000}}
-  - {second_row}
+{pair}
+schedule:{schedule}
 outputs: {{dir: "{out}"}}
 """)
-    assert main(["--config", cfg, "simulate"]) == 2
+    for command in ("predict", "simulate"):
+        assert main(["--config", cfg, command]) == 2
+        assert not out.exists()
+
+
+def test_predict_rejects_a_pair_with_no_law(tmp_path, capsys):
+    # a ball on the lattice loads and runs, but the diagonal law does not
+    # describe it
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, f"""
+system: {{kind: cml, a: 2, n: 2, gamma: 0.1}}
+target: {{kind: ball, center: [0.3, 0.7]}}
+schedule: [{{rho: 0.01}}]
+outputs: {{dir: "{out}"}}
+""")
+    assert main(["--config", cfg, "predict"]) == 2
+    assert "no analytic law for a cml system with a ball target" in capsys.readouterr().err
     assert not out.exists()
 
 

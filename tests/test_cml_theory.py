@@ -4,9 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from returnstats.cml_theory import (CmlPrediction, DiagonalDensity,
-                                    ExpansionWarning, alpha_hat_integral,
-                                    cml_prediction)
+from returnstats.cml_theory import (DiagonalDensity, ExpansionWarning,
+                                    alpha_hat_integral, cml_prediction)
 from returnstats.dynamics import LinearInterval, SinePerturbedInterval
 
 LEB = DiagonalDensity.lebesgue()
@@ -87,16 +86,13 @@ def test_prediction_assembly_telescopes_exactly():
     alpha1 = alphas[0]
     lambdas = [(a - b) / alpha1 for a, b in zip(alphas[:-1], alphas[1:])]
     np.testing.assert_allclose(pred.alpha_hat, [float(v) for v in ah], atol=1e-10)
-    np.testing.assert_allclose(pred.alphas, [float(v) for v in alphas], atol=1e-10)
-    np.testing.assert_allclose(pred.lambdas, [float(v) for v in lambdas], atol=1e-10)
+    np.testing.assert_allclose(pred.alpha[:6], [float(v) for v in alphas], atol=1e-10)
+    np.testing.assert_allclose(pred.lam[:5], [float(v) for v in lambdas], atol=1e-10)
     assert abs(pred.extremal_index - 0.5) < 1e-10
     # truncation bookkeeping: sum lambda + alpha_kmax/alpha_1 telescopes to 1
-    assert abs(pred.lambdas.sum() + pred.alphas[-1] / pred.extremal_index - 1.0) < 1e-9
+    assert abs(pred.lam[:5].sum() + pred.alpha[5] / pred.extremal_index - 1.0) < 1e-9
 
 
 def test_prediction_validation():
     with pytest.raises(ValueError):
         cml_prediction(LinearInterval(2), LEB, 2, 0.0, k_max=0)
-    with pytest.raises(ValueError):
-        CmlPrediction(np.array([0.9, 0.5]), np.array([0.4]), np.array([]),
-                      0.1, 1e-10)

@@ -30,9 +30,9 @@ def test_defaults_are_echoed_explicitly():
     cfg = ExperimentConfig.from_yaml(TORUS_YAML)
     row = cfg.to_dict()["schedule"][0]
     # every defaulted knob appears in the serialized row
-    for key in ("K", "L", "t", "n_trials", "min_entries", "max_orbit", "k_max"):
+    for key in ("K", "t", "n_trials", "min_entries", "max_orbit", "k_max"):
         assert key in row
-    assert row["L"] == 1000 and row["min_entries"] == 1000
+    assert row["min_entries"] == 1000
     d = cfg.to_dict()
     assert d["threshold"] == 0.01 and d["outputs"]["dir"] == "results"
 
@@ -52,19 +52,6 @@ def test_missing_sections_and_bad_kinds():
         ExperimentConfig.from_yaml(TORUS_YAML.replace("kind: torus_strip", "kind: moon"))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_yaml("not: [valid")  # YAML error -> ConfigError
-
-
-def test_level_set_pairs_with_regenerative_only():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_yaml(TORUS_YAML.replace("kind: torus_strip",
-                                                      "kind: level_set"))
-    cfg = ExperimentConfig.from_yaml("""
-system: {kind: regenerative, block_rule: smith, k_cap: 1000}
-target: {kind: level_set}
-schedule: [{m: 100, K: 10}]
-""")
-    spec = cfg.build_regen_spec()
-    assert isinstance(spec, RegenSpec) and spec.k_cap == 1000
 
 
 def test_schedule_validation():
@@ -148,18 +135,42 @@ schedule: [{rho: 1.0e-2}]
 """)
     assert isinstance(pw.build_system(), PiecewiseSystem)
 
-
-def test_torus_takes_the_strip_and_rejects_a_ball():
-    # (a-1)x - y mod 1 is constant along torus orbits, so a ball sees one
-    # line per orbit and the predicted counting law does not apply
-    with pytest.raises(ConfigError, match=r"\(a-1\)x - y mod 1"):
-        ExperimentConfig.from_yaml("""
-system: {kind: torus, a: 2}
-target: {kind: ball, center: [0.3, 0.7]}
-schedule: [{rho: 1.0e-2}]
+    regen = ExperimentConfig.from_yaml("""
+system: {kind: regenerative, block_rule: smith, k_cap: 1000}
+target: {kind: level_set}
+schedule: [{m: 100, K: 10}]
 """)
+    spec = regen.build_system()
+    assert isinstance(spec, RegenSpec) and spec.k_cap == 1000
+    assert regen.build_regen_spec().k_cap == 1000
+
     strip = ExperimentConfig.from_yaml(TORUS_YAML)
     assert isinstance(strip.build_target(strip.schedule[0]), TorusStrip)
+
+
+SCALE = {"ball": "rho", "torus_strip": "rho", "diagonal_strip": "nu", "level_set": "m"}
+
+
+@pytest.mark.parametrize("system, target", [
+    ("torus", "ball"), ("torus", "diagonal_strip"), ("torus", "level_set"),
+    ("linear_mod1", "torus_strip"), ("linear_mod1", "diagonal_strip"),
+    ("linear_mod1", "level_set"),
+    ("cml", "torus_strip"), ("cml", "level_set"),
+    ("piecewise_sine", "torus_strip"), ("piecewise_sine", "diagonal_strip"),
+    ("piecewise_sine", "level_set"),
+    ("regenerative", "ball"), ("regenerative", "torus_strip"),
+    ("regenerative", "diagonal_strip"),
+])
+def test_load_rejects_a_pair_the_system_does_not_run(system, target):
+    raw = {"system": {"kind": system}, "target": {"kind": target},
+           "schedule": [{SCALE[target]: 0.1}]}
+    with pytest.raises(ConfigError, match=f"a {system} system runs .* not '{target}'"):
+        ExperimentConfig.from_dict(raw)
+    if system == "torus" and target != "level_set":
+        # (a-1)x - y mod 1 is constant along torus orbits, so a ball or a
+        # diagonal strip sees one line per orbit
+        with pytest.raises(ConfigError, match=r"\(a-1\)x - y mod 1"):
+            ExperimentConfig.from_dict(raw)
 
 
 def test_load_from_file(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from returnstats.distributions import (ClusterSizeDist, CompoundSpec,
                                        compound_poisson_pmf,
                                        empirical_distribution,
                                        polya_aeppli_pmf)
+from returnstats.records import from_json_fields
 
 
 def test_compound_poisson_atom_at_zero_is_exact():
@@ -125,7 +127,7 @@ def test_discrete_distribution_validation():
 
 def test_json_and_csv_round_trips():
     d = DiscreteDistribution(np.array([0.5, 0.3, 0.1]), tail_mass=0.1, n_samples=77)
-    back = DiscreteDistribution.from_json(d.to_json())
+    back = from_json_fields(DiscreteDistribution, json.loads(d.to_json()))
     np.testing.assert_array_equal(back.probs, d.probs)
     assert back.tail_mass == d.tail_mass and back.n_samples == 77
     rows = d.to_csv().splitlines()

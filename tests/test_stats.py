@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from returnstats.distributions import (DiscreteDistribution,
                                        empirical_distribution,
                                        polya_aeppli_pmf)
+from returnstats.records import from_json_fields
 from returnstats.stats import (AlphaSequences, GofReport, chi_square_gof,
                                lambda_from_alpha_hat, total_variation)
 
@@ -129,7 +132,7 @@ def test_chi_square_merges_thin_bins():
 
 def test_gof_report_round_trip():
     rep = GofReport(tv_distance=0.01, chi_square=3.2, dof=4, p_value=0.52, n=1000)
-    back = GofReport.from_json(rep.to_json())
+    back = from_json_fields(GofReport, json.loads(rep.to_json()))
     assert back == rep
 
 

@@ -39,13 +39,14 @@ def test_diagonal_strip_membership():
 
 
 def test_exact_measures():
-    assert Ball((0.5,), 0.001).exact_measure() == pytest.approx(0.002)
+    assert Ball((0.5,), 0.001).exact_measure(1) == pytest.approx(0.002)
     # clipped at the interval edge
-    assert Ball((0.0005,), 0.001).exact_measure() == pytest.approx(0.0015)
-    assert Ball((0.3, 0.7), 0.01).exact_measure() == pytest.approx(4e-4)
-    assert TorusStrip(0.05).exact_measure() == pytest.approx(0.1)
-    assert DiagonalStrip(0.1).exact_measure_for_dim(2) == pytest.approx(0.19)
-    assert DiagonalStrip(0.1).exact_measure() is None
+    assert Ball((0.0005,), 0.001).exact_measure(1) == pytest.approx(0.0015)
+    assert Ball((0.3, 0.7), 0.01).exact_measure(2) == pytest.approx(4e-4)
+    assert TorusStrip(0.05).exact_measure(2) == pytest.approx(0.1)
+    assert DiagonalStrip(0.1).exact_measure(1) == 1.0
+    assert DiagonalStrip(0.1).exact_measure(2) == pytest.approx(0.19)
+    assert DiagonalStrip(0.1).exact_measure(3) is None
 
 
 def test_target_validation():

@@ -1,7 +1,8 @@
 """Return-time and cluster statistics of chaotic maps on shrinking targets.
 
-Simulation of expanding interval maps, a torus skew product over a*y mod 1,
-coupled map lattices and symbolic regenerative processes, together with the
+Simulation of a*x mod 1, a torus skew product over a*y mod 1, coupled map
+lattices (a single expanding interval map is a one-site lattice) and
+symbolic regenerative processes, together with the
 compound Poisson / Polya-Aeppli / compound binomial limit laws their
 return-time statistics converge to, and estimators + goodness-of-fit tooling
 to compare the two.
@@ -12,8 +13,7 @@ from .distributions import (ClusterSizeDist, CompoundSpec, DiscreteDistribution,
                             compound_poisson_pmf, empirical_distribution,
                             polya_aeppli_pmf)
 from .dynamics import (CmlSpec, CmlSystem, IntervalMap, LinearInterval,
-                       LinearMod1System, PiecewiseSystem, SinePerturbedInterval,
-                       TorusAffineSystem)
+                       LinearMod1System, SinePerturbedInterval, TorusAffineSystem)
 from .estimators import (ClusterStats, cluster_statistics, counting_distribution,
                          entry_time_ratio)
 from .regenerative import (RegenSpec, SymbolStream, generate_stationary,

@@ -10,8 +10,7 @@ Subcommands:
   threshold, 1 otherwise.
 
 Exit codes: 0 pass, 1 statistical fail, 2 usage or config error.
-Parameter precedence: command-line flags > RETURNSTATS_* environment
-variables > config file values.
+Parameter precedence: command-line flags > config file values.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,26 +37,16 @@ from .stats import chi_square_gof
 
 __all__ = ["main", "cmd_predict", "cmd_simulate", "cmd_compare"]
 
-_ENV = {"seed": "RETURNSTATS_SEED", "workers": "RETURNSTATS_WORKERS",
-        "out": "RETURNSTATS_OUT", "threshold": "RETURNSTATS_THRESHOLD"}
 _PMF_KMAX = 60
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    def pick(flag_value, env_name, file_value, cast):
-        if flag_value is not None:
-            return cast(flag_value)
-        env = os.environ.get(env_name)
-        if env is not None:
-            return cast(env)
-        return file_value
-
     d = config.to_dict()
-    d["seed"] = pick(args.seed, _ENV["seed"], config.seed, int)
-    d["workers"] = pick(args.workers, _ENV["workers"], config.workers, int)
-    d["threshold"] = pick(args.threshold, _ENV["threshold"], config.threshold, float)
-    out = pick(args.out, _ENV["out"], config.outputs.get("dir"), str)
-    d["outputs"] = dict(config.outputs, dir=out)
+    for key in ("seed", "workers", "threshold"):
+        if getattr(args, key) is not None:
+            d[key] = getattr(args, key)
+    if args.out is not None:
+        d["outputs"]["dir"] = args.out
     return ExperimentConfig.from_dict(d)
 
 
@@ -272,13 +260,9 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "compare":
-            threshold = args.threshold
-            if threshold is None:
-                env = os.environ.get(_ENV["threshold"])
-                threshold = float(env) if env is not None else 0.01
-            out = args.out or os.environ.get(_ENV["out"])
+            threshold = 0.01 if args.threshold is None else args.threshold
             return cmd_compare(args.prediction_file, args.simulation_file,
-                               threshold, Path(out) if out else None)
+                               threshold, Path(args.out) if args.out else None)
         if not args.config:
             print("error: --config is required for predict/simulate", file=sys.stderr)
             return 2

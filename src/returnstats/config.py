@@ -9,10 +9,10 @@ Schema (YAML):
 
     experiment: torus-strip-sweep        # free-form label
     system:
-      kind: torus                        # torus | linear_mod1 | cml |
-      a: 2                               #   piecewise_sine | regenerative
-      # cml only: n, gamma, weights, eps, burn_in
-      # piecewise_sine only: eps, burn_in
+      kind: torus                        # torus | linear_mod1 | cml | regenerative
+      a: 2
+      # cml only: n, gamma, weights, eps, burn_in (n: 1 is the base map
+      #   alone, e.g. a*x + eps*sin(2 pi x) mod 1)
       # regenerative only: block_rule, cluster_lambdas, k_cap
     target:
       kind: torus_strip                  # one of the kinds PAIRS lists for
@@ -32,7 +32,9 @@ Schema (YAML):
 Scale parameter per row: ``rho`` (ball / torus_strip), ``nu``
 (diagonal_strip) or ``m`` (level_set, 0 <= m < k_cap).  Loading builds
 the system and every row's target, so a row the system cannot run is an
-error before any row writes a file.
+error before any row writes a file.  So is a ``cml`` whose float64 orbits
+drain to 0: uncoupled (gamma 0, eps 0) copies of a*x mod 1 with a a power
+of two, which ``linear_mod1`` runs on exact digits instead.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import yaml
 
 from .distributions import ClusterSizeDist
 from .dynamics import (CmlSpec, CmlSystem, LinearInterval, LinearMod1System,
-                       PiecewiseSystem, SinePerturbedInterval, TorusAffineSystem)
+                       SinePerturbedInterval, TorusAffineSystem)
 from .records import json_fields
 from .regenerative import RegenSpec
 from .targets import Ball, DiagonalStrip, TorusStrip
@@ -60,7 +62,6 @@ PAIRS = {
     "torus": ("torus_strip",),
     "linear_mod1": ("ball",),
     "cml": ("diagonal_strip", "ball"),
-    "piecewise_sine": ("ball",),
     "regenerative": ("level_set",),
 }
 
@@ -253,9 +254,6 @@ class ExperimentConfig:
             spec = CmlSpec(base_map=base_map, n=n,
                            gamma=float(s.get("gamma", 0.0)), weights=w)
             return CmlSystem(spec, burn_in=int(s.get("burn_in", 1024)))
-        if kind == "piecewise_sine":
-            imap = SinePerturbedInterval(int(s.get("a", 2)), float(s.get("eps", 0.1)))
-            return PiecewiseSystem(imap, burn_in=int(s.get("burn_in", 1024)))
         if kind == "regenerative":
             return self.build_regen_spec()
         raise ConfigError(f"unknown system kind {kind!r}")

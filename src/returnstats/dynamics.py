@@ -4,8 +4,8 @@ Built-in systems:
 
 * ``LinearMod1System``    -- T(x) = a*x mod 1 on [0,1), exact digits
 * ``TorusAffineSystem``   -- (x, y) -> (x + y, a*y) mod 1 on the 2-torus
-* ``CmlSystem``           -- coupled map lattice over a 1-d expanding base map
-* ``PiecewiseSystem``     -- generic piecewise-smooth interval map, float64
+* ``CmlSystem``           -- coupled map lattice over a 1-d expanding base map,
+  iterated in float64; one site is the base map itself
 
 Every system builds its orbits through one vectorized interface,
 ``indicator_block`` and ``stationary_samples``.  The exact-digit systems
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +38,6 @@ __all__ = [
     "TorusAffineSystem",
     "CmlSpec",
     "CmlSystem",
-    "PiecewiseSystem",
 ]
 
 # digits per orbit group of the exact-digit systems (a working-set budget)
@@ -79,8 +79,8 @@ class IntervalMap:
         b = self.breakpoints
         for i in range(b.size - 1):
             lo, hi = float(b[i]), float(b[i + 1])
-            f_lo = float(self._branch_value(lo, i, left=False))
-            f_hi = float(self._branch_value(hi, i, left=True))
+            f_lo = float(self._branch_value(lo, i))
+            f_hi = float(self._branch_value(hi, i))
             vmin, vmax = min(f_lo, f_hi), max(f_lo, f_hi)
             for y in ys:
                 if vmin <= y <= vmax:
@@ -93,7 +93,7 @@ class IntervalMap:
                         pass
         return out
 
-    def _branch_value(self, x, branch_index, left=False):
+    def _branch_value(self, x, branch_index):
         """Continuous (un-wrapped) value of the branch at x; subclasses with a
         simple lift override this."""
         raise NotImplementedError
@@ -116,9 +116,6 @@ class LinearInterval(IntervalMap):
 
     def branch_points_of_power(self, k: int) -> np.ndarray:
         return np.arange(self.a**k + 1) / self.a**k
-
-    def _branch_value(self, x, branch_index, left=False):
-        return self.a * x - branch_index
 
 
 class SinePerturbedInterval(IntervalMap):
@@ -146,7 +143,7 @@ class SinePerturbedInterval(IntervalMap):
         x = np.asarray(x, dtype=float)
         return self.a + self.eps * 2 * np.pi * np.cos(2 * np.pi * x)
 
-    def _branch_value(self, x, branch_index, left=False):
+    def _branch_value(self, x, branch_index):
         return self.a * x + self.eps * math.sin(2 * math.pi * x) - branch_index
 
 
@@ -393,13 +390,26 @@ class CmlSystem(MapSystem):
 
     For gamma > 0 Lebesgue measure is not invariant (the coupling contracts
     transversally to the diagonal), so stationary sampling starts uniform and
-    burns in.  Orbits are float64.
+    burns in.  Orbits are float64.  One site (n = 1) iterates the base map
+    itself, so this is also the float64 system of a single interval map.
+
+    Uncoupled copies of a*x mod 1 with a a power of two are refused: every
+    float64 step is then an exact bit shift, and every orbit reaches 0
+    within 53 steps.  ``LinearMod1System`` builds exact orbits of that map.
     """
 
     def __init__(self, spec: CmlSpec, burn_in: int = 1024):
+        if burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         self.spec = spec
         self.dimension = spec.n
         self.burn_in = int(burn_in)
+        a = getattr(spec.base_map, "a", None)
+        if self.preserves_lebesgue and a & (a - 1) == 0:
+            raise ValueError(f"float64 orbits of the uncoupled {a}x mod 1 lattice drain to 0: "
+                             "each step is an exact bit shift, so every orbit reaches 0 "
+                             "within 53 steps; linear_mod1 builds exact-digit orbits of "
+                             "this map")
 
     @property
     def preserves_lebesgue(self) -> bool:
@@ -411,81 +421,28 @@ class CmlSystem(MapSystem):
         coupled = y @ self.spec.weights
         return (1.0 - self.spec.gamma) * y + self.spec.gamma * np.expand_dims(coupled, -1)
 
-    def _simulate(self, master_seed, trial_indices, n_points, visit):
-        """Run a chunk of trials in lockstep; `visit(step_index, coords)` is
-        called with the (n_trials, n) coordinate array at every time point."""
-        n_tr = len(trial_indices)
-        coords = np.empty((n_tr, self.spec.n))
+    def _orbit(self, master_seed, trial_indices, n_points):
+        """Yield the trials' (n_trials, n) states at each of n_points time
+        points, iterated in lockstep from uniform starts after the burn-in."""
+        coords = np.empty((len(trial_indices), self.spec.n))
         for row, t in enumerate(trial_indices):
             coords[row] = trial_rng(master_seed, int(t)).random(self.spec.n)
         for _ in range(self.burn_in):
             coords = self._apply(coords)
-        visit(0, coords)
-        for i in range(1, n_points):
+        yield coords
+        for _ in range(n_points - 1):
             coords = self._apply(coords)
-            visit(i, coords)
+            yield coords
 
     def indicator_block(self, target, master_seed, trial_indices, n_points):
         out = np.empty((len(trial_indices), n_points), dtype=bool)
-
-        def visit(i, coords):
+        for i, coords in enumerate(self._orbit(master_seed, trial_indices, n_points)):
             out[:, i] = target.contains_points(coords)
-
-        self._simulate(master_seed, trial_indices, n_points, visit)
         return out
 
     def stationary_samples(self, master_seed, trial_index, n_samples):
         # decorrelation stride: transverse contraction/expansion mixes in a
         # few steps for uniformly expanding base maps
         stride = 16
-        keep = []
-
-        def visit(i, coords):
-            if i % stride == 0:
-                keep.append(coords[0].copy())
-
-        self._simulate(master_seed, [trial_index], n_samples * stride, visit)
-        return np.array(keep[:n_samples])
-
-
-class PiecewiseSystem(MapSystem):
-    """Generic piecewise-smooth interval map, iterated in float64.
-
-    Has no built-in invariant measure; stationary orbits start uniform and
-    burn in for an explicit number of steps.
-    """
-
-    def __init__(self, interval_map: IntervalMap, burn_in: int):
-        if burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
-        self.interval_map = interval_map
-        self.dimension = 1
-        self.burn_in = int(burn_in)
-
-    def indicator_block(self, target, master_seed, trial_indices, n_points):
-        n_tr = len(trial_indices)
-        x = np.empty(n_tr)
-        for row, t in enumerate(trial_indices):
-            x[row] = trial_rng(master_seed, int(t)).random()
-        for _ in range(self.burn_in):
-            x = self.interval_map.apply(x)
-        out = np.empty((n_tr, n_points), dtype=bool)
-        out[:, 0] = target.contains_points(x[:, None])
-        for i in range(1, n_points):
-            x = self.interval_map.apply(x)
-            out[:, i] = target.contains_points(x[:, None])
-        return out
-
-    def stationary_samples(self, master_seed, trial_index, n_samples):
-        rng = trial_rng(master_seed, trial_index)
-        x = float(rng.random())
-        for _ in range(self.burn_in):
-            x = float(self.interval_map.apply(x))
-        stride = 32
-        out = np.empty(n_samples)
-        for i in range(n_samples):
-            for _ in range(stride):
-                x = float(self.interval_map.apply(x))
-            out[i] = x
-        return out[:, None]
-
+        orbit = self._orbit(master_seed, [trial_index], (n_samples - 1) * stride + 1)
+        return np.array([coords[0] for coords in islice(orbit, 0, None, stride)])

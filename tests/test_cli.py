@@ -41,15 +41,14 @@ def test_predict_torus_lambda_table(tmp_path):
 def test_predict_uncoupled_cml_alpha_table(tmp_path):
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path, f"""
-system: {{kind: cml, a: 2, n: 2, gamma: 0.0}}
+system: {{kind: cml, a: 3, n: 2, gamma: 0.0}}
 target: {{kind: diagonal_strip}}
 schedule: [{{nu: 1.0e-3, k_max: 4}}]
 outputs: {{dir: "{out}"}}
 """)
     assert main(["--config", cfg, "predict"]) == 0
     payload = json.loads((out / "predict_nu0p001_K10.json").read_text())
-    np.testing.assert_allclose(payload["alpha_hat"], [1, 0.5, 0.25, 0.125, 0.0625],
-                               atol=1e-9)
+    np.testing.assert_allclose(payload["alpha_hat"], 3.0 ** -np.arange(5), atol=1e-9)
 
 
 def test_malformed_config_exits_2_without_partial_files(tmp_path):
@@ -77,6 +76,7 @@ outputs: {{dir: "{out}"}}
 
 LINEAR_BALL = "system: {kind: linear_mod1, a: 2}\ntarget: {kind: ball, center: [0.3]}"
 FIRST_ROW = "{rho: 0.01, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5000}"
+STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5000}"
 
 
 @pytest.mark.parametrize("pair, rows", [
@@ -91,8 +91,15 @@ FIRST_ROW = "{rho: 0.01, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 
     ("system: {kind: linear_mod1, a: 2}\ntarget: {kind: ball, center: [0.3, 0.7]}",
      ["{rho: 0.01, K: 3, n_trials: 50, min_entries: 100, orbit_len: 5000, "
       "max_orbit: 20000}"]),
+    # uncoupled float64 lattices of 2x and 8x mod 1 drain to 0 in a few
+    # dozen steps, so every strip row would read all ones
+    ("system: {kind: cml, a: 2, n: 2, gamma: 0}\ntarget: {kind: diagonal_strip}",
+     [STRIP_ROW]),
+    ("system: {kind: cml, a: 8, n: 1}\ntarget: {kind: ball, center: [0.3]}", [FIRST_ROW]),
+    ("system: {kind: cml, a: 3, n: 2, gamma: 0.1, burn_in: -1}\n"
+     "target: {kind: diagonal_strip}", [STRIP_ROW]),
 ], ids=["repeated-label", "K0", "strip-rho-above-half", "m-from-k_cap",
-        "ball-centre-dimension"])
+        "ball-centre-dimension", "cml-a2-drains", "cml-a8-drains", "cml-burn-in-below-0"])
 def test_simulate_rejects_a_bad_later_row_before_writing(tmp_path, pair, rows):
     out = tmp_path / "out"
     schedule = "".join(f"\n  - {row}" for row in rows)
@@ -146,16 +153,18 @@ def test_simulate_byte_identical_across_worker_counts(tmp_path):
         assert a == b, name
 
 
-def test_flag_beats_env_beats_file(tmp_path, monkeypatch):
+def test_flag_beats_file(tmp_path, monkeypatch):
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path, TORUS_CFG % out)
-    monkeypatch.setenv("RETURNSTATS_SEED", "1000")
+    monkeypatch.setenv("RETURNSTATS_SEED", "1000")  # not a setting: ignored
     assert main(["--config", cfg, "predict"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["seed"] == 1000  # env beats file (77)
-    assert main(["--config", cfg, "--seed", "2000", "predict"]) == 0
+    assert manifest["config"]["seed"] == 77 and manifest["config"]["workers"] == 1
+    assert main(["--config", cfg, "--seed", "2000", "--workers", "3", "--threshold", "0.2",
+                 "predict"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["seed"] == 2000  # flag beats env
+    assert manifest["config"]["seed"] == 2000
+    assert manifest["config"]["workers"] == 3 and manifest["config"]["threshold"] == 0.2
 
 
 def test_compare_identical_files_passes_with_zero_tv(tmp_path, capsys):

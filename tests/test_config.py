@@ -1,9 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from returnstats.config import ConfigError, ExperimentConfig
-from returnstats.dynamics import (CmlSystem, LinearMod1System,
-                                  PiecewiseSystem, TorusAffineSystem)
+from returnstats.config import PAIRS, ConfigError, ExperimentConfig
+from returnstats.dynamics import (CmlSystem, LinearMod1System, SinePerturbedInterval,
+                                  TorusAffineSystem)
 from returnstats.regenerative import RegenSpec
 from returnstats.targets import Ball, DiagonalStrip, TorusStrip
 
@@ -128,12 +131,15 @@ schedule: [{nu: 1.0e-3}]
     np.testing.assert_allclose(system.spec.weights, np.full(3, 1 / 3))
     assert isinstance(cml.build_target(cml.schedule[0]), DiagonalStrip)
 
-    pw = ExperimentConfig.from_yaml("""
-system: {kind: piecewise_sine, a: 3, eps: 0.05, burn_in: 64}
+    # a single sine-perturbed interval map is a one-site lattice
+    sine = ExperimentConfig.from_yaml("""
+system: {kind: cml, a: 3, n: 1, eps: 0.05, burn_in: 64}
 target: {kind: ball, center: [0.3]}
 schedule: [{rho: 1.0e-2}]
-""")
-    assert isinstance(pw.build_system(), PiecewiseSystem)
+""").build_system()
+    assert isinstance(sine, CmlSystem) and sine.dimension == 1 and sine.burn_in == 64
+    assert isinstance(sine.spec.base_map, SinePerturbedInterval)
+    assert sine.spec.base_map.eps == 0.05
 
     regen = ExperimentConfig.from_yaml("""
 system: {kind: regenerative, block_rule: smith, k_cap: 1000}
@@ -156,8 +162,6 @@ SCALE = {"ball": "rho", "torus_strip": "rho", "diagonal_strip": "nu", "level_set
     ("linear_mod1", "torus_strip"), ("linear_mod1", "diagonal_strip"),
     ("linear_mod1", "level_set"),
     ("cml", "torus_strip"), ("cml", "level_set"),
-    ("piecewise_sine", "torus_strip"), ("piecewise_sine", "diagonal_strip"),
-    ("piecewise_sine", "level_set"),
     ("regenerative", "ball"), ("regenerative", "torus_strip"),
     ("regenerative", "diagonal_strip"),
 ])
@@ -178,3 +182,15 @@ def test_load_from_file(tmp_path):
     p.write_text(TORUS_YAML)
     cfg = ExperimentConfig.load(p)
     assert cfg.seed == 42 and cfg.workers == 2
+
+
+def test_readme_pairs_table_is_config_pairs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = readme.index("| system kind ")
+    table = {}
+    for line in readme[header:].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        kind, targets = line.split("|")[1:3]
+        table[kind.strip(" `")] = tuple(re.findall(r"`(\w+)`", targets))
+    assert table == PAIRS

@@ -7,11 +7,11 @@ from scipy.stats import kstest
 from returnstats import dynamics
 from returnstats.cml_theory import _derivative_power
 from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
-                                  LinearMod1System, PiecewiseSystem,
-                                  SinePerturbedInterval, TorusAffineSystem,
-                                  digit_window_width, sliding_window_values)
+                                  LinearMod1System, SinePerturbedInterval,
+                                  TorusAffineSystem, digit_window_width,
+                                  sliding_window_values)
 from returnstats.rngstreams import trial_rng
-from returnstats.targets import Ball, TorusStrip
+from returnstats.targets import Ball, DiagonalStrip, TorusStrip
 
 SEED = 2024
 
@@ -236,12 +236,32 @@ def test_indicator_block_matches_row_by_row_reference(system, target):
             np.testing.assert_array_equal(row, want)
 
 
-@pytest.mark.parametrize("system", [TorusAffineSystem(2), LinearMod1System(3)],
-                         ids=["torus", "a3"])
-def test_stationary_samples_are_strided_reference_orbit_points(system):
-    stride = system.width + 1
+def _lattice_orbit(system, master_seed, trial, n_points):
+    """One trial's (n_points, n) lattice orbit, stepped alone through
+    ``_apply`` from its uniform start."""
+    x = trial_rng(master_seed, trial).random(system.spec.n)
+    for _ in range(system.burn_in):
+        x = system._apply(x)
+    orbit = [x]
+    for _ in range(n_points - 1):
+        x = system._apply(x)
+        orbit.append(x)
+    return np.array(orbit)
+
+
+COUPLED_PAIR = CmlSystem(CmlSpec(LinearInterval(2), 2, 0.1, [0.5, 0.5]), burn_in=64)
+SINE_SITE = CmlSystem(CmlSpec(SinePerturbedInterval(2, 0.1), 1, 0.0, [1.0]), burn_in=64)
+
+
+@pytest.mark.parametrize("system, stride, reference", [
+    (TorusAffineSystem(2), 54, _reference_orbit),
+    (LinearMod1System(3), 34, _reference_orbit),
+    (COUPLED_PAIR, 16, _lattice_orbit),
+    (SINE_SITE, 16, _lattice_orbit),
+], ids=["torus", "a3", "cml-pair", "sine-site"])
+def test_stationary_samples_are_strided_reference_orbit_points(system, stride, reference):
     pts = system.stationary_samples(SEED, 6, 300)
-    want = _reference_orbit(system, SEED, 6, 300 * stride)[::stride]
+    want = reference(system, SEED, 6, 299 * stride + 1)[::stride]
     assert pts.shape == (300, system.dimension)
     np.testing.assert_array_equal(pts, want)
 
@@ -332,25 +352,55 @@ def test_cml_spec_validation():
 
 
 def test_cml_indicator_block_deterministic_and_trialwise():
-    spec = CmlSpec(LinearInterval(3), 2, 0.1, np.array([0.5, 0.5]))
-    system = CmlSystem(spec, burn_in=32)
-    from returnstats.targets import DiagonalStrip
-
-    target = DiagonalStrip(0.2)
-    a = system.indicator_block(target, SEED, [0, 1, 2], 500)
-    b = system.indicator_block(target, SEED, [1], 500)
-    np.testing.assert_array_equal(a[1], b[0])
-
-
-# ---------------------------------------------------------------------------
-# generic pieces
-# ---------------------------------------------------------------------------
+    # each lockstep row is the trial's orbit stepped alone, bit for bit
+    trials = [4, 0, 9, 4, 2]
+    for base_map in (LinearInterval(2), SinePerturbedInterval(2, 0.1)):
+        system = CmlSystem(CmlSpec(base_map, 2, 0.1, [0.5, 0.5]), burn_in=64)
+        orbits = [_lattice_orbit(system, SEED, t, 2000) for t in trials]
+        for target in (DiagonalStrip(0.05), Ball((0.3, 0.7), 0.2)):
+            block = system.indicator_block(target, SEED, trials, 2000)
+            assert block.any()
+            for row, orbit in zip(block, orbits):
+                np.testing.assert_array_equal(row, target.contains_points(orbit))
 
 
-def test_piecewise_requires_burn_in():
-    imap = SinePerturbedInterval(3, 0.05)
-    with pytest.raises(TypeError):
-        PiecewiseSystem(imap)
-    with pytest.raises(ValueError):
-        PiecewiseSystem(imap, burn_in=-1)
-    assert PiecewiseSystem(imap, burn_in=0).burn_in == 0
+def _interval_map_block(imap, burn_in, target, master_seed, trials, n_points):
+    """Membership rows of one interval map iterated in float64 on a vector
+    of trials: the reference loop for a one-site lattice."""
+    x = np.empty(len(trials))
+    for row, t in enumerate(trials):
+        x[row] = trial_rng(master_seed, int(t)).random()
+    for _ in range(burn_in):
+        x = imap.apply(x)
+    out = np.empty((len(trials), n_points), dtype=bool)
+    out[:, 0] = target.contains_points(x[:, None])
+    for i in range(1, n_points):
+        x = imap.apply(x)
+        out[:, i] = target.contains_points(x[:, None])
+    return out
+
+
+@pytest.mark.parametrize("imap", [SinePerturbedInterval(2, 0.1),
+                                  SinePerturbedInterval(3, 0.05), LinearInterval(3)],
+                         ids=["sine-a2", "sine-a3", "linear-a3"])
+def test_one_site_lattice_is_the_interval_map(imap):
+    system = CmlSystem(CmlSpec(imap, 1, 0.0, [1.0]), burn_in=100)
+    target = Ball((0.3,), 0.01)
+    trials = list(range(16))
+    block = system.indicator_block(target, SEED, trials, 5000)
+    assert block.any()
+    np.testing.assert_array_equal(
+        block, _interval_map_block(imap, 100, target, SEED, trials, 5000))
+
+
+def test_cml_rejects_a_negative_burn_in_and_draining_orbits():
+    spec = CmlSpec(SinePerturbedInterval(3, 0.05), 1, 0.0, [1.0])
+    with pytest.raises(ValueError, match="burn_in must be >= 0"):
+        CmlSystem(spec, burn_in=-1)
+    assert CmlSystem(spec, burn_in=0).burn_in == 0
+    # uncoupled 2^k x mod 1 shifts the float64 mantissa out in <= 53 steps
+    for a, n in ((2, 2), (4, 1), (8, 3)):
+        with pytest.raises(ValueError, match="drain to 0.*linear_mod1"):
+            CmlSystem(CmlSpec(LinearInterval(a), n, 0.0, np.full(n, 1 / n)))
+    for a, gamma in ((3, 0.0), (6, 0.0), (2, 0.1)):
+        CmlSystem(CmlSpec(LinearInterval(a), 2, gamma, [0.5, 0.5]))

@@ -18,8 +18,6 @@ import pytest
 from returnstats.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-ENV_VARS = ("RETURNSTATS_SEED", "RETURNSTATS_WORKERS", "RETURNSTATS_OUT",
-            "RETURNSTATS_THRESHOLD")
 
 SIMULATE_ROWS = {
     "torus_strip": """
@@ -214,18 +212,13 @@ def test_every_case_is_pinned():
 
 
 @pytest.mark.parametrize("case", _cases())
-def test_result_files_match_pinned_digests(case, tmp_path, monkeypatch):
-    for var in ENV_VARS:
-        monkeypatch.delenv(var, raising=False)
+def test_result_files_match_pinned_digests(case, tmp_path):
     assert _run(case, tmp_path / "out") == GOLDEN[case]
 
 
 if __name__ == "__main__":
-    import os
     import tempfile
 
-    for var in ENV_VARS:
-        os.environ.pop(var, None)
     with tempfile.TemporaryDirectory() as tmp:
         found = {case: _run(case, Path(tmp) / case.replace("/", "_") / "out")
                  for case in _cases()}

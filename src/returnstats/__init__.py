@@ -25,6 +25,6 @@ from .stats import (AlphaSequences, GofReport, chi_square_gof,
 from .targets import (Ball, DiagonalStrip, MeasureEstimate, TargetSet,
                       TorusStrip, measure)
 from .config import ExperimentConfig
-from .rngstreams import trial_rng, trial_seed_sequence
+from .rngstreams import trial_rng
 
 __version__ = "0.1.0"

@@ -119,11 +119,15 @@ class LinearInterval(IntervalMap):
 
 
 class SinePerturbedInterval(IntervalMap):
-    """T(x) = a*x + eps*sin(2 pi x) mod 1; expanding when a - 2 pi |eps| > 1."""
+    """T(x) = a*x + eps*sin(2 pi x) mod 1, eps != 0; expanding when a - 2 pi |eps| > 1."""
 
     def __init__(self, a: int, eps: float):
         if int(a) != a or a < 2:
             raise ValueError("slope a must be an integer >= 2")
+        if eps == 0:
+            # the map is then a*x mod 1, which CmlSystem's drain check knows
+            # only as LinearInterval
+            raise ValueError("eps = 0 is a*x mod 1: use LinearInterval(a)")
         if abs(eps) * 2 * math.pi >= a - 1:
             raise ValueError("perturbation too large: map no longer expanding")
         self.a = int(a)

@@ -287,6 +287,15 @@ def test_sine_perturbed_breakpoints_solve_the_lift():
         SinePerturbedInterval(2, 0.2)  # 2*pi*0.2 > a - 1
 
 
+@pytest.mark.parametrize("a", [2, 3])
+@pytest.mark.parametrize("eps", [0.0, -0.0])
+def test_sine_perturbation_zero_is_refused(a, eps):
+    # with eps 0 the map is a*x mod 1, whose power-of-two lattices drain to
+    # 0 in float64 unless the lattice sees it as LinearInterval
+    with pytest.raises(ValueError, match="LinearInterval"):
+        SinePerturbedInterval(a, eps)
+
+
 def test_sine_perturbed_branch_points_of_power():
     imap = SinePerturbedInterval(2, 0.05)
     pts = imap.branch_points_of_power(2)

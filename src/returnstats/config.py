@@ -49,8 +49,9 @@ import yaml
 from .distributions import ClusterSizeDist
 from .dynamics import (CmlSpec, CmlSystem, LinearInterval, LinearMod1System,
                        SinePerturbedInterval, TorusAffineSystem)
+from .estimators import kac_horizon
 from .records import json_fields
-from .regenerative import RegenSpec
+from .regenerative import RegenSpec, level_measure
 from .targets import Ball, DiagonalStrip, TorusStrip
 
 __all__ = ["ExperimentConfig", "ConfigError", "ScheduleRow", "PAIRS"]
@@ -191,13 +192,19 @@ class ExperimentConfig:
             targets = [self.build_target(row) for row in self.schedule]
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        for target in targets:
+        for row, target in zip(self.schedule, targets):
             if isinstance(target, Ball) and len(target.center) != system.dimension:
                 raise ConfigError(f"a ball centre needs one coordinate per system "
                                   f"dimension ({system.dimension}), got {target.center}")
-            if isinstance(system, RegenSpec) and not 0 <= target < system.k_cap:
-                raise ConfigError(f"level set m = {target} must lie in [0, k_cap) = "
-                                  f"[0, {system.k_cap}); U_m is empty from k_cap on")
+            if isinstance(system, RegenSpec):
+                if not 0 <= target < system.k_cap:
+                    raise ConfigError(f"level set m = {target} must lie in [0, k_cap) = "
+                                      f"[0, {system.k_cap}); U_m is empty from k_cap on")
+                # mu(U_m) is exact here, so the counting horizon is known at load
+                try:
+                    kac_horizon(float(row.t), level_measure(system, target))
+                except ValueError as e:
+                    raise ConfigError(str(e)) from None
 
     @classmethod
     def from_yaml(cls, text: str) -> "ExperimentConfig":

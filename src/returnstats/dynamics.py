@@ -40,7 +40,9 @@ __all__ = [
     "CmlSystem",
 ]
 
-# digits per orbit group of the exact-digit systems (a working-set budget)
+# digits per orbit group and time slice of the exact-digit systems: bounds
+# the windows, planes and membership buffers of one group, whatever its
+# orbit length (a working-set budget)
 _GROUP_DIGITS = 1 << 16
 
 
@@ -275,8 +277,10 @@ class _DigitOrbitSystem(MapSystem):
     A trial's orbit reads its first n_points + width - 1 base-a digits from
     its own Philox stream ``trial_rng(master_seed, trial)``; orbits are
     built in groups of trials whose digit matrix stays within
-    ``_GROUP_DIGITS``.  Each trial draws exactly the digits it reads, and a
-    shorter draw is a prefix of a longer one, so neither the grouping nor
+    ``_GROUP_DIGITS``, and a group's windows, planes and membership in time
+    slices of at most ``_GROUP_DIGITS // len(group) - width + 1`` points a
+    trial.  Each trial draws exactly the digits it reads, and a shorter draw
+    is a prefix of a longer one, so neither the grouping, the slicing nor
     the orbit length changes a bit of any trial's orbit.
     """
 
@@ -288,9 +292,11 @@ class _DigitOrbitSystem(MapSystem):
         self.dimension = dimension
         self.width = digit_window_width(self.a)
 
-    def _fill_planes(self, master_seed: int, trials: list, coords: np.ndarray) -> None:
-        """Fill the coordinate planes before the last from the window plane
-        ``coords[-1]``; `coords` is (dimension, len(trials), n_points)."""
+    def _plane_filler(self, master_seed: int, trials: list):
+        """A function that fills the coordinate planes before the last from
+        the window plane ``coords[-1]``, called on each time slice of the
+        trials' orbits in order; `coords` is (dimension, len(trials), n)."""
+        return lambda coords: None
 
     def _digits(self, master_seed: int, trials: list, n_digits: int) -> np.ndarray:
         """(len(trials), n_digits) matrix of the trials' first base-a digits.
@@ -311,33 +317,45 @@ class _DigitOrbitSystem(MapSystem):
             raw[row] = trial_rng(master_seed, t).bit_generator.random_raw(raw.shape[1])
         return raw.view("<u4")[:, :n_digits] >= 1 << 31
 
-    def _orbit_coords(self, master_seed: int, trials, n_points: int) -> np.ndarray:
-        """(len(trials), n_points, dimension) coordinates of the trials' orbits,
-        a transposed view of contiguous per-coordinate planes."""
+    def _orbit_slices(self, master_seed: int, trials, n_points: int):
+        """Yield ``(j, coords)`` over consecutive time slices of the trials'
+        orbits: `coords` holds points j, j+1, ... as a (len(trials), n,
+        dimension) transposed view of contiguous per-coordinate planes.  The
+        planes are reused, so a slice is valid until the next is yielded.
+
+        The digits of the whole orbits are drawn at once; everything built
+        from them holds one slice, whatever the orbit length.
+        """
         trials = [int(t) for t in trials]
         digits = self._digits(master_seed, trials, n_points + self.width - 1)
-        coords = np.empty((self.dimension, len(trials), n_points))
-        sliding_window_values(digits, self.a, self.width, out=coords[-1])
-        del digits
-        self._fill_planes(master_seed, trials, coords)
-        return coords.transpose(1, 2, 0)
+        fill = self._plane_filler(master_seed, trials)
+        step = _GROUP_DIGITS // len(trials) - self.width + 1
+        planes = np.empty((self.dimension, len(trials), min(step, n_points)))
+        for j in range(0, n_points, step):
+            coords = planes[..., : min(step, n_points - j)]
+            sliding_window_values(digits[:, j : j + coords.shape[-1] + self.width - 1],
+                                  self.a, self.width, out=coords[-1])
+            fill(coords)
+            yield j, coords.transpose(1, 2, 0)
 
     def indicator_block(self, target, master_seed, trial_indices, n_points):
         out = np.empty((len(trial_indices), n_points), dtype=bool)
         group = max(1, _GROUP_DIGITS // (n_points + self.width - 1))
         for start in range(0, len(trial_indices), group):
             trials = trial_indices[start : start + group]
-            coords = self._orbit_coords(master_seed, trials, n_points)
-            out[start : start + len(trials)] = target.contains_points(
-                coords.reshape(-1, self.dimension)).reshape(-1, n_points)
-            del coords  # a group's points are freed before the next is built
+            rows = out[start : start + len(trials)]
+            for j, coords in self._orbit_slices(master_seed, trials, n_points):
+                rows[:, j : j + coords.shape[1]] = target.contains_points(
+                    coords.reshape(-1, self.dimension)).reshape(len(trials), -1)
         return out
 
     def stationary_samples(self, master_seed, trial_index, n_samples):
         # windows spaced width+1 apart share no digits, hence are independent
         stride = self.width + 1
         n_points = (n_samples - 1) * stride + 1
-        return self._orbit_coords(master_seed, [trial_index], n_points)[0, ::stride]
+        return np.concatenate([
+            coords[0, -j % stride :: stride].copy()
+            for j, coords in self._orbit_slices(master_seed, [trial_index], n_points)])
 
 
 class LinearMod1System(_DigitOrbitSystem):
@@ -357,15 +375,24 @@ class TorusAffineSystem(_DigitOrbitSystem):
     def __init__(self, a: int):
         super().__init__(a, dimension=2)
 
-    def _fill_planes(self, master_seed, trials, coords):
-        # x_0 from the trial's substream 1, then x_n = (x_0 + y_0 + ... +
-        # y_{n-1}) mod 1 with a sequential float64 cumsum; v - floor(v) is
+    def _plane_filler(self, master_seed, trials):
+        # x_0 from the trial's substream 1, then x_n = (x_0 + S_n) mod 1 with
+        # S_n = y_0 + ... + y_{n-1} summed sequentially in float64.  A slice's
+        # cumsum starts from the S carried over from the slice before, which
+        # gives the bits of one cumsum along the whole orbit.  v - floor(v) is
         # bitwise v % 1.0 for every float64 and several times cheaper
-        x, y = coords
-        x[:, 0] = [trial_rng(master_seed, t, substream=1).random() for t in trials]
-        np.cumsum(y[:, :-1], axis=1, out=x[:, 1:])
-        x[:, 1:] += x[:, :1]
-        x[:, 1:] -= np.floor(x[:, 1:])
+        x0 = np.array([[trial_rng(master_seed, t, substream=1).random()] for t in trials])
+        s = np.zeros_like(x0)
+
+        def fill(coords):
+            x, y = coords
+            x[:, :1] = s
+            x[:, 1:] = y[:, :-1]
+            np.cumsum(x, axis=1, out=x)
+            np.add(x[:, -1:], y[:, -1:], out=s)
+            x += x0
+            x -= np.floor(x)
+        return fill
 
 
 @dataclass(frozen=True)

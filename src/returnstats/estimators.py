@@ -28,6 +28,7 @@ from .targets import MeasureEstimate, measure
 __all__ = [
     "ClusterStats",
     "counting_distribution",
+    "kac_horizon",
     "cluster_statistics",
     "ClusterAccumulator",
     "entry_time_ratio",
@@ -80,6 +81,14 @@ def _indicator_batch(map_system, target, master_seed, trial_indices, n_points,
 # ---------------------------------------------------------------------------
 
 
+def kac_horizon(t: float, mu: float) -> int:
+    """The counting horizon N = floor(t / mu); refuses N above 10^12."""
+    n_steps = math.floor(t / mu)
+    if n_steps > 10**12:
+        raise ValueError(f"horizon N={n_steps} exceeds 10^12; refusing to iterate")
+    return n_steps
+
+
 def counting_distribution(map_system, target, t: float, n_trials: int, seed,
                           mu: float | None = None, workers: int = 1):
     """Empirical law of xi^t_U over independent stationary starts."""
@@ -93,10 +102,7 @@ def counting_distribution(map_system, target, t: float, n_trials: int, seed,
     mu = _resolve_mu(map_system, target, master_seed, mu)
     if not 0 < mu < math.inf:
         raise ValueError("mu must be finite and positive")
-    n_steps = math.floor(t / mu)
-    if n_steps > 10**12:
-        raise ValueError(f"horizon N={n_steps} exceeds 10^12; refusing to iterate")
-    n_points = n_steps + 1
+    n_points = kac_horizon(t, mu) + 1
 
     chunk = max(1, min(n_trials, int(4e7 // max(n_points, 1)) or 1))
     values = np.empty(n_trials, dtype=np.int64)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ClusterSizeDist
-from .estimators import ClusterAccumulator, ClusterStats, _ordered_map
-from .rngstreams import master_seed_of, trial_rng
+from .estimators import ClusterAccumulator, ClusterStats, _ordered_map, kac_horizon
+from .rngstreams import master_seed_of, rng_ahead, trial_rng
 
 __all__ = ["RegenSpec", "SymbolStream", "generate_stationary", "stationary_blocks",
            "stationary_hit_runs", "level_measure", "regen_cluster_stats",
@@ -35,8 +35,8 @@ _DEFAULT_K_CAP = 10**5
 # buckets of the symbol draw's guide table; a power of two, so u * _GUIDE_BUCKETS
 # is exact and floor() of it is the bucket holding u
 _GUIDE_BUCKETS = 2**14
-# blocks per slice of a stream's draws: bounds the float and per-block
-# temporaries of one stream, whatever its length
+# blocks per slice of a stream's draws: bounds the symbols, lengths and
+# temporaries one stream holds at a time, whatever its length
 _SLICE_BLOCKS = 2**16
 
 
@@ -233,12 +233,14 @@ def _block_slices(spec: RegenSpec, length: int, seed):
     The block covering index 0 is drawn from the size-biased block law with
     a uniform phase (``phase`` is the offset of index 0 inside it; its
     remaining length is the first length); subsequent blocks are i.i.d.
-    They are drawn in chunks: a chunk first draws all its symbols, then its
-    lengths, and the next chunk follows only if the stream is not yet long
-    enough.  Both draws go `_SLICE_BLOCKS` blocks at a time, which consumes
-    the same uniforms in the same order as drawing the whole chunk at once,
-    and the lengths stop at the block that reaches `length`: nothing reads
-    the stream's generator after it.
+    They are drawn in chunks of n blocks: the chunk's symbols take the
+    stream's next n uniforms and its lengths the n after them, one 64-bit
+    word each, and the next chunk follows only if the stream is not yet long
+    enough.  A chunk of more than `_SLICE_BLOCKS` blocks reads its lengths
+    from a second generator positioned n words ahead (`rng_ahead`), so that
+    symbol slice i and its lengths are drawn together, and the chunk stops
+    at the block that reaches `length`: the symbols after that block are
+    never drawn, and a following chunk starts where the lengths stopped.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -254,14 +256,17 @@ def _block_slices(spec: RegenSpec, length: int, seed):
         total = min(len0 - phase, length)
         first = np.array([total], dtype=np.int64)
         yield np.array([sym0], dtype=np.int32), first, first
+        sym_rng = rng
         while total < length:
             # the over-draw fixes which uniforms go to symbols and which to
             # lengths, so it is part of every stream's definition
             n_blocks = max(64, int((length - total) / mean_len * 1.2))
-            chunk = [spec.draw_symbols(min(_SLICE_BLOCKS, n_blocks - lo), rng)
-                     for lo in range(0, n_blocks, _SLICE_BLOCKS)]
-            for syms in chunk:
-                lens = _block_lengths(spec, syms, rng)
+            # a one-slice chunk draws its symbols, then its lengths, from one
+            # generator
+            len_rng = sym_rng if n_blocks <= _SLICE_BLOCKS else rng_ahead(sym_rng, n_blocks)
+            for lo in range(0, n_blocks, _SLICE_BLOCKS):
+                syms = spec.draw_symbols(min(_SLICE_BLOCKS, n_blocks - lo), sym_rng)
+                lens = _block_lengths(spec, syms, len_rng)
                 ends = lens.cumsum()
                 ends += total
                 if ends[-1] >= length:
@@ -273,6 +278,7 @@ def _block_slices(spec: RegenSpec, length: int, seed):
                     return
                 total = int(ends[-1])
                 yield syms, lens, ends
+            sym_rng = len_rng
 
     return phase, slices()
 
@@ -364,7 +370,7 @@ def regen_counting_distribution(spec: RegenSpec, m: int, t: float,
     if mu <= 0.0:
         raise ValueError("U_m has zero measure under the truncation")
     master_seed = master_seed_of(seed)
-    n_points = math.floor(t / mu) + 1
+    n_points = kac_horizon(t, mu) + 1
     values = np.empty(n_trials, dtype=np.int64)
     for trial in range(n_trials):
         _, slices = _block_slices(spec, n_points, (master_seed, trial))

@@ -22,7 +22,7 @@ import operator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["master_seed_of", "trial_rng"]
+__all__ = ["master_seed_of", "rng_ahead", "trial_rng"]
 
 # numpy's SeedSequence constants (pool size 4, 32-bit words, xor-shift 16).
 # numpy's compiled module does not export them; tests/test_rngstreams.py
@@ -145,6 +145,30 @@ def trial_rng(master_seed: int, trial_index: int,
         spawn_key = (trial_index, substream)
     key = np.array(_philox_key(master_seed, spawn_key), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
+
+
+def rng_ahead(rng: np.random.Generator, n_words: int) -> np.random.Generator:
+    """A new generator whose 64-bit words are those of the Philox generator
+    `rng` from `n_words` past its current position; `rng` is not advanced.
+
+    Philox is counter-based: word w of a stream is word w % 4 of the block
+    the counter value w // 4 + 1 encrypts (the counter is stepped before each
+    block), so the new generator takes `rng`'s key with the counter w // 4
+    and discards w % 4 words.  The counter wraps at 2**256 as `rng`'s does.
+    A 32-bit half that `rng` holds back (after a narrow `integers` draw) is
+    not carried over; 64-bit draws (`random`, `random_raw`) never read it.
+    """
+    n_words = operator.index(n_words)
+    if n_words < 0:
+        raise ValueError("n_words must be non-negative")
+    state = rng.bit_generator.state
+    counter = sum(int(w) << 64 * i for i, w in enumerate(state["state"]["counter"]))
+    # the words drawn so far: 4 per block up to `counter`, less the unread ones
+    block, skip = divmod(4 * counter - 4 + state["buffer_pos"] + n_words, 4)
+    bit_gen = np.random.Philox(_PhiloxKey(state["state"]["key"]), counter=block % (1 << 256))
+    if skip:
+        bit_gen.random_raw(skip)
+    return np.random.Generator(bit_gen)
 
 
 def master_seed_of(seed) -> int:

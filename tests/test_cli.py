@@ -88,6 +88,11 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
      "target: {kind: level_set}",
      ["{m: 10, K: 3, n_trials: 20, min_entries: 10, stream_len: 2000}",
       "{m: 400, K: 3}"]),
+    # mu(U_2999) is 6.8e-8, so t = 1e5 is a horizon of 1.48e12 steps
+    ("system: {kind: regenerative, block_rule: smith, k_cap: 3000}\n"
+     "target: {kind: level_set}",
+     ["{m: 10, K: 3, n_trials: 20, min_entries: 10, stream_len: 2000}",
+      "{m: 2999, K: 3, t: 1.0e5}"]),
     ("system: {kind: linear_mod1, a: 2}\ntarget: {kind: ball, center: [0.3, 0.7]}",
      ["{rho: 0.01, K: 3, n_trials: 50, min_entries: 100, orbit_len: 5000, "
       "max_orbit: 20000}"]),
@@ -98,7 +103,7 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
     ("system: {kind: cml, a: 8, n: 1}\ntarget: {kind: ball, center: [0.3]}", [FIRST_ROW]),
     ("system: {kind: cml, a: 3, n: 2, gamma: 0.1, burn_in: -1}\n"
      "target: {kind: diagonal_strip}", [STRIP_ROW]),
-], ids=["repeated-label", "K0", "strip-rho-above-half", "m-from-k_cap",
+], ids=["repeated-label", "K0", "strip-rho-above-half", "m-from-k_cap", "regen-horizon",
         "ball-centre-dimension", "cml-a2-drains", "cml-a8-drains", "cml-burn-in-below-0"])
 def test_simulate_rejects_a_bad_later_row_before_writing(tmp_path, pair, rows):
     out = tmp_path / "out"

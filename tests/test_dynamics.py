@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,11 +84,18 @@ def test_sliding_window_values_too_few_digits():
 # ---------------------------------------------------------------------------
 
 
+def _orbit(system, trials, n_points):
+    """(len(trials), n_points, dim) orbits assembled from the system's time
+    slices (copied out, since the slices reuse their planes)."""
+    return np.concatenate([coords.copy() for _, coords
+                           in system._orbit_slices(SEED, trials, n_points)], axis=1)
+
+
 def test_linear_mod1_vectorized_matches_scalar_stepping():
     # x_i is the base-3 window of digits i..i+W-1 of the trial's stream,
     # evaluated point by point with a Horner loop
     sys3 = LinearMod1System(3)
-    vals = sys3._orbit_coords(SEED, [5], 100)[0, :, 0]
+    vals = _orbit(sys3, [5], 100)[0, :, 0]
     digits = trial_rng(SEED, 5).integers(0, 3, size=100 + sys3.width - 1)
     for i in range(100):
         v = 0
@@ -100,7 +108,7 @@ def test_linear_mod1_no_mantissa_draining():
     # float64 iteration of the doubling map collapses to 0 in <= 53 steps;
     # the digit backend must not
     sys2 = LinearMod1System(2)
-    vals = sys2._orbit_coords(SEED, [1], 500)[0, :, 0]
+    vals = _orbit(sys2, [1], 500)[0, :, 0]
     assert np.count_nonzero(vals == 0.0) == 0
 
 
@@ -112,9 +120,9 @@ def test_linear_mod1_stationary_samples_uniform():
 
 def test_linear_mod1_trials_are_independent_streams():
     sys2 = LinearMod1System(2)
-    a = sys2._orbit_coords(SEED, [0], 100)[0, :, 0]
-    b = sys2._orbit_coords(SEED, [1], 100)[0, :, 0]
-    c = sys2._orbit_coords(SEED, [0], 100)[0, :, 0]
+    a = _orbit(sys2, [0], 100)[0, :, 0]
+    b = _orbit(sys2, [1], 100)[0, :, 0]
+    c = _orbit(sys2, [0], 100)[0, :, 0]
     np.testing.assert_array_equal(a, c)
     assert not np.array_equal(a, b)
 
@@ -126,7 +134,7 @@ def test_linear_mod1_trials_are_independent_streams():
 
 def test_torus_orbit_satisfies_the_recursion():
     sys_t = TorusAffineSystem(2)
-    coords = sys_t._orbit_coords(SEED, [3], 5000)[0]
+    coords = _orbit(sys_t, [3], 5000)[0]
     x, y = coords[:, 0], coords[:, 1]
     # x_{n+1} = x_n + y_n mod 1 (cumsum accumulation rounds slightly
     # differently from sequential addition)
@@ -139,7 +147,7 @@ def test_torus_orbit_satisfies_the_recursion():
     # the same for 3x mod 1, where the window values and 3 y_n also round
     # (by a few units of 2^-53)
     sys3 = LinearMod1System(3)
-    y = sys3._orbit_coords(SEED, [3], 5000)[0, :, 0]
+    y = _orbit(sys3, [3], 5000)[0, :, 0]
     assert np.max(np.abs(y[1:] - (3 * y[:-1]) % 1.0)) <= 2 / 3.0**sys3.width + 2.0**-50
 
 
@@ -192,11 +200,21 @@ def test_binary_digits_from_raw_words_equal_integers():
 
 def test_orbit_coords_are_a_view_of_contiguous_planes():
     system = TorusAffineSystem(2)
-    coords = system._orbit_coords(SEED, [1, 2, 3], 400)
-    assert coords.shape == (3, 400, 2)
+    ((j, coords),) = system._orbit_slices(SEED, [1, 2, 3], 400)
+    assert j == 0 and coords.shape == (3, 400, 2)
     flat = coords.reshape(-1, 2)
     assert np.shares_memory(flat, coords)          # no copy
     assert flat[:, 1].flags.c_contiguous and flat[:, 0].flags.c_contiguous
+    # a long orbit: one trial's slices, each a contiguous view of the planes
+    n = 2 * dynamics._GROUP_DIGITS
+    starts = []
+    for j, coords in system._orbit_slices(SEED, [4], n):
+        starts.append(j)
+        flat = coords.reshape(-1, 2)
+        assert np.shares_memory(flat, coords)
+        assert flat[:, 1].flags.c_contiguous and flat[:, 0].flags.c_contiguous
+    step = dynamics._GROUP_DIGITS - system.width + 1
+    assert starts == list(range(0, n, step))
 
 
 @pytest.mark.parametrize("a", [2, 3, 10])
@@ -234,6 +252,51 @@ def test_indicator_block_matches_row_by_row_reference(system, target):
         for row, t in zip(block, trials):
             want = target.contains_points(_reference_orbit(system, SEED, t, n))
             np.testing.assert_array_equal(row, want)
+
+
+# the a = 2 torus with a ball (which reads the carried x plane) and the
+# int64 digit path of a = 3 and 10, with balls wide enough to be hit in a
+# few hundred points
+SLICED_SYSTEMS_AND_TARGETS = [
+    (TorusAffineSystem(2), Ball((0.5, 0.5), 0.3)),
+    (LinearMod1System(3), Ball((0.37,), 0.2)),
+    (LinearMod1System(10), Ball((0.37,), 0.2)),
+]
+
+
+@pytest.mark.parametrize("system,target", SLICED_SYSTEMS_AND_TARGETS,
+                         ids=["torus-ball", "a3-ball", "a10-ball"])
+def test_time_slices_match_row_by_row_reference(system, target, monkeypatch):
+    # a small budget puts slice ends a few windows apart
+    monkeypatch.setattr(dynamics, "_GROUP_DIGITS", 3 * system.width + 17)
+    step = dynamics._GROUP_DIGITS - system.width + 1
+    for n in (step - 1, step, step + 1, 2 * step + 1):
+        starts = [j for j, _ in system._orbit_slices(SEED, [5], n)]
+        assert starts == list(range(0, n, step))
+        block = system.indicator_block(target, SEED, [5, 8], n)
+        assert block.any()
+        for row, t in zip(block, (5, 8)):
+            want = _reference_orbit(system, SEED, t, n)
+            np.testing.assert_array_equal(_orbit(system, [t], n)[0], want)
+            np.testing.assert_array_equal(row, target.contains_points(want))
+    # stationary samples pick strided points across slice ends
+    stride = system.width + 1
+    want = _reference_orbit(system, SEED, 6, 39 * stride + 1)[::stride]
+    np.testing.assert_array_equal(system.stationary_samples(SEED, 6, 40), want)
+
+
+def test_long_orbit_memory_is_bounded_by_the_slices():
+    # a 2e6-point torus orbit draws its 2e6 digits at once (8 MiB of raw
+    # words, then 2 MiB of bits) and builds its planes and membership one
+    # slice at a time; planes of the whole orbit would take about 67 MiB
+    system, target = TorusAffineSystem(2), TorusStrip(1e-3)
+    tracemalloc.start()
+    try:
+        system.indicator_block(target, SEED, [0], 2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * 2**20
 
 
 def _lattice_orbit(system, master_seed, trial, n_points):

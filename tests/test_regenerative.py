@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +326,17 @@ def test_regen_counting_distribution_rejects_a_bad_horizon(t):
         regen_counting_distribution(RegenSpec.smith(100), 10, t, 10, SEED)
 
 
+def test_regen_counting_distribution_rejects_a_horizon_beyond_10_12(monkeypatch):
+    # mu(U_2999) of smith(3000) is 6.8e-8, so t = 1e5 asks for N = 1.48e12;
+    # no stream may be started, since one that long would not fit in memory
+    def no_stream(*args):
+        raise AssertionError("a stream was started")
+
+    monkeypatch.setattr(regenerative, "_block_slices", no_stream)
+    with pytest.raises(ValueError, match="exceeds 10\\^12"):
+        regen_counting_distribution(RegenSpec.smith(3000), 2999, 1e5, 1, SEED)
+
+
 def test_regen_counting_distribution_rejects_no_trials():
     with pytest.raises(ValueError, match="n_trials must be >= 1"):
         regen_counting_distribution(RegenSpec.smith(100), 10, 1.0, 0, SEED)
@@ -451,3 +463,24 @@ def test_cached_size_biased_weights_draw_the_same_blocks(spec):
         a, b = trial_rng(SEED, trial), trial_rng(SEED, trial)
         assert _size_biased_first_block(spec, a) == _first_block_reference(spec, b)
         assert a.random() == b.random()
+
+
+def _traced_peak(fn):
+    """Peak bytes traced by tracemalloc (numpy's buffers included) in fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stream_memory_does_not_grow_with_the_stream_length():
+    # a chunk's lengths are drawn beside its symbols, slice by slice, so a
+    # 2e7-symbol stream holds no more than a 2e6-symbol one (drawing a
+    # chunk's symbols whole would hold about 7 times as much)
+    spec = RegenSpec.smith(3000)
+    spec._warm_caches()
+    short, long = (_traced_peak(lambda: stationary_hit_runs(spec, n, (SEED, 1), 1000))
+                   for n in (2 * 10**6, 2 * 10**7))
+    assert long < 1.5 * short

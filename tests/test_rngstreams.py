@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from returnstats.rngstreams import trial_rng
+from returnstats.rngstreams import _PhiloxKey, rng_ahead, trial_rng
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -17,6 +17,65 @@ def _reference(master_seed, trial_index, substream=None):
     key = (trial_index,) if substream is None else (trial_index, substream)
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=master_seed, spawn_key=key)))
+
+
+def _state(rng):
+    """`rng`'s Philox state as comparable plain values."""
+    st = rng.bit_generator.state
+    return (tuple(st["state"]["counter"]), tuple(st["state"]["key"]),
+            tuple(st["buffer"]), st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
+def _check_ahead(rng, offsets):
+    """`rng_ahead(rng, n)` gives `rng`'s raw words from n on, for each n,
+    and leaves `rng` as it was."""
+    before = _state(rng)
+    ahead = [rng_ahead(rng, n).bit_generator.random_raw(9) for n in offsets]
+    assert _state(rng) == before
+    want = rng.bit_generator.random_raw(max(offsets) + 9)
+    for n, got in zip(offsets, ahead):
+        np.testing.assert_array_equal(got, want[n : n + 9])
+
+
+AHEAD_OFFSETS = [*range(10), 2**16 - 1, 2**16, 2**16 + 1]
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 2, 3, 4, 7])
+def test_rng_ahead_continues_the_raw_stream(drawn):
+    # misaligned starts: `drawn` words already taken from a 4-word block
+    rng = trial_rng(31, 4)
+    rng.bit_generator.random_raw(drawn)
+    _check_ahead(rng, AHEAD_OFFSETS)
+
+
+def test_rng_ahead_after_a_buffered_32_bit_half():
+    # integers(0, 5) draws one 32-bit half and keeps the other; 64-bit
+    # draws never read it, so the positioned stream's doubles are rng's
+    rng = trial_rng(31, 4)
+    rng.integers(0, 5)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    _check_ahead(rng, AHEAD_OFFSETS)
+    rng = trial_rng(31, 4)
+    rng.integers(0, 5)
+    ahead = rng_ahead(rng, 5).random(20)
+    rng.random(5)
+    np.testing.assert_array_equal(ahead, rng.random(20))
+
+
+@pytest.mark.parametrize("counter", [2**64 - 2, 2**128 - 1, 2**256 - 2])
+def test_rng_ahead_carries_and_wraps_the_counter(counter):
+    # past 2^64 blocks the counter carries into its next word, and it wraps
+    # at 2^256 as Philox's own does
+    key = trial_rng(31, 4).bit_generator.state["state"]["key"]
+    words = np.array([counter >> 64 * i & (1 << 64) - 1 for i in range(4)], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=words))
+    rng.bit_generator.random_raw(3)
+    _check_ahead(rng, [0, 1, 5, 8, 13])
+
+
+def test_rng_ahead_rejects_a_negative_offset():
+    with pytest.raises(ValueError, match="non-negative"):
+        rng_ahead(trial_rng(31, 4), -1)
 
 
 def test_same_key_same_stream():

@@ -9,9 +9,8 @@ to compare the two.
 """
 
 from .distributions import (ClusterSizeDist, CompoundSpec, DiscreteDistribution,
-                            TruncationError, compound_binomial_pmf,
-                            compound_poisson_pmf, empirical_distribution,
-                            polya_aeppli_pmf)
+                            compound_binomial_pmf, compound_poisson_pmf,
+                            empirical_distribution, polya_aeppli_pmf)
 from .dynamics import (CmlSpec, CmlSystem, IntervalMap, LinearInterval,
                        LinearMod1System, SinePerturbedInterval, TorusAffineSystem)
 from .estimators import (ClusterStats, cluster_statistics, counting_distribution,

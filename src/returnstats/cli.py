@@ -158,9 +158,9 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         label = row.label(config.scale_name)
         if regen:
             m = int(row.scale)
+            # load fills in every regenerative row's stream_len
             n_streams = max(4, math.ceil(
-                row.min_entries / max(level_measure(system, m), 1e-12)
-                / (row.stream_len or 200_000)) + 1)
+                row.min_entries / level_measure(system, m) / row.stream_len) + 1)
             cs = regen_cluster_stats(system, m, row.K, n_streams, config.seed,
                                      stream_len=row.stream_len, workers=config.workers)
             cd = regen_counting_distribution(system, m, row.t, row.n_trials, config.seed)

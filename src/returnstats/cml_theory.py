@@ -63,28 +63,20 @@ def _adaptive(f, a, b, tol, depth=0):
     whole = _gauss(f, a, b)
     mid = 0.5 * (a + b)
     refined = _gauss(f, a, mid) + _gauss(f, mid, b)
-    err = abs(refined - whole)
-    if err <= tol or depth >= _MAX_DEPTH:
-        return refined, err
-    left, el = _adaptive(f, a, mid, tol / 2, depth + 1)
-    right, er = _adaptive(f, mid, b, tol / 2, depth + 1)
-    return left + right, el + er
+    if abs(refined - whole) <= tol or depth >= _MAX_DEPTH:
+        return refined
+    left = _adaptive(f, a, mid, tol / 2, depth + 1)
+    return left + _adaptive(f, mid, b, tol / 2, depth + 1)
 
 
 def _integrate_on_partition(f, breakpoints: np.ndarray, tol: float):
-    """Adaptive composite quadrature on each partition cell; returns the
-    value and the summed refinement-error estimate."""
+    """Adaptive composite quadrature, summed over the partition cells."""
     total = 0.0
-    err = 0.0
-    cells = breakpoints.size - 1
-    for i in range(cells):
+    for i in range(breakpoints.size - 1):
         a, b = float(breakpoints[i]), float(breakpoints[i + 1])
-        if b <= a:
-            continue
-        v, e = _adaptive(f, a, b, tol * (b - a))
-        total += v
-        err += e
-    return total, err
+        if b > a:
+            total += _adaptive(f, a, b, tol * (b - a))
+    return total
 
 
 def _derivative_power(base_map: IntervalMap, x: np.ndarray, k: int) -> np.ndarray:
@@ -125,8 +117,8 @@ def alpha_hat_integral(base_map: IntervalMap, h: DiagonalDensity, n: int,
         raise ValueError(f"T^{k} has {pts.size - 1} branches, above the "
                          f"partition budget {_MAX_BRANCHES}")
     num_f = lambda x: h.h_diag(x) / _derivative_power(base_map, x, k) ** (n - 1)
-    num, num_err = _integrate_on_partition(num_f, pts, tol)
-    den, den_err = _integrate_on_partition(h.h_diag, np.asarray(base_map.breakpoints), tol)
+    num = _integrate_on_partition(num_f, pts, tol)
+    den = _integrate_on_partition(h.h_diag, np.asarray(base_map.breakpoints), tol)
     if den <= 0:
         raise ValueError("diagonal density integrates to a non-positive value")
     return num / ((1.0 - gamma) ** (k * (n - 1)) * den)

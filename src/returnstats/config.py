@@ -40,7 +40,7 @@ of two, which ``linear_mod1`` runs on exact digits instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,7 @@ from .dynamics import (CmlSpec, CmlSystem, LinearInterval, LinearMod1System,
                        SinePerturbedInterval, TorusAffineSystem)
 from .estimators import kac_horizon
 from .records import json_fields
-from .regenerative import RegenSpec, level_measure
+from .regenerative import RegenSpec, _default_stream_len, level_measure
 from .targets import Ball, DiagonalStrip, TorusStrip
 
 __all__ = ["ExperimentConfig", "ConfigError", "ScheduleRow", "PAIRS"]
@@ -69,6 +69,20 @@ PAIRS = {
 
 class ConfigError(ValueError):
     """Malformed or out-of-range configuration."""
+
+
+def _number(name: str, value, kind):
+    """Schedule value `name` as a float or an int (`kind`).  PyYAML reads an
+    exponent without a dot, such as 1e5, as a string, so strings parse too."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"schedule row {name} must be a number, got {value!r}") from None
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"schedule row {name} must be an integer, got {value!r}")
+    return value if type(value) is int else int(number)
 
 
 @dataclass(frozen=True)
@@ -136,26 +150,31 @@ class ExperimentConfig:
             row = dict(row)
             if scale_name not in row:
                 raise ConfigError(f"schedule row missing scale parameter {scale_name!r}")
-            scale = float(row.pop(scale_name))
+            scale = _number(scale_name, row.pop(scale_name), float)
             if not math.isfinite(scale):
                 raise ConfigError(f"schedule row {scale_name} must be finite")
             unknown = set(row) - knobs
             if unknown:
                 raise ConfigError(f"unknown schedule keys {sorted(unknown)}")
+            for name, value in row.items():
+                if value is not None or name not in ("orbit_len", "stream_len"):
+                    row[name] = _number(name, value, float if name == "t" else int)
             r = ScheduleRow(scale=scale, **row)
-            if not 0 < float(r.t) < math.inf:
+            if kind == "regenerative" and r.stream_len is None:
+                r = replace(r, stream_len=_default_stream_len(r.K))
+            if not 0 < r.t < math.inf:
                 raise ConfigError("schedule row t must be finite and positive")
             # the estimators' own bounds, checked before any row runs
             for name in ("K", "n_trials", "max_orbit", "orbit_len", "stream_len", "k_max"):
                 value = getattr(r, name)
-                if value is not None and float(value) < 1:
+                if value is not None and value < 1:
                     raise ConfigError(f"schedule row {name} must be >= 1")
-            if kind != "regenerative" and float(r.min_entries) < 100:
+            if kind != "regenerative" and r.min_entries < 100:
                 raise ConfigError("schedule row min_entries must be >= 100")
             # a tallied orbit holds at least one full window of 2K+1 and a point
             run = (r.stream_len if kind == "regenerative"
                    else min(r.orbit_len or math.inf, r.max_orbit))
-            if run is not None and float(run) < 2 * float(r.K) + 2:
+            if run < 2 * r.K + 2:
                 raise ConfigError("schedule row orbits must be at least 2K+2 steps long")
             label = r.label(scale_name)
             if label in labels:
@@ -202,7 +221,7 @@ class ExperimentConfig:
                                       f"[0, {system.k_cap}); U_m is empty from k_cap on")
                 # mu(U_m) is exact here, so the counting horizon is known at load
                 try:
-                    kac_horizon(float(row.t), level_measure(system, target))
+                    kac_horizon(row.t, level_measure(system, target))
                 except ValueError as e:
                     raise ConfigError(str(e)) from None
 
@@ -227,9 +246,6 @@ class ExperimentConfig:
                 "target": dict(self.target), "schedule": rows, "seed": self.seed,
                 "workers": self.workers, "threshold": self.threshold,
                 "outputs": dict(self.outputs)}
-
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=False)
 
     # ------------------------------------------------------------------
     # object construction

@@ -22,7 +22,6 @@ __all__ = [
     "DiscreteDistribution",
     "ClusterSizeDist",
     "CompoundSpec",
-    "TruncationError",
     "compound_poisson_pmf",
     "polya_aeppli_pmf",
     "compound_binomial_pmf",
@@ -30,10 +29,6 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
-
-
-class TruncationError(ValueError):
-    """Raised when a pmf truncation leaves more tail mass than allowed."""
 
 
 @dataclass(frozen=True)
@@ -61,10 +56,6 @@ class DiscreteDistribution:
     @property
     def k_max(self) -> int:
         return self.probs.size - 1
-
-    def mean(self) -> float:
-        """Mean of the truncated part (exact when tail_mass is negligible)."""
-        return float(np.arange(self.probs.size) @ self.probs)
 
     # -- serialization ----------------------------------------------------
 
@@ -132,15 +123,12 @@ class CompoundSpec:
             raise ValueError("intensity must be positive")
 
 
-def compound_poisson_pmf(spec: CompoundSpec, k_max: int,
-                         tail_tol: float | None = None) -> DiscreteDistribution:
+def compound_poisson_pmf(spec: CompoundSpec, k_max: int) -> DiscreteDistribution:
     """pmf of W = sum of a Poisson(s) number of i.i.d. cluster sizes.
 
     Uses the weighted recursion
     P(W=k) = (s/k) * sum_{ell<=k} ell * lambda_ell * P(W=k-ell),
-    with P(W=0) = exp(-s).  If ``tail_tol`` is given and the truncated tail
-    exceeds it, a TruncationError is raised rather than silently dropping
-    mass.
+    with P(W=0) = exp(-s).  The mass beyond k_max is the pmf's tail_mass.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
@@ -152,15 +140,10 @@ def compound_poisson_pmf(spec: CompoundSpec, k_max: int,
     for k in range(1, k_max + 1):
         m = min(k, lam.size)
         probs[k] = (s / k) * (weighted[:m] @ probs[k - 1 :: -1][:m])
-    tail = max(0.0, 1.0 - probs.sum())
-    if tail_tol is not None and tail > tail_tol:
-        raise TruncationError(
-            f"tail mass {tail:.3e} above tolerance {tail_tol:.3e}; increase k_max")
-    return DiscreteDistribution(probs, tail)
+    return DiscreteDistribution(probs, max(0.0, 1.0 - probs.sum()))
 
 
-def polya_aeppli_pmf(s: float, p: float, k_max: int,
-                     tail_tol: float | None = None) -> DiscreteDistribution:
+def polya_aeppli_pmf(s: float, p: float, k_max: int) -> DiscreteDistribution:
     """Closed-form Polya-Aeppli pmf (geometrically distributed cluster sizes).
 
     P(W=0) = exp(-s) and for k >= 1
@@ -186,15 +169,11 @@ def polya_aeppli_pmf(s: float, p: float, k_max: int,
         log_terms = ((k - j) * log_p + j * (log_q + log_s) - gammaln(j + 1)
                      + gammaln(k) - gammaln(j) - gammaln(k - j + 1))
         probs[k] = math.exp(-s) * np.exp(log_terms).sum()
-    tail = max(0.0, 1.0 - probs.sum())
-    if tail_tol is not None and tail > tail_tol:
-        raise TruncationError(
-            f"tail mass {tail:.3e} above tolerance {tail_tol:.3e}; increase k_max")
-    return DiscreteDistribution(probs, tail)
+    return DiscreteDistribution(probs, max(0.0, 1.0 - probs.sum()))
 
 
 def compound_binomial_pmf(n_trials: int, p: float, clusters: ClusterSizeDist,
-                          k_max: int, tail_tol: float | None = None) -> DiscreteDistribution:
+                          k_max: int) -> DiscreteDistribution:
     """pmf of W = sum of a Binomial(n_trials, p) number of cluster sizes.
 
     Computed as the n_trials-fold power of the per-block generating
@@ -224,19 +203,13 @@ def compound_binomial_pmf(n_trials: int, p: float, clusters: ClusterSizeDist,
             base = np.convolve(base, base)[: k_max + 1]
     probs = np.zeros(k_max + 1)
     probs[: result.size] = result
-    tail = max(0.0, 1.0 - probs.sum())
-    if tail_tol is not None and tail > tail_tol:
-        raise TruncationError(
-            f"tail mass {tail:.3e} above tolerance {tail_tol:.3e}; increase k_max")
-    return DiscreteDistribution(probs, tail)
+    return DiscreteDistribution(probs, max(0.0, 1.0 - probs.sum()))
 
 
-def empirical_distribution(values: np.ndarray, k_max: int | None = None) -> DiscreteDistribution:
-    """Empirical pmf of integer samples, carrying the sample count."""
+def empirical_distribution(values: np.ndarray) -> DiscreteDistribution:
+    """Empirical pmf of non-negative integer samples, carrying the sample count."""
     values = np.asarray(values, dtype=np.int64)
     if values.size == 0:
         raise ValueError("need at least one sample")
-    hi = int(values.max()) if k_max is None else k_max
-    probs = np.bincount(values[values <= hi], minlength=hi + 1) / values.size
-    tail = 1.0 - probs.sum()
-    return DiscreteDistribution(probs, max(0.0, tail), n_samples=values.size)
+    probs = np.bincount(values) / values.size
+    return DiscreteDistribution(probs, max(0.0, 1.0 - probs.sum()), n_samples=values.size)

@@ -8,7 +8,9 @@ Built-in systems:
   iterated in float64; one site is the base map itself
 
 Every system builds its orbits through one vectorized interface,
-``indicator_block`` and ``stationary_samples``.  The exact-digit systems
+``indicator_block``; ``stationary_samples`` draws Monte Carlo samples of
+the invariant law for the systems whose mu(U) has no closed form, those
+that do not preserve Lebesgue measure.  The exact-digit systems
 realise a stationary orbit of a*x mod 1 as a sliding window over an i.i.d.
 base-a digit stream: x_n is the value of digits n, n+1, ..., n+W-1, which is
 exact in law for Lebesgue measure and immune to the mantissa-draining that
@@ -267,7 +269,8 @@ class MapSystem:
 
     def stationary_samples(self, master_seed: int, trial_index: int,
                            n_samples: int) -> np.ndarray:
-        """(n_samples, dimension) independent draws from the invariant law."""
+        """(n_samples, dimension) draws from the invariant law, for the Monte
+        Carlo mu(U) of a system that does not preserve Lebesgue measure."""
         raise NotImplementedError
 
 
@@ -348,14 +351,6 @@ class _DigitOrbitSystem(MapSystem):
                 rows[:, j : j + coords.shape[1]] = target.contains_points(
                     coords.reshape(-1, self.dimension)).reshape(len(trials), -1)
         return out
-
-    def stationary_samples(self, master_seed, trial_index, n_samples):
-        # windows spaced width+1 apart share no digits, hence are independent
-        stride = self.width + 1
-        n_points = (n_samples - 1) * stride + 1
-        return np.concatenate([
-            coords[0, -j % stride :: stride].copy()
-            for j, coords in self._orbit_slices(master_seed, [trial_index], n_points)])
 
 
 class LinearMod1System(_DigitOrbitSystem):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,37 +66,26 @@ class RegenSpec:
     def k_cap(self) -> int:
         return self.symbol_probs.size
 
-    def _cached(self, name: str, build):
-        """Per-spec derived array, built on first use (not at construction,
-        so building a spec stays cheap)."""
-        value = getattr(self, name, None)
-        if value is None:
-            value = build()
-            object.__setattr__(self, name, value)
-        return value
-
+    @cached_property
     def _symbol_cdf(self) -> np.ndarray:
-        def build():
-            cdf = np.cumsum(self.symbol_probs)
-            # the rounded sum can fall short of 1, and a u above it would
-            # draw symbol k_cap + 1, outside the law
-            np.minimum(cdf, 1.0, out=cdf)
-            cdf[-1] = 1.0
-            return cdf
-        return self._cached("_cdf_cache", build)
+        cdf = np.cumsum(self.symbol_probs)
+        # the rounded sum can fall short of 1, and a u above it would draw
+        # symbol k_cap + 1, outside the law
+        np.minimum(cdf, 1.0, out=cdf)
+        cdf[-1] = 1.0
+        return cdf
 
+    @cached_property
     def _symbol_guide(self) -> np.ndarray:
         """Guide table: entry j is the symbol drawn by every u in
         [j, j + 1) / _GUIDE_BUCKETS, or 0 where a cdf value splits that
         bucket and the draw must search the cdf."""
-        def build():
-            cdf = self._symbol_cdf()
-            edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-            lo = np.searchsorted(cdf, edges[:-1], side="right")
-            hi = np.searchsorted(cdf, np.nextafter(edges[1:], 0.0), side="right")
-            # symbols are int32 (a k_cap beyond 2^31 would not fit in memory)
-            return np.where(lo == hi, lo + 1, 0).astype(np.int32)
-        return self._cached("_guide_cache", build)
+        cdf = self._symbol_cdf
+        edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+        lo = np.searchsorted(cdf, edges[:-1], side="right")
+        hi = np.searchsorted(cdf, np.nextafter(edges[1:], 0.0), side="right")
+        # symbols are int32 (a k_cap beyond 2^31 would not fit in memory)
+        return np.where(lo == hi, lo + 1, 0).astype(np.int32)
 
     def draw_symbols(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n i.i.d. int32 symbols via inverse-cdf sampling (fast path for the
@@ -105,38 +95,29 @@ class RegenSpec:
         u = rng.random(n)
         bucket = np.empty(n, dtype=np.intp)
         np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")  # truncates
-        symbols = self._symbol_guide()[bucket]
+        symbols = self._symbol_guide[bucket]
         split = (symbols == 0).nonzero()[0]
-        symbols[split] = np.searchsorted(self._symbol_cdf(), u[split], side="right") + 1
+        symbols[split] = np.searchsorted(self._symbol_cdf, u[split], side="right") + 1
         return symbols
 
+    @cached_property
     def _size_biased_cdf(self) -> np.ndarray:
         """`_choice_cdf` of the normalised weights of the size-biased first
         block: over (short, long) blocks of symbols 1..k_cap for smith, over
         the lengths for fixed_lengths."""
-        def build():
-            if self.block_rule == "smith":
-                g = self.symbol_probs
-                k = np.arange(1, g.size + 1)
-                w = np.concatenate([g * (1.0 - 1.0 / k) * 1.0, g * (1.0 / k) * (k + 1.0)])
-            else:
-                lam = self.cluster_dist.lambdas
-                w = np.arange(1, lam.size + 1) * lam
-            return _choice_cdf(w / w.sum())
-        return self._cached("_size_biased_cache", build)
+        if self.block_rule == "smith":
+            g = self.symbol_probs
+            k = np.arange(1, g.size + 1)
+            w = np.concatenate([g * (1.0 - 1.0 / k) * 1.0, g * (1.0 / k) * (k + 1.0)])
+        else:
+            lam = self.cluster_dist.lambdas
+            w = np.arange(1, lam.size + 1) * lam
+        return _choice_cdf(w / w.sum())
 
+    @cached_property
     def _symbol_choice_cdf(self) -> np.ndarray:
         """`_choice_cdf` of the symbol law (the fixed_lengths first block)."""
-        return self._cached("_symbol_choice_cache",
-                            lambda: _choice_cdf(self.symbol_probs))
-
-    def _warm_caches(self) -> None:
-        """Build every cache the rule's streams read, so that threads building
-        streams concurrently only read them."""
-        self._symbol_guide()
-        self._size_biased_cdf()
-        if self.block_rule == "fixed_lengths":
-            self._symbol_choice_cdf()
+        return _choice_cdf(self.symbol_probs)
 
     def mean_block_length(self) -> float:
         if self.block_rule == "smith":
@@ -151,16 +132,20 @@ class RegenSpec:
         The qualitative limits are gamma-independent; 1/k^2 gives the level
         sets U_m polynomially small measure so moderately large m is usable.
         """
-        k = np.arange(1, k_cap + 1, dtype=float)
-        g = 1.0 / k**2
-        return cls(g / g.sum(), "smith")
+        return cls(_inverse_square_law(k_cap), "smith")
 
     @classmethod
     def fixed_lengths(cls, cluster_dist: ClusterSizeDist,
                       k_cap: int = _DEFAULT_K_CAP) -> "RegenSpec":
-        k = np.arange(1, k_cap + 1, dtype=float)
-        g = 1.0 / k**2
-        return cls(g / g.sum(), "fixed_lengths", cluster_dist)
+        """Block lengths drawn from `cluster_dist` over the smith symbol law."""
+        return cls(_inverse_square_law(k_cap), "fixed_lengths", cluster_dist)
+
+
+def _inverse_square_law(k_cap: int) -> np.ndarray:
+    """gamma_k proportional to 1/k^2 for k = 1..k_cap."""
+    k = np.arange(1, k_cap + 1, dtype=float)
+    g = 1.0 / k**2
+    return g / g.sum()
 
 
 @dataclass(frozen=True)
@@ -213,13 +198,13 @@ def _size_biased_first_block(spec: RegenSpec, rng: np.random.Generator):
     """Draw (symbol, length) of the block covering index 0: probability
     proportional to length times the block law."""
     k_cap = spec.k_cap
-    i = _choose(spec._size_biased_cdf(), rng)
+    i = _choose(spec._size_biased_cdf, rng)
     if spec.block_rule == "smith":
         if i < k_cap:
             return i + 1, 1
         j = i - k_cap
         return j + 1, j + 2
-    return _choose(spec._symbol_choice_cdf(), rng) + 1, i + 1
+    return _choose(spec._symbol_choice_cdf, rng) + 1, i + 1
 
 
 def _block_slices(spec: RegenSpec, length: int, seed):
@@ -325,6 +310,12 @@ def level_measure(spec: RegenSpec, m: int) -> float:
     return float(spec.symbol_probs[m:].sum())
 
 
+def _default_stream_len(K: int) -> int:
+    """Length of a cluster stream whose row sets none: at least 100 windows
+    of 2K+1 symbols."""
+    return max(200_000, 100 * (2 * K + 1))
+
+
 def regen_cluster_stats(spec: RegenSpec, m: int, K: int, n_streams: int, seed,
                         stream_len: int | None = None, workers: int = 1) -> ClusterStats:
     """Windowed cluster statistics of the indicator of U_m = {X_0 > m} under
@@ -344,9 +335,8 @@ def regen_cluster_stats(spec: RegenSpec, m: int, K: int, n_streams: int, seed,
                          f"k_cap={spec.k_cap})")
     master_seed = master_seed_of(seed)
     if stream_len is None:
-        stream_len = max(200_000, 100 * (2 * K + 1))
+        stream_len = _default_stream_len(K)
 
-    spec._warm_caches()
     runs = _ordered_map(
         lambda trial: stationary_hit_runs(spec, stream_len, (master_seed, trial), m),
         range(n_streams), workers)

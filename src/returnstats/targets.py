@@ -3,7 +3,8 @@
 Three kinds: sup-metric balls around a point, the horizontal strip around
 the invariant line {y = 0} of the torus map, and the strip around the
 diagonal of a lattice.  Membership is closed (<=); boundaries carry zero
-measure.
+measure.  Every target has a closed-form Lebesgue measure, which is its
+mu(U) in every system that preserves Lebesgue measure.
 """
 
 from __future__ import annotations
@@ -29,18 +30,15 @@ class MeasureEstimate:
 
 
 class TargetSet:
-    """Base: membership tests plus an exact Lebesgue measure when known."""
-
-    kind: str
+    """Base: membership tests plus the closed-form Lebesgue measure."""
 
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (n_points, dim) array."""
         raise NotImplementedError
 
-    def exact_measure(self, dimension: int) -> float | None:
-        """Closed-form Lebesgue measure in a `dimension`-dimensional system,
-        or None if only MC is available."""
-        return None
+    def exact_measure(self, dimension: int) -> float:
+        """Closed-form Lebesgue measure in a `dimension`-dimensional system."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,6 @@ class Ball(TargetSet):
 
     center: tuple
     rho: float
-    kind: str = "ball"
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(self.center)))
@@ -72,7 +69,6 @@ class TorusStrip(TargetSet):
     invariant line of the torus map."""
 
     rho: float
-    kind: str = "torus_strip"
 
     def __post_init__(self):
         if not 0 < self.rho <= 0.5:
@@ -99,7 +95,6 @@ class DiagonalStrip(TargetSet):
     """{x: max_{i,j} |x_i - x_j| <= nu} around the diagonal of the lattice."""
 
     nu: float
-    kind: str = "diagonal_strip"
 
     def __post_init__(self):
         if not 0 < self.nu < 1:
@@ -109,28 +104,24 @@ class DiagonalStrip(TargetSet):
         return pts.max(axis=-1) - pts.min(axis=-1) <= self.nu
 
     def exact_measure(self, dimension):
-        # closed form known for one site (the whole interval) and for a pair
-        # of sites: the area of {|x1 - x2| <= nu}
-        if dimension == 1:
-            return 1.0
-        if dimension == 2:
-            return 2 * self.nu - self.nu**2
-        return None
+        # P(max - min <= nu) for n i.i.d. uniforms: the range of n uniforms
+        # has density n (n-1) r^(n-2) (1-r); 1 at n = 1 and 2 nu - nu^2 at 2
+        n, nu = dimension, self.nu
+        return n * nu ** (n - 1) - (n - 1) * nu**n
 
 
 def measure(target: TargetSet, map_system, n_samples: int, seed) -> MeasureEstimate:
     """mu(U) under the system's stationary law.
 
-    Returns the closed form (std_error 0) when the system preserves Lebesgue
-    measure and the target has one; otherwise Monte Carlo hit frequency over
+    The target's closed-form volume (std_error 0) when the system preserves
+    Lebesgue measure; otherwise the Monte Carlo hit frequency over
     ``n_samples`` stationary draws.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if map_system.preserves_lebesgue:
-        exact = target.exact_measure(map_system.dimension)
-        if exact is not None:
-            return MeasureEstimate(mean=exact, std_error=0.0, n_samples=n_samples)
+        return MeasureEstimate(mean=target.exact_measure(map_system.dimension),
+                               std_error=0.0, n_samples=n_samples)
 
     master_seed, trial_index = seed
     pts = map_system.stationary_samples(master_seed, trial_index, n_samples)

@@ -195,7 +195,6 @@ def test_criterion_09_smith_pathology():
     t0 = time.time()
     # tallied from the hit blocks (the same numbers as the dense rows), the
     # streams built on two threads and tallied in stream order
-    spec._warm_caches()
     runs = _ordered_map(lambda trial: stationary_hit_runs(spec, 5_000_000, (909, trial), m),
                         range(400), 2)
     for starts, ends in runs:

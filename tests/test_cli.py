@@ -1,10 +1,14 @@
 import json
 
+import math
+
 import numpy as np
 import pytest
 
+from returnstats import cli
 from returnstats.cli import main
 from returnstats.distributions import polya_aeppli_pmf
+from returnstats.regenerative import RegenSpec, level_measure
 
 TORUS_CFG = """
 experiment: torus-demo
@@ -82,6 +86,7 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
 @pytest.mark.parametrize("pair, rows", [
     (LINEAR_BALL, [FIRST_ROW, "{rho: 0.01, K: 3, t: 2}"]),
     (LINEAR_BALL, [FIRST_ROW, "{rho: 0.02, K: 0}"]),
+    (LINEAR_BALL, [FIRST_ROW, "{rho: 0.02, K: 2.5}"]),
     ("system: {kind: torus, a: 2}\ntarget: {kind: torus_strip}",
      [FIRST_ROW, "{rho: 0.6, K: 3}"]),
     ("system: {kind: regenerative, block_rule: smith, k_cap: 300}\n"
@@ -103,7 +108,7 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
     ("system: {kind: cml, a: 8, n: 1}\ntarget: {kind: ball, center: [0.3]}", [FIRST_ROW]),
     ("system: {kind: cml, a: 3, n: 2, gamma: 0.1, burn_in: -1}\n"
      "target: {kind: diagonal_strip}", [STRIP_ROW]),
-], ids=["repeated-label", "K0", "strip-rho-above-half", "m-from-k_cap", "regen-horizon",
+], ids=["repeated-label", "K0", "K-not-integral", "strip-rho-above-half", "m-from-k_cap", "regen-horizon",
         "ball-centre-dimension", "cml-a2-drains", "cml-a8-drains", "cml-burn-in-below-0"])
 def test_simulate_rejects_a_bad_later_row_before_writing(tmp_path, pair, rows):
     out = tmp_path / "out"
@@ -143,6 +148,45 @@ def test_simulate_writes_results_and_manifest(tmp_path):
         assert (out / name).exists(), name
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["flags"] == {}
+
+
+def test_simulate_reads_exponents_written_without_a_dot(tmp_path):
+    # PyYAML reads 1e0 as the string '1e0', which loaded and then crashed
+    # simulate with a TypeError
+    rows = {"a": "K: 5, t: 1.0", "b": "K: 5e0, t: 1e0"}
+    for out, row in rows.items():
+        text = (TORUS_CFG % (tmp_path / out)).replace(rows["a"], row)
+        assert row in text
+        assert main(["--config", _write_cfg(tmp_path, text), "simulate"]) == 0
+    for name in ("cluster_rho0p02_K5.json", "counting_rho0p02_K5.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_simulate_sizes_regenerative_streams_for_the_length_they_run(tmp_path, monkeypatch):
+    # a K = 5000 row without stream_len runs streams of 100 (2K + 1)
+    # symbols, and its stream count must be sized for that length
+    calls = []
+
+    def record(spec, m, K, n_streams, seed, stream_len=None, workers=1):
+        calls.append((n_streams, stream_len))
+        raise _Stop
+
+    monkeypatch.setattr(cli, "regen_cluster_stats", record)
+    cfg = _write_cfg(tmp_path, f"""
+system: {{kind: regenerative, block_rule: smith}}
+target: {{kind: level_set}}
+schedule: [{{m: 10, K: 5000, min_entries: 1000000}}]
+outputs: {{dir: "{tmp_path / 'out'}"}}
+""")
+    with pytest.raises(_Stop):
+        main(["--config", cfg, "simulate"])
+    stream_len = 100 * (2 * 5000 + 1)
+    mu = level_measure(RegenSpec.smith(), 10)
+    assert calls == [(max(4, math.ceil(1_000_000 / mu / stream_len) + 1), stream_len)]
 
 
 def test_simulate_byte_identical_across_worker_counts(tmp_path):
@@ -211,7 +255,7 @@ def test_compare_detects_the_wrong_model(tmp_path):
                        p=truth.probs / truth.probs.sum())
     from returnstats.distributions import empirical_distribution
 
-    emp = empirical_distribution(draws, k_max=40)
+    emp = empirical_distribution(draws)
     (tmp_path / "emp.json").write_text(emp.to_json())
     (tmp_path / "model.json").write_text(polya_aeppli_pmf(1.0, 0.0, 40).to_json())
     assert main(["compare", str(tmp_path / "model.json"),

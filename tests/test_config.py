@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from returnstats.config import PAIRS, ConfigError, ExperimentConfig
 from returnstats.dynamics import (CmlSystem, LinearMod1System, SinePerturbedInterval,
@@ -24,7 +25,7 @@ workers: 2
 
 def test_round_trip_is_identity():
     cfg = ExperimentConfig.from_yaml(TORUS_YAML)
-    again = ExperimentConfig.from_yaml(cfg.to_yaml())
+    again = ExperimentConfig.from_yaml(yaml.safe_dump(cfg.to_dict(), sort_keys=False))
     assert again.to_dict() == cfg.to_dict()
     assert again == cfg
 
@@ -99,6 +100,23 @@ schedule: [{m: 100, min_entries: 10}]
     with pytest.raises(ConfigError, match="at least 2K\\+2"):
         ExperimentConfig.from_dict(dict(regen.to_dict(),
                                         schedule=[{"m": 100, "K": 3, "stream_len": 7}]))
+
+
+def test_schedule_numbers_written_as_exponents():
+    # PyYAML reads an exponent without a dot (1e0) as a string
+    cfg = ExperimentConfig.from_yaml(TORUS_YAML.replace("{rho: 1.0e-2, K: 50}",
+                                                        "{rho: 1e-2, K: 1e1, t: 1e0}"))
+    row = cfg.schedule[0]
+    assert (row.scale, row.K, row.t) == (0.01, 10, 1.0)
+    assert type(row.K) is int and type(row.t) is float
+    base = cfg.to_dict()
+    for patch, message in (({"K": 2.5}, "K must be an integer"),
+                           ({"K": "2.5e0"}, "K must be an integer"),
+                           ({"n_trials": "lots"}, "n_trials must be a number"),
+                           ({"t": [1]}, "t must be a number"),
+                           ({"rho": "wide"}, "rho must be a number")):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(dict(base, schedule=[{"rho": 0.1, **patch}]))
 
 
 def test_numeric_range_validation():

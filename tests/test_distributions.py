@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom as scipy_binom
 
 from returnstats.distributions import (ClusterSizeDist, CompoundSpec,
-                                       DiscreteDistribution, TruncationError,
+                                       DiscreteDistribution,
                                        compound_binomial_pmf,
                                        compound_poisson_pmf,
                                        empirical_distribution,
@@ -89,17 +89,6 @@ def test_compound_poisson_pgf_identity():
         assert abs(lhs - rhs) < 1e-10 + dist.tail_mass
 
 
-def test_truncation_error_raised():
-    spec = CompoundSpec(5.0, ClusterSizeDist.geometric(0.5))
-    with pytest.raises(TruncationError):
-        compound_poisson_pmf(spec, 3, tail_tol=1e-6)
-    with pytest.raises(TruncationError):
-        polya_aeppli_pmf(5.0, 0.5, 3, tail_tol=1e-6)
-    with pytest.raises(TruncationError):
-        compound_binomial_pmf(100, 0.1, ClusterSizeDist.geometric(0.5), 2,
-                              tail_tol=1e-6)
-
-
 def test_cluster_size_dist_geometric_mean():
     for p in (0.0, 0.3, 0.8):
         cd = ClusterSizeDist.geometric(p)
@@ -138,10 +127,7 @@ def test_json_and_csv_round_trips():
 def test_empirical_distribution_counts():
     d = empirical_distribution(np.array([0, 0, 1, 3, 3, 3]))
     np.testing.assert_allclose(d.probs, [2 / 6, 1 / 6, 0.0, 3 / 6])
-    assert d.n_samples == 6
-    trunc = empirical_distribution(np.array([0, 0, 1, 3, 3, 3]), k_max=1)
-    np.testing.assert_allclose(trunc.probs, [2 / 6, 1 / 6])
-    assert abs(trunc.tail_mass - 0.5) < 1e-12
+    assert d.n_samples == 6 and d.tail_mass == 0.0
 
 
 @st.composite

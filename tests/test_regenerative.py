@@ -185,7 +185,7 @@ def _chunked_reference(spec, length, seed):
     while total < length:
         chunks += 1
         n = max(64, int((length - total) / spec.mean_block_length() * 1.2))
-        s = np.searchsorted(spec._symbol_cdf(), rng.random(n), side="right") + 1
+        s = np.searchsorted(spec._symbol_cdf, rng.random(n), side="right") + 1
         if spec.block_rule == "smith":
             lens.append(np.where(rng.random(n) < 1.0 / s, s + 1, 1))
         else:
@@ -424,7 +424,7 @@ _OVERSHOOT = RegenSpec(np.array([0.15324321880937372, 0.1741020222634683,
                          ids=["smith10", "smith100", "smith1000", "smith3000",
                               "fixed_lengths", "overshoot"])
 def test_guide_table_draw_equals_the_cdf_search(spec):
-    cdf = spec._symbol_cdf()
+    cdf = spec._symbol_cdf
     assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
     edges = np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS
     u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
@@ -445,7 +445,7 @@ def test_symbol_cdf_ends_at_one():
     for k_cap in (100, 1000):
         spec = RegenSpec.smith(k_cap)
         assert np.cumsum(spec.symbol_probs)[-1] < 1.0
-        assert spec._symbol_cdf()[-1] == 1.0
+        assert spec._symbol_cdf[-1] == 1.0
 
 
 @pytest.mark.parametrize("spec", [RegenSpec.smith(500), RegenSpec.fixed_lengths(LAM, 100),
@@ -480,7 +480,7 @@ def test_stream_memory_does_not_grow_with_the_stream_length():
     # 2e7-symbol stream holds no more than a 2e6-symbol one (drawing a
     # chunk's symbols whole would hold about 7 times as much)
     spec = RegenSpec.smith(3000)
-    spec._warm_caches()
+    stationary_hit_runs(spec, 100, (SEED, 1), 1000)  # builds the spec's cached tables
     short, long = (_traced_peak(lambda: stationary_hit_runs(spec, n, (SEED, 1), 1000))
                    for n in (2 * 10**6, 2 * 10**7))
     assert long < 1.5 * short

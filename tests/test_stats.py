@@ -102,7 +102,7 @@ def test_chi_square_calibration_under_the_null():
     reps = 200
     for _ in range(reps):
         draws = rng.choice(support, size=n, p=model.probs / model.probs.sum())
-        emp = empirical_distribution(draws, k_max=30)
+        emp = empirical_distribution(draws)
         rep = chi_square_gof(emp, n, model)
         if rep.p_value < 0.05:
             low += 1
@@ -116,14 +116,14 @@ def test_chi_square_power_against_wrong_model():
     rng = np.random.default_rng(3)
     n = 100_000
     draws = rng.choice(np.arange(31), size=n, p=truth.probs / truth.probs.sum())
-    rep = chi_square_gof(empirical_distribution(draws, k_max=30), n, model)
+    rep = chi_square_gof(empirical_distribution(draws), n, model)
     assert rep.p_value < 1e-10
     assert rep.tv_distance > 0.05
 
 
 def test_chi_square_merges_thin_bins():
     model = polya_aeppli_pmf(0.5, 0.5, 40)
-    emp = empirical_distribution(np.array([0] * 90 + [1] * 10), k_max=40)
+    emp = empirical_distribution(np.array([0] * 90 + [1] * 10))
     rep = chi_square_gof(emp, 100, model)
     # with n=100 only bins of model mass >= 0.05 survive individually
     assert rep.dof < 6

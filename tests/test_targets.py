@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from returnstats import dynamics
+from returnstats.config import PAIRS, ExperimentConfig
 from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
                                   LinearMod1System, TorusAffineSystem)
 from returnstats.targets import (Ball, DiagonalStrip, MeasureEstimate,
@@ -46,7 +48,59 @@ def test_exact_measures():
     assert TorusStrip(0.05).exact_measure(2) == pytest.approx(0.1)
     assert DiagonalStrip(0.1).exact_measure(1) == 1.0
     assert DiagonalStrip(0.1).exact_measure(2) == pytest.approx(0.19)
-    assert DiagonalStrip(0.1).exact_measure(3) is None
+    assert DiagonalStrip(0.1).exact_measure(3) == pytest.approx(3 * 0.1**2 - 2 * 0.1**3)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_diagonal_strip_measure_is_bitwise_the_one_and_two_site_forms(n):
+    # the general form must not move the bits of the configs that ran before it
+    nu = np.random.default_rng(n).uniform(1e-6, 1.0 - 1e-6, size=10_000).tolist()
+    got = [DiagonalStrip(v).exact_measure(n) for v in nu]
+    want = [1.0 if n == 1 else 2 * v - v**2 for v in nu]
+    assert got == want
+
+
+@pytest.mark.parametrize("n, nu", [(3, 0.3), (4, 0.3), (4, 0.1)])
+def test_diagonal_strip_measure_against_uniform_monte_carlo(n, nu):
+    # the range of n uniforms is at most nu with probability n nu^(n-1) - (n-1) nu^n
+    samples = 400_000
+    pts = np.random.default_rng(SEED + n).random((samples, n))
+    hit = np.count_nonzero(DiagonalStrip(nu).contains_points(pts)) / samples
+    exact = DiagonalStrip(nu).exact_measure(n)
+    assert abs(hit - exact) < 5 * math.sqrt(exact * (1 - exact) / samples)
+
+
+# every Lebesgue-preserving system a config can build: the cml lattice is
+# uncoupled copies of 3x mod 1
+LEBESGUE_SYSTEMS = ([{"kind": "torus", "a": 2}, {"kind": "linear_mod1", "a": 3}]
+                    + [{"kind": "cml", "a": 3, "gamma": 0.0, "n": n} for n in (1, 2, 3, 4)])
+
+
+def _closed_forms(kind, dim):
+    rho, nu = 0.01, 0.05
+    return {"torus_strip": (rho, 2 * rho), "ball": (rho, (2 * rho) ** dim),
+            "diagonal_strip": (nu, dim * nu ** (dim - 1) - (dim - 1) * nu**dim)}[kind]
+
+
+def test_measure_is_the_closed_form_on_every_lebesgue_system(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Lebesgue-preserving system drew Monte Carlo samples")
+
+    for cls in vars(dynamics).values():
+        if isinstance(cls, type) and "stationary_samples" in vars(cls):
+            monkeypatch.setattr(cls, "stationary_samples", refuse)
+    assert {s["kind"] for s in LEBESGUE_SYSTEMS} == set(PAIRS) - {"regenerative"}
+    for system_raw in LEBESGUE_SYSTEMS:
+        dim = system_raw.get("n", 2 if system_raw["kind"] == "torus" else 1)
+        for kind in PAIRS[system_raw["kind"]]:
+            scale, want = _closed_forms(kind, dim)
+            cfg = ExperimentConfig.from_dict({
+                "system": system_raw, "target": {"kind": kind, "center": [0.5] * dim},
+                "schedule": [{"rho" if kind != "diagonal_strip" else "nu": scale}]})
+            system = cfg.build_system()
+            assert system.preserves_lebesgue and system.dimension == dim
+            est = measure(cfg.build_target(cfg.schedule[0]), system, 1000, (SEED, 0))
+            assert est.mean == pytest.approx(want, rel=1e-12) and est.std_error == 0.0
 
 
 def test_target_validation():
@@ -80,18 +134,17 @@ def test_measure_closed_form_for_lebesgue_systems():
 
 
 def test_measure_monte_carlo_against_closed_form():
-    # 3 uncoupled sites with a linear base map are Lebesgue-stationary, but
-    # the diagonal strip has no built-in closed form for n=3, forcing the MC
-    # path; P(max - min <= nu) for 3 uniforms is 3 nu^2 - 2 nu^3
+    # 3 uncoupled sites with a linear base map are Lebesgue-stationary, so
+    # the lattice's own stationary samples hit the diagonal strip with
+    # P(max - min <= nu) = 3 nu^2 - 2 nu^3 for 3 uniforms, which is mu(U)
     spec = CmlSpec(LinearInterval(3), 3, 0.0, np.full(3, 1 / 3))
     system = CmlSystem(spec, burn_in=16)
     nu = 0.3
     truth = 3 * nu**2 - 2 * nu**3
-    est = measure(DiagonalStrip(nu), system, 20_000, (SEED, 0))
-    assert est.std_error > 0
-    assert abs(est.mean - truth) < 5 * math.sqrt(truth * (1 - truth) / 20_000) + 0.005
-    assert abs(est.std_error
-               - math.sqrt(est.mean * (1 - est.mean) / 20_000)) < 1e-12
+    pts = system.stationary_samples(SEED, 0, 20_000)
+    hit = np.count_nonzero(DiagonalStrip(nu).contains_points(pts)) / 20_000
+    assert abs(hit - truth) < 5 * math.sqrt(truth * (1 - truth) / 20_000) + 0.005
+    assert measure(DiagonalStrip(nu), system, 20_000, (SEED, 0)).mean == pytest.approx(truth)
 
 
 def test_measure_mc_path_for_coupled_lattice():
@@ -101,6 +154,7 @@ def test_measure_mc_path_for_coupled_lattice():
     est = measure(DiagonalStrip(0.05), system, 4000, (SEED, 0))
     assert est.std_error > 0.0
     assert 0.0 < est.mean < 1.0
+    assert abs(est.std_error - math.sqrt(est.mean * (1 - est.mean) / 4000)) < 1e-12
 
 
 def test_measure_validation():

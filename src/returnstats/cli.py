@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cml_theory import DiagonalDensity, cml_prediction
+from .cml_theory import cml_prediction
 from .config import ConfigError, ExperimentConfig
 from .distributions import (ClusterSizeDist, CompoundSpec, DiscreteDistribution,
                             compound_poisson_pmf, polya_aeppli_pmf)
@@ -85,16 +85,16 @@ def _analytic_prediction(config: ExperimentConfig, system, row) -> _Prediction:
         # surrounds the fixed line {y = 0}, and a ball around a point of no
         # known period gets p = 0, the Poisson law
         period = (1 if isinstance(system, TorusAffineSystem)
-                  else config.target.get("periodic_period"))
-        p = 0.0 if period is None else float(system.a) ** -int(period)
+                  else config.target["periodic_period"])
+        p = 0.0 if period is None else float(system.a) ** -period
         alpha1 = 1.0 - p
         return _Prediction(p ** np.arange(row.k_max + 1),       # alpha_hat_k = p^(k-1)
                            alpha1 * p ** np.arange(row.k_max), alpha1,
                            polya_aeppli_pmf(alpha1 * t, p, _PMF_KMAX))
     if isinstance(system, CmlSystem) and config.target["kind"] == "diagonal_strip":
         spec = system.spec
-        seqs = cml_prediction(spec.base_map, DiagonalDensity.lebesgue(), spec.n,
-                              spec.gamma, row.k_max)
+        # Lebesgue measure along the diagonal
+        seqs = cml_prediction(spec.base_map, np.ones_like, spec.n, spec.gamma, row.k_max)
         lam = seqs.lam[:row.k_max - 1]
         pmf = None
         if lam.sum() > 0:
@@ -156,16 +156,16 @@ def cmd_simulate(config: ExperimentConfig) -> int:
 
     for row in config.schedule:
         label = row.label(config.scale_name)
+        target = config.build_target(row)
         if regen:
-            m = int(row.scale)
             # load fills in every regenerative row's stream_len
             n_streams = max(4, math.ceil(
-                row.min_entries / level_measure(system, m) / row.stream_len) + 1)
-            cs = regen_cluster_stats(system, m, row.K, n_streams, config.seed,
+                row.min_entries / level_measure(system, target) / row.stream_len) + 1)
+            cs = regen_cluster_stats(system, target, row.K, n_streams, config.seed,
                                      stream_len=row.stream_len, workers=config.workers)
-            cd = regen_counting_distribution(system, m, row.t, row.n_trials, config.seed)
+            cd = regen_counting_distribution(system, target, row.t, row.n_trials,
+                                             config.seed)
         else:
-            target = config.build_target(row)
             cs = cluster_statistics(system, target, row.K, row.min_entries,
                                     row.max_orbit, config.seed,
                                     orbit_len=row.orbit_len, workers=config.workers)

@@ -6,52 +6,35 @@ the tail probabilities of returns to the diagonal strip are
     alpha_hat_{k+1} = int h((x)^n) / |DT^k(x)|^{n-1} dx
                       / ( (1-gamma)^{k(n-1)} * int h((x)^n) dx )
 
-with h the invariant density evaluated along the diagonal.  When |DT| is
+with h the invariant density evaluated along the diagonal, passed as a plain
+vectorized function x -> h((x)^n).  When |DT| is
 constant this collapses to ((1-gamma)|DT|)^{-k(n-1)} independently of h.
 The integrals are evaluated by composite 16-node Gauss-Legendre quadrature
 on the branch intervals of T^k (the integrand is smooth inside each branch
 and jumps across them), with adaptive bisection until refinement changes
-fall below the requested tolerance.
+fall below a fixed tolerance of 1e-10 per unit length.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .dynamics import IntervalMap
 from .stats import AlphaSequences, lambda_from_alpha_hat
 
-__all__ = ["DiagonalDensity", "alpha_hat_integral", "cml_prediction",
-           "ExpansionWarning"]
+__all__ = ["alpha_hat_integral", "cml_prediction", "ExpansionWarning"]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_BRANCHES = 1 << 21
 _MAX_DEPTH = 40
+_TOL = 1e-10
 
 
 class ExpansionWarning(UserWarning):
     """(1-gamma)|DT| <= 1 somewhere: transverse expansion is lost and the
     formula is outside its guaranteed validity range."""
-
-
-@dataclass(frozen=True)
-class DiagonalDensity:
-    """Invariant density restricted to the diagonal: x -> h((x)^n)."""
-
-    h_diag: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def lebesgue(cls) -> "DiagonalDensity":
-        return cls(lambda x: np.ones_like(np.asarray(x, dtype=float)))
-
-    @classmethod
-    def from_product(cls, h_base: Callable, n: int) -> "DiagonalDensity":
-        """gamma = 0 product measure: h((x)^n) = h_base(x)**n."""
-        return cls(lambda x: np.asarray(h_base(x), dtype=float) ** n)
 
 
 def _gauss(f, a, b):
@@ -69,13 +52,12 @@ def _adaptive(f, a, b, tol, depth=0):
     return left + _adaptive(f, mid, b, tol / 2, depth + 1)
 
 
-def _integrate_on_partition(f, breakpoints: np.ndarray, tol: float):
+def _integrate_on_partition(f, breakpoints: np.ndarray):
     """Adaptive composite quadrature, summed over the partition cells."""
     total = 0.0
     for i in range(breakpoints.size - 1):
         a, b = float(breakpoints[i]), float(breakpoints[i + 1])
-        if b > a:
-            total += _adaptive(f, a, b, tol * (b - a))
+        total += _adaptive(f, a, b, _TOL * (b - a))
     return total
 
 
@@ -99,9 +81,12 @@ def _check_expansion(base_map: IntervalMap, gamma: float) -> None:
             ExpansionWarning, stacklevel=3)
 
 
-def alpha_hat_integral(base_map: IntervalMap, h: DiagonalDensity, n: int,
-                       gamma: float, k: int, tol: float = 1e-10) -> float:
-    """alpha_hat_{k+1} for the n-site lattice with coupling gamma."""
+def alpha_hat_integral(base_map: IntervalMap, h, n: int, gamma: float,
+                       k: int) -> float:
+    """alpha_hat_{k+1} for the n-site lattice with coupling gamma; `h` is the
+    vectorized diagonal density x -> h((x)^n), such as ``np.ones_like`` for
+    Lebesgue measure or ``lambda x: h_base(x) ** n`` for the gamma = 0
+    product of a base density."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= gamma < 1.0:
@@ -110,26 +95,26 @@ def alpha_hat_integral(base_map: IntervalMap, h: DiagonalDensity, n: int,
         raise ValueError("k must be non-negative")
     if k == 0:
         return 1.0
+    if base_map.a**k > _MAX_BRANCHES:
+        raise ValueError(f"T^{k} has {base_map.a**k} branches, above the "
+                         f"partition budget {_MAX_BRANCHES}")
     _check_expansion(base_map, gamma)
 
     pts = base_map.branch_points_of_power(k)
-    if pts.size - 1 > _MAX_BRANCHES:
-        raise ValueError(f"T^{k} has {pts.size - 1} branches, above the "
-                         f"partition budget {_MAX_BRANCHES}")
-    num_f = lambda x: h.h_diag(x) / _derivative_power(base_map, x, k) ** (n - 1)
-    num = _integrate_on_partition(num_f, pts, tol)
-    den = _integrate_on_partition(h.h_diag, np.asarray(base_map.breakpoints), tol)
+    num_f = lambda x: h(x) / _derivative_power(base_map, x, k) ** (n - 1)
+    num = _integrate_on_partition(num_f, pts)
+    den = _integrate_on_partition(h, base_map.breakpoints)
     if den <= 0:
         raise ValueError("diagonal density integrates to a non-positive value")
     return num / ((1.0 - gamma) ** (k * (n - 1)) * den)
 
 
-def cml_prediction(base_map: IntervalMap, h: DiagonalDensity, n: int,
-                   gamma: float, k_max: int, tol: float = 1e-10) -> AlphaSequences:
+def cml_prediction(base_map: IntervalMap, h, n: int, gamma: float,
+                   k_max: int) -> AlphaSequences:
     """alpha_hat_{1..k_max+1} by quadrature, with the alpha and lambda
     sequences and the extremal index alpha_1 = 1 - alpha_hat_2 that
     `lambda_from_alpha_hat` derives from them."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return lambda_from_alpha_hat([alpha_hat_integral(base_map, h, n, gamma, k, tol)
+    return lambda_from_alpha_hat([alpha_hat_integral(base_map, h, n, gamma, k)
                                   for k in range(k_max + 1)])

@@ -1,16 +1,17 @@
 """Experiment configuration: YAML schema, validation, object construction.
 
 A config names a system, a target family, and a schedule of experiment
-rows (one scale value per row plus window/horizon/trial settings).  Every
-defaulted value is filled in explicitly at load time so the manifest can
-echo the exact parameters a run used.
+rows (one scale value per row plus window/horizon/trial settings).  Each
+system and target kind reads the keys of ``KEYS``; every defaulted value is
+filled in explicitly at load time so the manifest can echo the exact
+parameters a run used, and any other key is an error.
 
 Schema (YAML):
 
     experiment: torus-strip-sweep        # free-form label
     system:
       kind: torus                        # torus | linear_mod1 | cml | regenerative
-      a: 2
+      a: 2                               # torus, linear_mod1, cml
       # cml only: n, gamma, weights, eps, burn_in (n: 1 is the base map
       #   alone, e.g. a*x + eps*sin(2 pi x) mod 1)
       # regenerative only: block_rule, cluster_lambdas, k_cap
@@ -26,11 +27,11 @@ Schema (YAML):
          min_entries: 10000, max_orbit: 50000000}
     seed: 1234
     workers: 1
-    threshold: 0.01
-    outputs: {dir: results, formats: [json, csv]}
+    threshold: 0.01                      # echoed only; compare reads --threshold
+    outputs: {dir: results, formats: [json, csv]}   # formats: json and/or csv
 
 Scale parameter per row: ``rho`` (ball / torus_strip), ``nu``
-(diagonal_strip) or ``m`` (level_set, 0 <= m < k_cap).  Loading builds
+(diagonal_strip) or the integer ``m`` (level_set, 0 <= m < k_cap).  Loading builds
 the system and every row's target, so a row the system cannot run is an
 error before any row writes a file.  So is a ``cml`` whose float64 orbits
 drain to 0: uncoupled (gamma 0, eps 0) copies of a*x mod 1 with a a power
@@ -54,7 +55,7 @@ from .records import json_fields
 from .regenerative import RegenSpec, _default_stream_len, level_measure
 from .targets import Ball, DiagonalStrip, TorusStrip
 
-__all__ = ["ExperimentConfig", "ConfigError", "ScheduleRow", "PAIRS"]
+__all__ = ["ExperimentConfig", "ConfigError", "ScheduleRow", "PAIRS", "KEYS"]
 
 # the target kinds each system kind runs.  A torus orbit keeps (a-1)x - y
 # mod 1 constant, so only the strip around {y = 0} sees the whole torus;
@@ -66,23 +67,53 @@ PAIRS = {
     "regenerative": ("level_set",),
 }
 
+# the keys each system and target kind reads, with the defaults load fills
+# in; None is "not set"
+KEYS = {
+    "torus": {"a": 2},
+    "linear_mod1": {"a": 2},
+    "cml": {"a": 2, "n": 2, "gamma": 0.0, "weights": None, "eps": 0.0, "burn_in": 1024},
+    "regenerative": {"block_rule": "smith", "cluster_lambdas": None, "k_cap": 10**5},
+    "ball": {"center": [0.5], "periodic_period": None},
+    "torus_strip": {},
+    "diagonal_strip": {},
+    "level_set": {},
+}
+_INTEGER_KEYS = ("a", "n", "burn_in", "k_cap", "periodic_period")
+
 
 class ConfigError(ValueError):
     """Malformed or out-of-range configuration."""
 
 
 def _number(name: str, value, kind):
-    """Schedule value `name` as a float or an int (`kind`).  PyYAML reads an
+    """Config value `name` as a float or an int (`kind`).  PyYAML reads an
     exponent without a dot, such as 1e5, as a string, so strings parse too."""
     try:
         number = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"schedule row {name} must be a number, got {value!r}") from None
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if kind is float:
         return number
     if not number.is_integer():
-        raise ConfigError(f"schedule row {name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value if type(value) is int else int(number)
+
+
+def _section(name: str, raw: dict) -> dict:
+    """The `name` section of kind ``raw["kind"]`` with every key of
+    ``KEYS[kind]`` present, its integer keys typed; any other key is an error."""
+    kind = raw["kind"]
+    unknown = set(raw) - {"kind", *KEYS[kind]}
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {sorted(unknown)} for kind {kind!r}")
+    out = {"kind": kind}
+    for key, default in KEYS[kind].items():
+        value = raw.get(key, default)
+        if key in _INTEGER_KEYS and value is not None:
+            value = _number(f"{name} {key}", value, int)
+        out[key] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -138,6 +169,7 @@ class ExperimentConfig:
                        "is not the predicted one")
             raise ConfigError(f"a {kind} system runs {' or '.join(PAIRS[kind])} "
                               f"targets, not {tkind!r}{why}")
+        system, target = _section("system", system), _section("target", target)
 
         rows = raw["schedule"]
         if not isinstance(rows, list) or not rows:
@@ -150,7 +182,8 @@ class ExperimentConfig:
             row = dict(row)
             if scale_name not in row:
                 raise ConfigError(f"schedule row missing scale parameter {scale_name!r}")
-            scale = _number(scale_name, row.pop(scale_name), float)
+            scale = _number(f"schedule row {scale_name}", row.pop(scale_name),
+                            int if tkind == "level_set" else float)
             if not math.isfinite(scale):
                 raise ConfigError(f"schedule row {scale_name} must be finite")
             unknown = set(row) - knobs
@@ -158,7 +191,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown schedule keys {sorted(unknown)}")
             for name, value in row.items():
                 if value is not None or name not in ("orbit_len", "stream_len"):
-                    row[name] = _number(name, value, float if name == "t" else int)
+                    row[name] = _number(f"schedule row {name}", value,
+                                        float if name == "t" else int)
             r = ScheduleRow(scale=scale, **row)
             if kind == "regenerative" and r.stream_len is None:
                 r = replace(r, stream_len=_default_stream_len(r.K))
@@ -183,10 +217,10 @@ class ExperimentConfig:
             labels.add(label)
             schedule.append(r)
 
-        seed = int(raw.get("seed", 0))
+        seed = _number("seed", raw.get("seed", 0), int)
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        workers = int(raw.get("workers", 1))
+        workers = _number("workers", raw.get("workers", 1), int)
         if workers < 1:
             raise ConfigError("workers must be >= 1")
         threshold = float(raw.get("threshold", 0.01))
@@ -194,7 +228,10 @@ class ExperimentConfig:
             raise ConfigError("threshold must lie in [0, 1)")
         outputs = dict(raw.get("outputs", {}))
         outputs.setdefault("dir", "results")
-        outputs.setdefault("formats", ["json", "csv"])
+        fmts = outputs.setdefault("formats", ["json", "csv"])
+        if not (isinstance(fmts, list) and fmts and all(f in ("json", "csv") for f in fmts)):
+            raise ConfigError(f"outputs formats must be a non-empty list of json and "
+                              f"csv, got {fmts!r}")
 
         config = cls(experiment=str(raw.get("experiment", "experiment")),
                      system=system, target=target, schedule=tuple(schedule),
@@ -265,30 +302,27 @@ class ExperimentConfig:
         s = self.system
         kind = s["kind"]
         if kind == "torus":
-            return TorusAffineSystem(int(s.get("a", 2)))
+            return TorusAffineSystem(s["a"])
         if kind == "linear_mod1":
-            return LinearMod1System(int(s.get("a", 2)))
+            return LinearMod1System(s["a"])
         if kind == "cml":
-            n = int(s.get("n", 2))
-            weights = s.get("weights")
-            w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, float)
-            a, eps = int(s.get("a", 2)), float(s.get("eps", 0.0))
-            base_map = SinePerturbedInterval(a, eps) if eps else LinearInterval(a)
-            spec = CmlSpec(base_map=base_map, n=n,
-                           gamma=float(s.get("gamma", 0.0)), weights=w)
-            return CmlSystem(spec, burn_in=int(s.get("burn_in", 1024)))
+            n, eps = s["n"], float(s["eps"])
+            # n < 1 is left for CmlSpec to refuse
+            w = np.ones(n) / n if s["weights"] is None else np.asarray(s["weights"], float)
+            base_map = SinePerturbedInterval(s["a"], eps) if eps else LinearInterval(s["a"])
+            spec = CmlSpec(base_map=base_map, n=n, gamma=float(s["gamma"]), weights=w)
+            return CmlSystem(spec, burn_in=s["burn_in"])
         if kind == "regenerative":
             return self.build_regen_spec()
         raise ConfigError(f"unknown system kind {kind!r}")
 
     def build_regen_spec(self) -> RegenSpec:
         s = self.system
-        k_cap = int(s.get("k_cap", 10**5))
-        rule = s.get("block_rule", "smith")
+        rule, k_cap = s["block_rule"], s["k_cap"]
         if rule == "smith":
             return RegenSpec.smith(k_cap)
         if rule == "fixed_lengths":
-            lam = s.get("cluster_lambdas")
+            lam = s["cluster_lambdas"]
             if lam is None:
                 raise ConfigError("fixed_lengths needs cluster_lambdas")
             return RegenSpec.fixed_lengths(ClusterSizeDist(np.asarray(lam, float)), k_cap)
@@ -298,11 +332,11 @@ class ExperimentConfig:
         t = self.target
         kind = t["kind"]
         if kind == "ball":
-            return Ball(center=tuple(t.get("center", [0.5])), rho=row.scale)
+            return Ball(center=tuple(t["center"]), rho=row.scale)
         if kind == "torus_strip":
             return TorusStrip(rho=row.scale)
         if kind == "diagonal_strip":
             return DiagonalStrip(nu=row.scale)
         if kind == "level_set":
-            return int(row.scale)  # the level m of U_m = {X_0 > m}
+            return row.scale  # the level m of U_m = {X_0 > m}
         raise ConfigError(f"unknown target kind {kind!r}")

@@ -24,10 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .rngstreams import trial_rng
 
@@ -54,66 +52,59 @@ _GROUP_DIGITS = 1 << 16
 
 
 class IntervalMap:
-    """Piecewise-smooth expanding map of [0, 1) with finitely many branches.
+    """Expanding map T(x) = lift(x) mod 1 of [0, 1), defined by its lift.
 
-    ``breakpoints`` are the branch endpoints in [0, 1] including 0 and 1;
-    the map is C^2 and monotone on each open branch interval.
+    Subclasses define ``lift`` and ``derivative``; ``lift`` is C^2 and
+    increases strictly from 0 at x = 0 to the integer ``a`` at x = 1, so T
+    has ``a`` monotone branches.  Every branch point, of T and of T^k, is
+    found from the lift alone.
     """
-
-    breakpoints: np.ndarray
-
-    def apply(self, x):
-        raise NotImplementedError
-
-    def derivative(self, x):
-        raise NotImplementedError
-
-    def branch_points_of_power(self, k: int) -> np.ndarray:
-        """Branch endpoints of T^k, found by pulling the breakpoints of T
-        back through the inverse branches (preimage recursion)."""
-        pts = set(float(b) for b in self.breakpoints)
-        level = set(pts)
-        for _ in range(k - 1):
-            level = set(self._preimages(sorted(level)))
-            pts |= level
-        return np.array(sorted(pts))
-
-    def _preimages(self, ys: Sequence[float]) -> list[float]:
-        out = []
-        b = self.breakpoints
-        for i in range(b.size - 1):
-            lo, hi = float(b[i]), float(b[i + 1])
-            f_lo = float(self._branch_value(lo, i))
-            f_hi = float(self._branch_value(hi, i))
-            vmin, vmax = min(f_lo, f_hi), max(f_lo, f_hi)
-            for y in ys:
-                if vmin <= y <= vmax:
-                    if f_hi == f_lo:
-                        continue
-                    g = lambda x, y=y, i=i: float(self._branch_value(x, i)) - y
-                    try:
-                        out.append(brentq(g, lo, hi, xtol=1e-15))
-                    except ValueError:
-                        pass
-        return out
-
-    def _branch_value(self, x, branch_index):
-        """Continuous (un-wrapped) value of the branch at x; subclasses with a
-        simple lift override this."""
-        raise NotImplementedError
-
-
-class LinearInterval(IntervalMap):
-    """T(x) = a*x mod 1 with integer slope a >= 2."""
 
     def __init__(self, a: int):
         if int(a) != a or a < 2:
             raise ValueError("slope a must be an integer >= 2")
         self.a = int(a)
-        self.breakpoints = np.arange(self.a + 1) / self.a
+
+    def lift(self, x):
+        raise NotImplementedError
+
+    def derivative(self, x):
+        raise NotImplementedError
 
     def apply(self, x):
-        return (self.a * np.asarray(x, dtype=float)) % 1.0
+        return self.lift(x) % 1.0
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """Branch endpoints of T in [0, 1], 0 and 1 included."""
+        return self.branch_points_of_power(1)
+
+    def branch_points_of_power(self, k: int) -> np.ndarray:
+        """Branch endpoints of T^k: 0, 1 and the a**k - 1 points where the
+        k-fold lift, y -> a*floor(y) + lift(y - floor(y)) applied k times,
+        crosses an integer.  The k-fold lift increases strictly, so all points
+        are bisected at once until every midpoint rounds to an endpoint; each
+        is the upper endpoint, the first float whose k-fold lift reaches its integer."""
+        j = np.arange(1, self.a**k, dtype=float)
+        lo, hi = np.zeros_like(j), np.ones_like(j)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if np.all((mid == lo) | (mid == hi)):
+                return np.concatenate(([0.0], hi, [1.0]))
+            y = mid
+            for _ in range(k):
+                whole = np.floor(y)
+                y = self.a * whole + self.lift(y - whole)
+            below = y < j
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+
+
+class LinearInterval(IntervalMap):
+    """T(x) = a*x mod 1 with integer slope a >= 2."""
+
+    def lift(self, x):
+        return self.a * np.asarray(x, dtype=float)
 
     def derivative(self, x):
         return np.full_like(np.asarray(x, dtype=float), float(self.a))
@@ -126,33 +117,22 @@ class SinePerturbedInterval(IntervalMap):
     """T(x) = a*x + eps*sin(2 pi x) mod 1, eps != 0; expanding when a - 2 pi |eps| > 1."""
 
     def __init__(self, a: int, eps: float):
-        if int(a) != a or a < 2:
-            raise ValueError("slope a must be an integer >= 2")
+        super().__init__(a)
         if eps == 0:
             # the map is then a*x mod 1, which CmlSystem's drain check knows
             # only as LinearInterval
             raise ValueError("eps = 0 is a*x mod 1: use LinearInterval(a)")
         if abs(eps) * 2 * math.pi >= a - 1:
             raise ValueError("perturbation too large: map no longer expanding")
-        self.a = int(a)
         self.eps = float(eps)
-        # lift L(x) = a x + eps sin(2 pi x) is strictly increasing from 0 to a,
-        # so the branch endpoints solve L(x) = j for j = 1..a-1
-        lift = lambda x: self.a * x + self.eps * math.sin(2 * math.pi * x)
-        inner = [brentq(lambda x, j=j: lift(x) - j, 0.0, 1.0, xtol=1e-15)
-                 for j in range(1, self.a)]
-        self.breakpoints = np.array([0.0] + inner + [1.0])
 
-    def apply(self, x):
+    def lift(self, x):
         x = np.asarray(x, dtype=float)
-        return (self.a * x + self.eps * np.sin(2 * np.pi * x)) % 1.0
+        return self.a * x + self.eps * np.sin(2 * np.pi * x)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
         return self.a + self.eps * 2 * np.pi * np.cos(2 * np.pi * x)
-
-    def _branch_value(self, x, branch_index):
-        return self.a * x + self.eps * math.sin(2 * math.pi * x) - branch_index
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +410,7 @@ class CmlSystem(MapSystem):
         self.spec = spec
         self.dimension = spec.n
         self.burn_in = int(burn_in)
-        a = getattr(spec.base_map, "a", None)
+        a = spec.base_map.a
         if self.preserves_lebesgue and a & (a - 1) == 0:
             raise ValueError(f"float64 orbits of the uncoupled {a}x mod 1 lattice drain to 0: "
                              "each step is an exact bit shift, so every orbit reaches 0 "

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from returnstats.cml_theory import DiagonalDensity, alpha_hat_integral
+from returnstats.cml_theory import alpha_hat_integral
 from returnstats.distributions import (ClusterSizeDist, CompoundSpec,
                                        compound_binomial_pmf,
                                        compound_poisson_pmf, polya_aeppli_pmf)
@@ -155,14 +155,13 @@ def test_criterion_06_entry_time_lemma():
 
 
 def test_criterion_07_cml_analytic_constant_derivative():
-    leb = DiagonalDensity.lebesgue()
     worst = 0.0
     for a in (2, 3):
         for n in (2, 3):
             for gamma in (0.0, 0.1, 0.4):
                 for k in range(7):
                     want = ((1 - gamma) * a) ** (-k * (n - 1))
-                    got = alpha_hat_integral(LinearInterval(a), leb, n, gamma, k)
+                    got = alpha_hat_integral(LinearInterval(a), np.ones_like, n, gamma, k)
                     worst = max(worst, abs(got - want))
     ok = worst < 1e-10
     _report(7, "CML quadrature vs closed form", ok, f"max deviation = {worst:.2e}")
@@ -175,8 +174,7 @@ def test_criterion_08_cml_empirical_vs_analytic():
     cs = cluster_statistics(system, DiagonalStrip(1e-3), K=3,
                             min_entries=20_000, max_orbit=200_000_000,
                             seed=77, orbit_len=400_000)
-    pred = alpha_hat_integral(LinearInterval(2), DiagonalDensity.lebesgue(),
-                              2, 0.1, 1)
+    pred = alpha_hat_integral(LinearInterval(2), np.ones_like, 2, 0.1, 1)
     dev = abs(cs.alpha_hat[1] - pred)
     bound = 3 * cs.alpha_se[1] + 1e-6
     ok = dev < bound

@@ -1,6 +1,9 @@
 import json
-
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from returnstats import cli
 from returnstats.cli import main
 from returnstats.distributions import polya_aeppli_pmf
 from returnstats.regenerative import RegenSpec, level_measure
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TORUS_CFG = """
 experiment: torus-demo
@@ -74,6 +79,20 @@ outputs: {{dir: "{out}"}}
 """)
     assert main(["--config", cfg, "simulate"]) == 2
     assert not out.exists()
+    # a non-integral system value, an unknown system key or an output format
+    # other than json and csv used to run, and to write its files
+    for pair, outputs in (("system: {kind: linear_mod1, a: 2.5}", ""),
+                          ("system: {kind: linear_mod1, a: 3, gama: 0.3}", ""),
+                          ("system: {kind: linear_mod1, a: 3}", ", formats: [jsn]")):
+        cfg = _write_cfg(tmp_path, f"""
+{pair}
+target: {{kind: ball, center: [0.3]}}
+schedule: [{{rho: 0.01, K: 3, n_trials: 50, min_entries: 100, orbit_len: 5000}}]
+outputs: {{dir: "{out}"{outputs}}}
+""")
+        for command in ("predict", "simulate"):
+            assert main(["--config", cfg, command]) == 2
+            assert not out.exists()
     assert main(["--config", str(tmp_path / "missing.yaml"), "predict"]) == 2
     assert main(["predict"]) == 2  # --config required
 
@@ -93,6 +112,10 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
      "target: {kind: level_set}",
      ["{m: 10, K: 3, n_trials: 20, min_entries: 10, stream_len: 2000}",
       "{m: 400, K: 3}"]),
+    ("system: {kind: regenerative, block_rule: smith, k_cap: 300}\n"
+     "target: {kind: level_set}",
+     ["{m: 10, K: 3, n_trials: 20, min_entries: 10, stream_len: 2000}",
+      "{m: 2.5, K: 3}"]),
     # mu(U_2999) is 6.8e-8, so t = 1e5 is a horizon of 1.48e12 steps
     ("system: {kind: regenerative, block_rule: smith, k_cap: 3000}\n"
      "target: {kind: level_set}",
@@ -108,7 +131,8 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
     ("system: {kind: cml, a: 8, n: 1}\ntarget: {kind: ball, center: [0.3]}", [FIRST_ROW]),
     ("system: {kind: cml, a: 3, n: 2, gamma: 0.1, burn_in: -1}\n"
      "target: {kind: diagonal_strip}", [STRIP_ROW]),
-], ids=["repeated-label", "K0", "K-not-integral", "strip-rho-above-half", "m-from-k_cap", "regen-horizon",
+], ids=["repeated-label", "K0", "K-not-integral", "strip-rho-above-half", "m-from-k_cap",
+        "m-not-integral", "regen-horizon",
         "ball-centre-dimension", "cml-a2-drains", "cml-a8-drains", "cml-burn-in-below-0"])
 def test_simulate_rejects_a_bad_later_row_before_writing(tmp_path, pair, rows):
     out = tmp_path / "out"
@@ -121,6 +145,14 @@ outputs: {{dir: "{out}"}}
     for command in ("predict", "simulate"):
         assert main(["--config", cfg, command]) == 2
         assert not out.exists()
+
+
+def test_package_import_leaves_out_scipy_optimize():
+    code = ("import sys, returnstats, returnstats.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_predict_rejects_a_pair_with_no_law(tmp_path, capsys):

@@ -1,14 +1,14 @@
+import time
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from returnstats.cml_theory import (DiagonalDensity, ExpansionWarning,
-                                    alpha_hat_integral, cml_prediction)
+from returnstats.cml_theory import ExpansionWarning, alpha_hat_integral, cml_prediction
 from returnstats.dynamics import LinearInterval, SinePerturbedInterval
 
-LEB = DiagonalDensity.lebesgue()
+LEB = np.ones_like
 
 
 def test_constant_derivative_closed_form():
@@ -29,7 +29,7 @@ def test_k_zero_is_one_exactly():
 def test_hand_computed_nonuniform_density():
     # h((x,x)) = x^2 with T = 2x mod 1, n = 2, gamma = 0, k = 1:
     # num = int x^2 / 2 dx = 1/6, den = int x^2 dx = 1/3  =>  alpha_hat_2 = 1/2
-    h = DiagonalDensity.from_product(lambda x: np.asarray(x, dtype=float), 2)
+    h = lambda x: x ** 2
     got = alpha_hat_integral(LinearInterval(2), h, 2, 0.0, 1)
     assert abs(got - 0.5) < 1e-10
 
@@ -75,6 +75,13 @@ def test_validation():
         alpha_hat_integral(LinearInterval(2), LEB, 2, 0.1, -1)
     with pytest.raises(ValueError):
         alpha_hat_integral(LinearInterval(2), LEB, 2, 0.1, 22)  # branch budget
+
+
+def test_branch_budget_is_checked_before_any_point_is_built():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="partition budget"):
+        alpha_hat_integral(SinePerturbedInterval(2, 0.05), LEB, 2, 0.1, 22)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_prediction_assembly_telescopes_exactly():

@@ -39,6 +39,23 @@ def test_defaults_are_echoed_explicitly():
     assert row["min_entries"] == 1000
     d = cfg.to_dict()
     assert d["threshold"] == 0.01 and d["outputs"]["dir"] == "results"
+    # so does every defaulted system and target key
+    assert d["system"] == {"kind": "torus", "a": 2} and d["target"] == {"kind": "torus_strip"}
+    d = ExperimentConfig.from_yaml("""
+system: {kind: cml, a: 3}
+target: {kind: ball, center: [0.5, 0.5]}
+schedule: [{rho: 1.0e-2}]
+""").to_dict()
+    assert d["system"] == {"kind": "cml", "a": 3, "n": 2, "gamma": 0.0, "weights": None,
+                           "eps": 0.0, "burn_in": 1024}
+    assert d["target"] == {"kind": "ball", "center": [0.5, 0.5], "periodic_period": None}
+    d = ExperimentConfig.from_yaml("""
+system: {kind: regenerative}
+target: {kind: level_set}
+schedule: [{m: 100}]
+""").to_dict()
+    assert d["system"] == {"kind": "regenerative", "block_rule": "smith",
+                           "cluster_lambdas": None, "k_cap": 100000}
 
 
 def test_schedule_scale_names():
@@ -119,10 +136,75 @@ def test_schedule_numbers_written_as_exponents():
             ExperimentConfig.from_dict(dict(base, schedule=[{"rho": 0.1, **patch}]))
 
 
+@pytest.mark.parametrize("system, target, row, message", [
+    ("{kind: torus, a: 2.5}", "{kind: torus_strip}", "{rho: 0.01}", "system a must be an integer"),
+    ("{kind: linear_mod1, a: 2.5}", "{kind: ball}", "{rho: 0.01}",
+     "system a must be an integer"),
+    ("{kind: cml, a: 2.5}", "{kind: diagonal_strip}", "{nu: 0.01}",
+     "system a must be an integer"),
+    ("{kind: cml, a: 3, n: 2.7}", "{kind: diagonal_strip}", "{nu: 0.01}",
+     "system n must be an integer"),
+    ("{kind: cml, a: 3, burn_in: 10.5}", "{kind: diagonal_strip}", "{nu: 0.01}",
+     "system burn_in must be an integer"),
+    ("{kind: cml, a: 3, n: 0}", "{kind: diagonal_strip}", "{nu: 0.01}",
+     "lattice size n must be >= 1"),
+    ("{kind: regenerative, k_cap: 300.9}", "{kind: level_set}", "{m: 10}",
+     "system k_cap must be an integer"),
+    ("{kind: regenerative}", "{kind: level_set}", "{m: 2.5}",
+     "schedule row m must be an integer"),
+    ("{kind: linear_mod1, a: 3}", "{kind: ball, periodic_period: 1.5}", "{rho: 0.01}",
+     "target periodic_period must be an integer"),
+    ("{kind: linear_mod1, a: two}", "{kind: ball}", "{rho: 0.01}", "system a must be a number"),
+    ("{kind: cml, a: 3, n: 2, gama: 0.3}", "{kind: diagonal_strip}", "{nu: 0.01}",
+     r"unknown system keys \['gama'\]"),
+    ("{kind: torus, a: 2, n: 2}", "{kind: torus_strip}", "{rho: 0.01}",
+     r"unknown system keys \['n'\]"),
+    ("{kind: torus, a: 2}", "{kind: torus_strip, center: [0.5, 0.5]}", "{rho: 0.01}",
+     r"unknown target keys \['center'\]"),
+    ("{kind: torus, a: 2}", "{kind: torus_strip, periodic_period: 1}", "{rho: 0.01}",
+     r"unknown target keys \['periodic_period'\]"),
+], ids=["torus-a", "linear_mod1-a", "cml-a", "cml-n", "cml-burn_in", "cml-n-0",
+        "regenerative-k_cap", "level_set-m", "ball-periodic_period", "a-not-a-number",
+        "cml-gama", "torus-n", "torus_strip-center", "torus_strip-periodic_period"])
+def test_system_and_target_values_are_checked(system, target, row, message):
+    # a non-integral value used to be truncated, an unknown key ignored
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_yaml(f"system: {system}\ntarget: {target}\nschedule: [{row}]")
+
+
+def test_integral_values_load_as_integers():
+    cfg = ExperimentConfig.from_yaml("""
+system: {kind: regenerative, k_cap: 3e2}
+target: {kind: level_set}
+schedule: [{m: 10.0, K: 3}]
+""")
+    assert cfg.system["k_cap"] == 300 and cfg.build_system().k_cap == 300
+    assert cfg.build_target(cfg.schedule[0]) == 10 and type(cfg.schedule[0].scale) is int
+    assert cfg.schedule[0].label("m") == "m10_K3"
+    system = ExperimentConfig.from_yaml("""
+system: {kind: cml, a: 3.0, n: 2.0, burn_in: 1e1}
+target: {kind: diagonal_strip}
+schedule: [{nu: 0.01}]
+""").build_system()
+    assert system.spec.base_map.a == 3 and system.dimension == 2 and system.burn_in == 10
+
+
+def test_output_formats_are_checked():
+    base = ExperimentConfig.from_yaml(TORUS_YAML).to_dict()
+    for formats in (["csv"], ["json"], ["csv", "json"]):
+        cfg = ExperimentConfig.from_dict(dict(base, outputs={"formats": formats}))
+        assert cfg.outputs["formats"] == formats
+    # "csv,json" used to pass because `in` matches substrings, and [jsn]
+    # wrote nothing but the manifest
+    for formats in (["jsn"], "csv,json", "json", [], ["json", "xml"], None):
+        with pytest.raises(ConfigError, match="formats must be a non-empty list"):
+            ExperimentConfig.from_dict(dict(base, outputs={"formats": formats}))
+
+
 def test_numeric_range_validation():
     base = ExperimentConfig.from_yaml(TORUS_YAML).to_dict()
-    for patch in ({"seed": -1}, {"seed": 2**64}, {"workers": 0},
-                  {"threshold": 1.5}):
+    for patch in ({"seed": -1}, {"seed": 2**64}, {"seed": 7.5}, {"workers": 0},
+                  {"workers": 1.5}, {"threshold": 1.5}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(dict(base, **patch))
 

@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.stats import kstest
 
 from returnstats import dynamics
 from returnstats.cml_theory import _derivative_power
-from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
+from returnstats.dynamics import (CmlSpec, CmlSystem, IntervalMap, LinearInterval,
                                   LinearMod1System, SinePerturbedInterval,
                                   TorusAffineSystem, digit_window_width,
                                   sliding_window_values)
@@ -331,6 +332,10 @@ def test_stationary_samples_are_strided_reference_orbit_points(system):
 def test_linear_interval_branch_grid():
     lin = LinearInterval(2)
     np.testing.assert_allclose(lin.branch_points_of_power(3), np.arange(9) / 8)
+    # the lift's bisection rule gives the closed-form grid bit for bit at a = 2
+    for k in range(1, 9):
+        np.testing.assert_array_equal(IntervalMap.branch_points_of_power(lin, k),
+                                      np.arange(2**k + 1) / 2**k)
     with pytest.raises(ValueError):
         LinearInterval(1)
 
@@ -353,19 +358,31 @@ def test_sine_perturbation_zero_is_refused(a, eps):
         SinePerturbedInterval(a, eps)
 
 
+def _lift_power(a, eps, x, k):
+    """The k-fold lift of a*x + eps*sin(2 pi x) at a scalar x."""
+    for _ in range(k):
+        whole = math.floor(x)
+        x = a * whole + a * (x - whole) + eps * math.sin(2 * math.pi * (x - whole))
+    return x
+
+
 def test_sine_perturbed_branch_points_of_power():
-    imap = SinePerturbedInterval(2, 0.05)
-    pts = imap.branch_points_of_power(2)
-    # T^2 has 4 branches: every interior branch point maps to a branch point
-    # of T (or is one itself)
-    assert pts.size == 5
-    inner = pts[1:-1]
-    images = imap.apply(inner)
-    for x, y in zip(inner, images):
-        on_level1 = np.min(np.abs(imap.breakpoints - x)) < 1e-9
-        maps_to_bp = np.min(np.minimum(np.abs(imap.breakpoints - y),
-                                       1 - np.abs(imap.breakpoints - y))) < 1e-9
-        assert on_level1 or maps_to_bp
+    x = np.linspace(0, 1, 1001)[:-1]
+    for a, eps in ((2, 0.05), (3, 0.05)):
+        imap = SinePerturbedInterval(a, eps)
+        # the map is its lift mod 1
+        np.testing.assert_array_equal(imap.apply(x),
+                                      (a * x + eps * np.sin(2 * np.pi * x)) % 1.0)
+        for k in range(1, 6):
+            pts = imap.branch_points_of_power(k)
+            # T^k has a^k branches, and the k-fold lift crosses the integer j
+            # at the j-th interior point
+            assert pts.size == a**k + 1 and pts[0] == 0.0 and pts[-1] == 1.0
+            assert np.all(np.diff(pts) > 0)
+            for j, p in enumerate(pts[1:-1], start=1):
+                assert abs(_lift_power(a, eps, float(p), k) - j) < 1e-12
+                root = brentq(lambda y: _lift_power(a, eps, y, k) - j, 0.0, 1.0, xtol=1e-15)
+                assert abs(p - root) < 1e-14, (a, k, j)
 
 
 def test_derivative_along_linear_is_exact():

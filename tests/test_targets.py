@@ -94,8 +94,9 @@ def test_measure_is_the_closed_form_on_every_lebesgue_system(monkeypatch):
         dim = system_raw.get("n", 2 if system_raw["kind"] == "torus" else 1)
         for kind in PAIRS[system_raw["kind"]]:
             scale, want = _closed_forms(kind, dim)
+            target = {"kind": kind, "center": [0.5] * dim} if kind == "ball" else {"kind": kind}
             cfg = ExperimentConfig.from_dict({
-                "system": system_raw, "target": {"kind": kind, "center": [0.5] * dim},
+                "system": system_raw, "target": target,
                 "schedule": [{"rho" if kind != "diagonal_strip" else "nu": scale}]})
             system = cfg.build_system()
             assert system.preserves_lebesgue and system.dimension == dim

@@ -8,7 +8,8 @@ Built-in systems:
   iterated in float64; one site is the base map itself
 
 Every system builds its orbits through one vectorized interface,
-``indicator_block``; ``stationary_samples`` draws Monte Carlo samples of
+``indicator_block``, a group of trials (``orbit_groups``) at a time;
+``stationary_samples`` draws Monte Carlo samples of
 the invariant law for the systems whose mu(U) has no closed form, those
 that do not preserve Lebesgue measure.  The exact-digit systems
 realise a stationary orbit of a*x mod 1 as a sliding window over an i.i.d.
@@ -22,6 +23,7 @@ rounding.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import islice
 
@@ -247,6 +249,12 @@ class MapSystem:
         orbits, one independent RNG stream per trial index."""
         raise NotImplementedError
 
+    def orbit_groups(self, trials: list, n_points: int) -> list:
+        """`trials` cut into consecutive groups whose orbits are built together:
+        by default the fewest lockstep groups of at most 4·10^7 points."""
+        size = max(1, 40_000_000 // n_points)
+        return [trials[i : i + size] for i in range(0, len(trials), size)]
+
     def stationary_samples(self, master_seed: int, trial_index: int,
                            n_samples: int) -> np.ndarray:
         """(n_samples, dimension) draws from the invariant law, for the Monte
@@ -270,10 +278,20 @@ class _DigitOrbitSystem(MapSystem):
     preserves_lebesgue = True
 
     def __init__(self, a: int, dimension: int):
-        self.interval_map = LinearInterval(a)
-        self.a = self.interval_map.a
+        self.a = LinearInterval(a).a  # the slope rule of the interval maps
         self.dimension = dimension
         self.width = digit_window_width(self.a)
+        self._local = threading.local()
+
+    def _workspace(self, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialised `shape` array on this thread's workspace, which holds a
+        group's raw digit words and then its planes.  It grows to the largest size
+        asked for and is kept: a buffer freed per group is unmapped and faulted in again."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        buf = getattr(self._local, "buf", np.empty(0, np.uint8))
+        if buf.size < nbytes:
+            buf = self._local.buf = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
 
     def _plane_filler(self, master_seed: int, trials: list):
         """A function that fills the coordinate planes before the last from
@@ -295,7 +313,7 @@ class _DigitOrbitSystem(MapSystem):
                 digits[row] = trial_rng(master_seed, t).integers(0, self.a, size=n_digits,
                                                                  dtype=np.int64)
             return digits
-        raw = np.empty((len(trials), (n_digits + 1) // 2), dtype="<u8")
+        raw = self._workspace((len(trials), (n_digits + 1) // 2), "<u8")
         for row, t in enumerate(trials):
             raw[row] = trial_rng(master_seed, t).bit_generator.random_raw(raw.shape[1])
         return raw.view("<u4")[:, :n_digits] >= 1 << 31
@@ -304,7 +322,8 @@ class _DigitOrbitSystem(MapSystem):
         """Yield ``(j, coords)`` over consecutive time slices of the trials'
         orbits: `coords` holds points j, j+1, ... as a (len(trials), n,
         dimension) transposed view of contiguous per-coordinate planes.  The
-        planes are reused, so a slice is valid until the next is yielded.
+        planes are this thread's workspace, so a slice is valid until the
+        thread builds its next group.
 
         The digits of the whole orbits are drawn at once; everything built
         from them holds one slice, whatever the orbit length.
@@ -313,7 +332,7 @@ class _DigitOrbitSystem(MapSystem):
         digits = self._digits(master_seed, trials, n_points + self.width - 1)
         fill = self._plane_filler(master_seed, trials)
         step = _GROUP_DIGITS // len(trials) - self.width + 1
-        planes = np.empty((self.dimension, len(trials), min(step, n_points)))
+        planes = self._workspace((self.dimension, len(trials), min(step, n_points)), float)
         for j in range(0, n_points, step):
             coords = planes[..., : min(step, n_points - j)]
             sliding_window_values(digits[:, j : j + coords.shape[-1] + self.width - 1],
@@ -321,12 +340,16 @@ class _DigitOrbitSystem(MapSystem):
             fill(coords)
             yield j, coords.transpose(1, 2, 0)
 
+    def orbit_groups(self, trials, n_points):
+        size = max(1, _GROUP_DIGITS // (n_points + self.width - 1))
+        return [trials[i : i + size] for i in range(0, len(trials), size)]
+
     def indicator_block(self, target, master_seed, trial_indices, n_points):
         out = np.empty((len(trial_indices), n_points), dtype=bool)
-        group = max(1, _GROUP_DIGITS // (n_points + self.width - 1))
-        for start in range(0, len(trial_indices), group):
-            trials = trial_indices[start : start + group]
+        start = 0
+        for trials in self.orbit_groups(list(trial_indices), n_points):
             rows = out[start : start + len(trials)]
+            start += len(trials)
             for j, coords in self._orbit_slices(master_seed, trials, n_points):
                 rows[:, j : j + coords.shape[1]] = target.contains_points(
                     coords.reshape(-1, self.dimension)).reshape(len(trials), -1)

@@ -17,7 +17,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,17 +63,17 @@ def _ordered_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _indicator_batch(map_system, target, master_seed, trial_indices, n_points,
-                     workers: int = 1) -> np.ndarray:
-    """Indicator rows for a batch of trials, optionally split across threads;
-    rows are always assembled in trial order."""
-    if workers <= 1 or len(trial_indices) == 1:
-        return map_system.indicator_block(target, master_seed, trial_indices, n_points)
-    parts = [p for p in np.array_split(np.asarray(trial_indices), workers) if p.size]
-    blocks = _ordered_map(
-        lambda p: map_system.indicator_block(target, master_seed, list(p), n_points),
+def _indicator_batch(map_system, target, master_seed, trial_indices, n_points, reduce,
+                     workers: int = 1) -> list:
+    """``reduce`` of each of up to `workers` contiguous parts of the trials, on
+    its own thread: it gets an iterator over the part's indicator blocks, one
+    orbit group at a time, and the parts' results come back in trial order."""
+    parts = [p.tolist() for p in np.array_split(np.asarray(trial_indices), max(workers, 1))
+             if p.size]
+    return _ordered_map(
+        lambda part: reduce(map_system.indicator_block(target, master_seed, group, n_points)
+                            for group in map_system.orbit_groups(part, n_points)),
         parts, workers)
-    return np.concatenate(blocks, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +104,9 @@ def counting_distribution(map_system, target, t: float, n_trials: int, seed,
         raise ValueError("mu must be finite and positive")
     n_points = kac_horizon(t, mu) + 1
 
-    chunk = max(1, min(n_trials, int(4e7 // max(n_points, 1)) or 1))
-    values = np.empty(n_trials, dtype=np.int64)
-    done = 0
-    while done < n_trials:
-        idx = list(range(done, min(done + chunk, n_trials)))
-        block = _indicator_batch(map_system, target, master_seed, idx, n_points, workers)
-        values[done : done + len(idx)] = block.sum(axis=1)
-        done += len(idx)
-    return empirical_distribution(values)
+    parts = _indicator_batch(map_system, target, master_seed, range(n_trials), n_points,
+                             lambda blocks: [block.sum(axis=1) for block in blocks], workers)
+    return empirical_distribution(np.concatenate([s for part in parts for s in part]))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +176,13 @@ class ClusterAccumulator:
             self.z_hist = np.zeros(2 * self.K + 2, dtype=np.int64)
         if self.w_hist is None:
             self.w_hist = np.zeros(self.K + 2, dtype=np.int64)
+
+    def merge(self, other: "ClusterAccumulator") -> None:
+        """Add the tallies of `other`, whose orbits follow this one's."""
+        if other.K != self.K:
+            raise ValueError("cannot merge tallies of different K")
+        for f in fields(self)[1:]:  # every field after K
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def add_orbit(self, ind: np.ndarray) -> None:
         """Tally one orbit's indicator row (boolean, or integers 0 and 1)
@@ -306,16 +307,21 @@ def cluster_statistics(map_system, target, K: int, min_entries: int,
         orbit_len = max(200_000, 100 * (2 * K + 1))
     orbit_len = min(orbit_len, max_orbit)
 
+    def tally(blocks):
+        part = ClusterAccumulator(K=K)
+        for row in (row for block in blocks for row in block):
+            part.add_orbit(row)
+        return part
+
     acc = ClusterAccumulator(K=K)
     trial = 0
     # fixed batch size: the set of orbits processed (and hence the stopping
     # point) must not depend on the worker count
     batch = 16
     while acc.total_steps < max_orbit and acc.n_entries < min_entries:
-        idx = list(range(trial, trial + batch))
-        block = _indicator_batch(map_system, target, master_seed, idx, orbit_len, workers)
-        for row in block:
-            acc.add_orbit(row)
+        for part in _indicator_batch(map_system, target, master_seed,
+                                     range(trial, trial + batch), orbit_len, tally, workers):
+            acc.merge(part)
         trial += batch
     return acc.finalize(insufficient=acc.n_entries < min_entries)
 
@@ -335,14 +341,10 @@ def entry_time_ratio(map_system, target, L: int, n_trials: int, seed,
         raise ValueError("n_trials must be >= 1")
     master_seed = master_seed_of(seed)
     mu = _resolve_mu(map_system, target, master_seed, mu)
-    hits = 0
-    chunk = max(1, int(4e7 // (L + 1)))
-    done = 0
-    while done < n_trials:
-        idx = list(range(done, min(done + chunk, n_trials)))
-        block = _indicator_batch(map_system, target, master_seed, idx, L + 1, workers)
-        hits += int(np.count_nonzero(block[:, 1:].any(axis=1)))
-        done += len(idx)
+    hits = sum(_indicator_batch(
+        map_system, target, master_seed, range(n_trials), L + 1,
+        lambda blocks: sum(int(np.count_nonzero(block[:, 1:].any(axis=1))) for block in blocks),
+        workers))
     if hits == 0:
         warnings.warn("no entries within L steps in any trial; ratio is 0")
     return hits / (n_trials * L * mu)

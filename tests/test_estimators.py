@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from returnstats.distributions import DiscreteDistribution
-from returnstats.dynamics import LinearMod1System, TorusAffineSystem
+from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval, LinearMod1System,
+                                  TorusAffineSystem)
 from returnstats.estimators import (ClusterAccumulator, ClusterStats,
                                     cluster_statistics, counting_distribution,
-                                    entry_time_ratio)
+                                    entry_time_ratio, kac_horizon)
+from returnstats.targets import Ball, DiagonalStrip, TorusStrip
 
 SEED = 31337
 
@@ -256,6 +259,29 @@ def test_add_orbit_rejects_a_row_that_is_not_0_1():
     assert _state(acc) == _state(ClusterAccumulator(K=2))
 
 
+def test_merging_contiguous_parts_changes_no_bit():
+    # the cut points fall inside, at the start and at the end of the rows,
+    # so empty parts are merged too; the per-orbit ratios, which the batch
+    # SEs read, must keep their order
+    rng = np.random.default_rng(11)
+    rows = [rng.random(rng.integers(40, 400)) < p for p in rng.uniform(0.01, 0.5, 13)]
+    rows.append(np.zeros(60, dtype=bool))  # an orbit without entries
+    whole = ClusterAccumulator(K=3)
+    for row in rows:
+        whole.add_orbit(row)
+    for cuts in ([5, 9], [0, 14], [1, 2, 3, 13]):
+        merged = ClusterAccumulator(K=3)
+        for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+            part = ClusterAccumulator(K=3)
+            for row in rows[lo:hi]:
+                part.add_orbit(row)
+            merged.merge(part)
+        _assert_same_tallies(merged, whole)
+        assert merged.finalize(False).to_json() == whole.finalize(False).to_json()
+    with pytest.raises(ValueError, match="different K"):
+        whole.merge(ClusterAccumulator(K=2))
+
+
 def test_cluster_statistics_validation_and_insufficient_flag():
     from returnstats.targets import Ball
 
@@ -289,6 +315,53 @@ def test_counting_distribution_deterministic_across_workers():
     four = counting_distribution(sys_t, TorusStrip(0.02), t=1.0, n_trials=500,
                                  seed=SEED, workers=4)
     assert one.to_json() == four.to_json()
+
+
+# digit systems whose groups are cut differently at each worker count, with
+# several groups per part, and a lattice, one lockstep group per part
+SPLIT_CASES = [
+    (TorusAffineSystem(2), TorusStrip(0.02), 20_000, 20.0, None),
+    (LinearMod1System(3), Ball((0.37,), 0.02), 20_000, 20.0, None),
+    (CmlSystem(CmlSpec(LinearInterval(2), 2, 0.1, [0.5, 0.5]), burn_in=64),
+     DiagonalStrip(0.05), 2_000, 2.0, 0.0975),
+]
+
+
+@pytest.mark.parametrize("system,target,orbit_len,t,mu", SPLIT_CASES,
+                         ids=["torus", "a3", "cml-pair"])
+def test_estimators_are_identical_at_workers_1_2_and_3(system, target, orbit_len, t, mu):
+    def run(workers):
+        cs = cluster_statistics(system, target, K=4, min_entries=2000, max_orbit=10**7,
+                                seed=SEED, orbit_len=orbit_len, workers=workers)
+        cd = counting_distribution(system, target, t=t, n_trials=300, seed=SEED, mu=mu,
+                                   workers=workers)
+        ratio = entry_time_ratio(system, target, L=50, n_trials=300, seed=SEED, mu=mu,
+                                 workers=workers)
+        return cs.to_json(), cd.to_json(), ratio
+
+    one = run(1)
+    assert run(2) == one and run(3) == one
+
+
+def test_working_set_is_one_group_per_worker():
+    # at workers=1 neither a 16-orbit cluster batch nor the counting phase
+    # holds a batch-sized indicator block: one torus cluster batch stays below
+    # 16 * orbit_len bytes, the counting phase below n_trials * (N + 1)
+    orbit_len, n_trials, mu = 200_000, 8000, 2e-3
+    tracemalloc.start()
+    try:
+        cs = cluster_statistics(TorusAffineSystem(2), TorusStrip(1e-3), K=50, min_entries=100,
+                                max_orbit=10**8, seed=SEED, orbit_len=orbit_len)
+        cluster_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        counting_distribution(TorusAffineSystem(2), TorusStrip(1e-3), t=1.0,
+                              n_trials=n_trials, seed=SEED)
+        counting_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cs.n_orbits == 16
+    assert cluster_peak < 16 * orbit_len
+    assert counting_peak < n_trials * (kac_horizon(1.0, mu) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 A config names a system, a target family, and a schedule of experiment
 rows (one scale value per row plus window/horizon/trial settings).  Each
-system and target kind reads the keys of ``KEYS``; every defaulted value is
-filled in explicitly at load time so the manifest can echo the exact
-parameters a run used, and any other key is an error.
+system and target kind reads the keys of ``KEYS``; every defaulted value,
+a row's orbit or stream length included, is filled in explicitly at load
+time so the manifest can echo the exact parameters a run used, and any key
+outside the schema below is an error.
 
 Schema (YAML):
 
@@ -50,9 +51,9 @@ import yaml
 from .distributions import ClusterSizeDist
 from .dynamics import (CmlSpec, CmlSystem, LinearInterval, LinearMod1System,
                        SinePerturbedInterval, TorusAffineSystem)
-from .estimators import kac_horizon
+from .estimators import _default_orbit_len, kac_horizon
 from .records import json_fields
-from .regenerative import RegenSpec, _default_stream_len, level_measure
+from .regenerative import RegenSpec, level_measure
 from .targets import Ball, DiagonalStrip, TorusStrip
 
 __all__ = ["ExperimentConfig", "ConfigError", "ScheduleRow", "PAIRS", "KEYS"]
@@ -100,13 +101,17 @@ def _number(name: str, value, kind):
     return value if type(value) is int else int(number)
 
 
+def _refuse_unknown(name: str, raw: dict, known, why: str = "") -> None:
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {sorted(unknown)}{why}")
+
+
 def _section(name: str, raw: dict) -> dict:
     """The `name` section of kind ``raw["kind"]`` with every key of
     ``KEYS[kind]`` present, its integer keys typed; any other key is an error."""
     kind = raw["kind"]
-    unknown = set(raw) - {"kind", *KEYS[kind]}
-    if unknown:
-        raise ConfigError(f"unknown {name} keys {sorted(unknown)} for kind {kind!r}")
+    _refuse_unknown(name, raw, {"kind", *KEYS[kind]}, f" for kind {kind!r}")
     out = {"kind": kind}
     for key, default in KEYS[kind].items():
         value = raw.get(key, default)
@@ -155,6 +160,8 @@ class ExperimentConfig:
         for key in ("system", "target", "schedule"):
             if key not in raw:
                 raise ConfigError(f"missing required section {key!r}")
+        _refuse_unknown("top-level", raw, ("experiment", "system", "target", "schedule",
+                                           "seed", "workers", "threshold", "outputs"))
         system = dict(raw["system"])
         target = dict(raw["target"])
         kind = system.get("kind")
@@ -186,16 +193,12 @@ class ExperimentConfig:
                             int if tkind == "level_set" else float)
             if not math.isfinite(scale):
                 raise ConfigError(f"schedule row {scale_name} must be finite")
-            unknown = set(row) - knobs
-            if unknown:
-                raise ConfigError(f"unknown schedule keys {sorted(unknown)}")
+            _refuse_unknown("schedule", row, knobs)
             for name, value in row.items():
                 if value is not None or name not in ("orbit_len", "stream_len"):
                     row[name] = _number(f"schedule row {name}", value,
                                         float if name == "t" else int)
             r = ScheduleRow(scale=scale, **row)
-            if kind == "regenerative" and r.stream_len is None:
-                r = replace(r, stream_len=_default_stream_len(r.K))
             if not 0 < r.t < math.inf:
                 raise ConfigError("schedule row t must be finite and positive")
             # the estimators' own bounds, checked before any row runs
@@ -203,12 +206,16 @@ class ExperimentConfig:
                 value = getattr(r, name)
                 if value is not None and value < 1:
                     raise ConfigError(f"schedule row {name} must be >= 1")
+            # fill in the length each orbit or stream runs, so the manifest echoes it
+            length = _default_orbit_len(r.K)
+            if kind == "regenerative":
+                r = replace(r, stream_len=r.stream_len or length)
+            else:
+                r = replace(r, orbit_len=min(r.orbit_len or length, r.max_orbit))
             if kind != "regenerative" and r.min_entries < 100:
                 raise ConfigError("schedule row min_entries must be >= 100")
             # a tallied orbit holds at least one full window of 2K+1 and a point
-            run = (r.stream_len if kind == "regenerative"
-                   else min(r.orbit_len or math.inf, r.max_orbit))
-            if run < 2 * r.K + 2:
+            if (r.stream_len if kind == "regenerative" else r.orbit_len) < 2 * r.K + 2:
                 raise ConfigError("schedule row orbits must be at least 2K+2 steps long")
             label = r.label(scale_name)
             if label in labels:
@@ -227,6 +234,7 @@ class ExperimentConfig:
         if not 0.0 <= threshold < 1.0:
             raise ConfigError("threshold must lie in [0, 1)")
         outputs = dict(raw.get("outputs", {}))
+        _refuse_unknown("outputs", outputs, ("dir", "formats"))
         outputs.setdefault("dir", "results")
         fmts = outputs.setdefault("formats", ["json", "csv"])
         if not (isinstance(fmts, list) and fmts and all(f in ("json", "csv") for f in fmts)):

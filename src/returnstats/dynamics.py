@@ -8,10 +8,10 @@ Built-in systems:
   iterated in float64; one site is the base map itself
 
 Every system builds its orbits through one vectorized interface,
-``indicator_block``, a group of trials (``orbit_groups``) at a time;
-``stationary_samples`` draws Monte Carlo samples of
-the invariant law for the systems whose mu(U) has no closed form, those
-that do not preserve Lebesgue measure.  The exact-digit systems
+``indicator_block``, a group of trials (``orbit_groups``, one estimator task
+at any worker count) at a time; ``stationary_samples`` draws Monte Carlo
+samples of the invariant law for the systems whose mu(U) has no closed
+form, those that do not preserve Lebesgue measure.  The exact-digit systems
 realise a stationary orbit of a*x mod 1 as a sliding window over an i.i.d.
 base-a digit stream: x_n is the value of digits n, n+1, ..., n+W-1, which is
 exact in law for Lebesgue measure and immune to the mantissa-draining that
@@ -250,8 +250,8 @@ class MapSystem:
         raise NotImplementedError
 
     def orbit_groups(self, trials: list, n_points: int) -> list:
-        """`trials` cut into consecutive groups whose orbits are built together:
-        by default the fewest lockstep groups of at most 4·10^7 points."""
+        """`trials` cut into consecutive groups whose orbits are built together, one
+        estimator task each: by default the fewest groups of at most 4·10^7 points."""
         size = max(1, 40_000_000 // n_points)
         return [trials[i : i + size] for i in range(0, len(trials), size)]
 

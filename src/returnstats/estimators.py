@@ -7,12 +7,14 @@ extremal index 1 - alpha_hat_2 and the entry-time ratio
 P(tau <= L)/(L mu).
 
 All Monte Carlo paths draw one independent stream per orbit (trial
-index) and merge integer count histograms in trial order, so results are
-bit-identical for any worker count.
+index), build the orbits one group (``MapSystem.orbit_groups``) a task, the
+same groups at any worker count, and merge integer tallies in trial order,
+so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -53,27 +55,28 @@ def _window_sums(ind: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate([first, rest], axis=-1)
 
 
+# the pool of `workers` threads, one per worker count and kept for the life of
+# the process, so that each thread keeps its orbit workspace between batches
+_pool = functools.cache(ThreadPoolExecutor)
+
+
 def _ordered_map(fn, items, workers: int) -> list:
     """``[fn(x) for x in items]``, computed on up to `workers` threads; the
     results are always in item order."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    if workers <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    return list(_pool(workers).map(fn, items))
 
 
 def _indicator_batch(map_system, target, master_seed, trial_indices, n_points, reduce,
                      workers: int = 1) -> list:
-    """``reduce`` of each of up to `workers` contiguous parts of the trials, on
-    its own thread: it gets an iterator over the part's indicator blocks, one
-    orbit group at a time, and the parts' results come back in trial order."""
-    parts = [p.tolist() for p in np.array_split(np.asarray(trial_indices), max(workers, 1))
-             if p.size]
+    """``reduce`` of the indicator block of each orbit group of the trials
+    (`MapSystem.orbit_groups`), one task a group on up to `workers` threads;
+    the results come back in trial order, and the groups do not depend on
+    `workers`."""
     return _ordered_map(
-        lambda part: reduce(map_system.indicator_block(target, master_seed, group, n_points)
-                            for group in map_system.orbit_groups(part, n_points)),
-        parts, workers)
+        lambda group: reduce(map_system.indicator_block(target, master_seed, group, n_points)),
+        map_system.orbit_groups(list(trial_indices), n_points), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +107,9 @@ def counting_distribution(map_system, target, t: float, n_trials: int, seed,
         raise ValueError("mu must be finite and positive")
     n_points = kac_horizon(t, mu) + 1
 
-    parts = _indicator_batch(map_system, target, master_seed, range(n_trials), n_points,
-                             lambda blocks: [block.sum(axis=1) for block in blocks], workers)
-    return empirical_distribution(np.concatenate([s for part in parts for s in part]))
+    counts = _indicator_batch(map_system, target, master_seed, range(n_trials), n_points,
+                              lambda block: block.sum(axis=1), workers)
+    return empirical_distribution(np.concatenate(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +291,11 @@ def _batch_se(per_orbit: list, size: int) -> np.ndarray:
     return arr.std(axis=0, ddof=1) / math.sqrt(arr.shape[0])
 
 
+def _default_orbit_len(K: int) -> int:
+    """Orbit or stream length of a row that sets none: 100 windows of 2K+1 or more."""
+    return max(200_000, 100 * (2 * K + 1))
+
+
 def cluster_statistics(map_system, target, K: int, min_entries: int,
                        max_orbit: int, seed, orbit_len: int | None = None,
                        workers: int = 1) -> ClusterStats:
@@ -304,14 +312,14 @@ def cluster_statistics(map_system, target, K: int, min_entries: int,
         raise ValueError("min_entries must be >= 100")
     master_seed = master_seed_of(seed)
     if orbit_len is None:
-        orbit_len = max(200_000, 100 * (2 * K + 1))
+        orbit_len = _default_orbit_len(K)
     orbit_len = min(orbit_len, max_orbit)
 
-    def tally(blocks):
-        part = ClusterAccumulator(K=K)
-        for row in (row for block in blocks for row in block):
-            part.add_orbit(row)
-        return part
+    def tally(block):
+        group = ClusterAccumulator(K=K)
+        for row in block:
+            group.add_orbit(row)
+        return group
 
     acc = ClusterAccumulator(K=K)
     trial = 0
@@ -319,9 +327,9 @@ def cluster_statistics(map_system, target, K: int, min_entries: int,
     # point) must not depend on the worker count
     batch = 16
     while acc.total_steps < max_orbit and acc.n_entries < min_entries:
-        for part in _indicator_batch(map_system, target, master_seed,
-                                     range(trial, trial + batch), orbit_len, tally, workers):
-            acc.merge(part)
+        for group in _indicator_batch(map_system, target, master_seed,
+                                      range(trial, trial + batch), orbit_len, tally, workers):
+            acc.merge(group)
         trial += batch
     return acc.finalize(insufficient=acc.n_entries < min_entries)
 
@@ -343,8 +351,7 @@ def entry_time_ratio(map_system, target, L: int, n_trials: int, seed,
     mu = _resolve_mu(map_system, target, master_seed, mu)
     hits = sum(_indicator_batch(
         map_system, target, master_seed, range(n_trials), L + 1,
-        lambda blocks: sum(int(np.count_nonzero(block[:, 1:].any(axis=1))) for block in blocks),
-        workers))
+        lambda block: int(np.count_nonzero(block[:, 1:].any(axis=1))), workers))
     if hits == 0:
         warnings.warn("no entries within L steps in any trial; ratio is 0")
     return hits / (n_trials * L * mu)

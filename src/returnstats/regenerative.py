@@ -25,12 +25,12 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import ClusterSizeDist
-from .estimators import ClusterAccumulator, ClusterStats, _ordered_map, kac_horizon
+from .estimators import (ClusterAccumulator, ClusterStats, _default_orbit_len, _ordered_map,
+                         kac_horizon)
 from .rngstreams import master_seed_of, rng_ahead, trial_rng
 
-__all__ = ["RegenSpec", "SymbolStream", "generate_stationary", "stationary_blocks",
-           "stationary_hit_runs", "level_measure", "regen_cluster_stats",
-           "regen_counting_distribution"]
+__all__ = ["RegenSpec", "SymbolStream", "generate_stationary", "stationary_hit_runs",
+           "level_measure", "regen_cluster_stats", "regen_counting_distribution"]
 
 _DEFAULT_K_CAP = 10**5
 # buckets of the symbol draw's guide table; a power of two, so u * _GUIDE_BUCKETS
@@ -268,24 +268,13 @@ def _block_slices(spec: RegenSpec, length: int, seed):
     return phase, slices()
 
 
-def stationary_blocks(spec: RegenSpec, length: int, seed):
-    """Blocks of the stationary stream of the requested length, as
-    ``(block_symbols, block_lengths, phase)`` (int64 arrays): block i
-    repeats its symbol block_lengths[i] times, the last length is cut at
-    `length`, and ``phase`` is the offset of index 0 inside the first block
-    (see `_block_slices`)."""
-    phase, slices = _block_slices(spec, length, seed)
-    syms, lens, _ = zip(*slices)
-    return np.concatenate(syms, dtype=np.int64), np.concatenate(lens), phase
-
-
 def generate_stationary(spec: RegenSpec, length: int, seed) -> SymbolStream:
     """Stationary symbol stream of the requested length: the blocks of
-    `stationary_blocks` expanded symbol by symbol."""
-    block_syms, block_lens, phase = stationary_blocks(spec, length, seed)
-    starts = np.cumsum(block_lens) - block_lens
-    return SymbolStream(symbols=np.repeat(block_syms, block_lens),
-                        block_boundaries=starts, phase=phase)
+    `_block_slices` expanded symbol by symbol, the last cut at `length`."""
+    phase, slices = _block_slices(spec, length, seed)
+    syms, lens, ends = map(np.concatenate, zip(*slices))
+    return SymbolStream(symbols=np.repeat(syms, lens), block_boundaries=ends - lens,
+                        phase=phase)
 
 
 def stationary_hit_runs(spec: RegenSpec, length: int, seed, m: int):
@@ -310,12 +299,6 @@ def level_measure(spec: RegenSpec, m: int) -> float:
     return float(spec.symbol_probs[m:].sum())
 
 
-def _default_stream_len(K: int) -> int:
-    """Length of a cluster stream whose row sets none: at least 100 windows
-    of 2K+1 symbols."""
-    return max(200_000, 100 * (2 * K + 1))
-
-
 def regen_cluster_stats(spec: RegenSpec, m: int, K: int, n_streams: int, seed,
                         stream_len: int | None = None, workers: int = 1) -> ClusterStats:
     """Windowed cluster statistics of the indicator of U_m = {X_0 > m} under
@@ -335,7 +318,7 @@ def regen_cluster_stats(spec: RegenSpec, m: int, K: int, n_streams: int, seed,
                          f"k_cap={spec.k_cap})")
     master_seed = master_seed_of(seed)
     if stream_len is None:
-        stream_len = _default_stream_len(K)
+        stream_len = _default_orbit_len(K)
 
     runs = _ordered_map(
         lambda trial: stationary_hit_runs(spec, stream_len, (master_seed, trial), m),
@@ -349,7 +332,9 @@ def regen_cluster_stats(spec: RegenSpec, m: int, K: int, n_streams: int, seed,
 def regen_counting_distribution(spec: RegenSpec, m: int, t: float,
                                 n_trials: int, seed):
     """Empirical law of the visit count to U_m over the Kac horizon
-    N = floor(t / mu(U_m)), one independent stationary stream per trial."""
+    N = floor(t / mu(U_m)), one stationary stream per trial, summing the lengths
+    of its hit runs.  One thread: the streams' short set-up holds the GIL, so a
+    second thread made the phase slower."""
     from .distributions import empirical_distribution
 
     if not 0 < t < math.inf:
@@ -363,9 +348,6 @@ def regen_counting_distribution(spec: RegenSpec, m: int, t: float,
     n_points = kac_horizon(t, mu) + 1
     values = np.empty(n_trials, dtype=np.int64)
     for trial in range(n_trials):
-        _, slices = _block_slices(spec, n_points, (master_seed, trial))
-        count = 0
-        for syms, lens, _ in slices:
-            count += int(lens[syms > m].sum())
-        values[trial] = count
+        starts, ends = stationary_hit_runs(spec, n_points, (master_seed, trial), m)
+        values[trial] = (ends - starts).sum()
     return empirical_distribution(values)

@@ -58,6 +58,9 @@ outputs: {{dir: "{out}"}}
     assert main(["--config", cfg, "predict"]) == 0
     payload = json.loads((out / "predict_nu0p001_K10.json").read_text())
     np.testing.assert_allclose(payload["alpha_hat"], 3.0 ** -np.arange(5), atol=1e-9)
+    # the orbit length a row runs is echoed, not null
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["schedule"][0]["orbit_len"] == 200_000
 
 
 def test_malformed_config_exits_2_without_partial_files(tmp_path):
@@ -95,6 +98,23 @@ outputs: {{dir: "{out}"{outputs}}}
             assert not out.exists()
     assert main(["--config", str(tmp_path / "missing.yaml"), "predict"]) == 2
     assert main(["predict"]) == 2  # --config required
+
+
+@pytest.mark.parametrize("typo", ["seeed: 5", "worker: 4", "output: {dir: x}",
+                                  "outputs: {fromats: [csv]}"])
+def test_an_unknown_top_level_or_outputs_key_exits_2_without_files(tmp_path, monkeypatch, typo):
+    # each used to load: the run took seed 0, one worker, the directory
+    # results and both formats, and the manifest echoed the typo
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_cfg(tmp_path, f"""
+system: {{kind: linear_mod1, a: 2}}
+target: {{kind: ball, center: [0.3]}}
+schedule: [{{rho: 0.01, K: 3, n_trials: 50, min_entries: 100, orbit_len: 5000}}]
+{typo}
+""")
+    for command in ("predict", "simulate"):
+        assert main(["--config", cfg, command]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
 
 
 LINEAR_BALL = "system: {kind: linear_mod1, a: 2}\ntarget: {kind: ball, center: [0.3]}"

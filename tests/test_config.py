@@ -58,6 +58,26 @@ schedule: [{m: 100}]
                            "cluster_lambdas": None, "k_cap": 100000}
 
 
+def test_the_orbit_length_that_runs_is_filled_in():
+    # min(orbit_len, max_orbit), with max(200000, 100 (2K+1)) for an unset
+    # orbit_len; a regenerative row gets that default as its stream_len
+    base = ExperimentConfig.from_yaml(TORUS_YAML).to_dict()
+    assert [row["orbit_len"] for row in base["schedule"]] == [200_000, 200_000]
+    for row, want in (({"rho": 0.1, "K": 3, "max_orbit": 5000}, 5000),
+                      ({"rho": 0.1, "K": 2000}, 400_100),
+                      ({"rho": 0.1, "orbit_len": 10**6, "max_orbit": 3 * 10**5}, 3 * 10**5),
+                      ({"rho": 0.1, "orbit_len": 7000}, 7000)):
+        cfg = ExperimentConfig.from_dict(dict(base, schedule=[row]))
+        assert cfg.schedule[0].orbit_len == want
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    regen = ExperimentConfig.from_yaml("""
+system: {kind: regenerative}
+target: {kind: level_set}
+schedule: [{m: 100, K: 1000}]
+""").schedule[0]
+    assert (regen.stream_len, regen.orbit_len) == (200_100, None)
+
+
 def test_schedule_scale_names():
     cfg = ExperimentConfig.from_yaml(TORUS_YAML)
     assert cfg.scale_name == "rho"

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -317,8 +318,8 @@ def test_counting_distribution_deterministic_across_workers():
     assert one.to_json() == four.to_json()
 
 
-# digit systems whose groups are cut differently at each worker count, with
-# several groups per part, and a lattice, one lockstep group per part
+# digit systems with several orbit groups per batch, and a lattice whose
+# batch is one lockstep group
 SPLIT_CASES = [
     (TorusAffineSystem(2), TorusStrip(0.02), 20_000, 20.0, None),
     (LinearMod1System(3), Ball((0.37,), 0.02), 20_000, 20.0, None),
@@ -329,17 +330,32 @@ SPLIT_CASES = [
 
 @pytest.mark.parametrize("system,target,orbit_len,t,mu", SPLIT_CASES,
                          ids=["torus", "a3", "cml-pair"])
-def test_estimators_are_identical_at_workers_1_2_and_3(system, target, orbit_len, t, mu):
+def test_estimators_are_identical_at_workers_1_2_and_3(system, target, orbit_len, t, mu,
+                                                       monkeypatch):
+    # the results, and the trials of every indicator_block call: each orbit
+    # group is one task, so every worker count builds the same groups
+    calls, lock = [], threading.Lock()
+    block = system.indicator_block
+
+    def record(target, master_seed, trial_indices, n_points):
+        with lock:
+            calls.append((n_points, list(trial_indices)))
+        return block(target, master_seed, trial_indices, n_points)
+
+    monkeypatch.setattr(system, "indicator_block", record)
+
     def run(workers):
+        calls.clear()
         cs = cluster_statistics(system, target, K=4, min_entries=2000, max_orbit=10**7,
                                 seed=SEED, orbit_len=orbit_len, workers=workers)
         cd = counting_distribution(system, target, t=t, n_trials=300, seed=SEED, mu=mu,
                                    workers=workers)
         ratio = entry_time_ratio(system, target, L=50, n_trials=300, seed=SEED, mu=mu,
                                  workers=workers)
-        return cs.to_json(), cd.to_json(), ratio
+        return cs.to_json(), cd.to_json(), ratio, sorted(calls)
 
     one = run(1)
+    assert len(one[-1]) >= 3
     assert run(2) == one and run(3) == one
 
 

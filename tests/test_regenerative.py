@@ -13,7 +13,7 @@ from returnstats.regenerative import (_GUIDE_BUCKETS, _SLICE_BLOCKS, RegenSpec,
                                       generate_stationary, level_measure,
                                       regen_cluster_stats,
                                       regen_counting_distribution,
-                                      stationary_blocks, stationary_hit_runs)
+                                      stationary_hit_runs)
 from returnstats.rngstreams import trial_rng
 
 SEED = 424242
@@ -202,6 +202,14 @@ def _chunked_reference(spec, length, seed):
     return syms[: last + 1], lens, phase, chunks, cut
 
 
+def _stream_blocks(spec, length, seed):
+    """The stream's blocks from `_block_slices`, joined: int64 symbols and
+    lengths, and the phase."""
+    phase, slices = _block_slices(spec, length, seed)
+    syms, lens, _ = zip(*slices)
+    return np.concatenate(syms, dtype=np.int64), np.concatenate(lens), phase
+
+
 def _dense_reference(spec, length, seed):
     """Symbol-by-symbol stationary stream: the chunked reference expanded.
     Also says whether `length` fell on a block boundary."""
@@ -218,7 +226,7 @@ def test_stationary_blocks_expand_to_the_dense_reference(spec):
         for trial in range(3):
             seed = (SEED, trial)
             symbols, boundaries, phase, on_boundary = _dense_reference(spec, length, seed)
-            block_syms, block_lens, block_phase = stationary_blocks(spec, length, seed)
+            block_syms, block_lens, block_phase = _stream_blocks(spec, length, seed)
             assert block_lens.sum() == length and np.all(block_lens >= 1)
             np.testing.assert_array_equal(np.repeat(block_syms, block_lens), symbols)
             np.testing.assert_array_equal(np.cumsum(block_lens) - block_lens, boundaries)
@@ -258,10 +266,10 @@ def _length_for_first_chunk(spec, seed, n_blocks):
 
 
 def _check_slices(spec, length, seed, levels):
-    """`stationary_blocks` and `stationary_hit_runs` at each level against the
+    """The joined slices and `stationary_hit_runs` at each level against the
     chunked reference; returns the reference's chunk count and cut flag."""
     syms, lens, phase, chunks, cut = _chunked_reference(spec, length, seed)
-    got_syms, got_lens, got_phase = stationary_blocks(spec, length, seed)
+    got_syms, got_lens, got_phase = _stream_blocks(spec, length, seed)
     assert got_syms.dtype == got_lens.dtype == np.int64
     np.testing.assert_array_equal(got_syms, syms)
     np.testing.assert_array_equal(got_lens, lens)

@@ -264,11 +264,16 @@ class ExperimentConfig:
                 if not 0 <= target < system.k_cap:
                     raise ConfigError(f"level set m = {target} must lie in [0, k_cap) = "
                                       f"[0, {system.k_cap}); U_m is empty from k_cap on")
-                # mu(U_m) is exact here, so the counting horizon is known at load
-                try:
-                    kac_horizon(row.t, level_measure(system, target))
-                except ValueError as e:
-                    raise ConfigError(str(e)) from None
+                mu = level_measure(system, target)
+            elif system.preserves_lebesgue:
+                mu = target.exact_measure(system.dimension)
+            else:
+                continue  # a Monte Carlo mu(U) is known, and checked, at run time
+            # mu(U) is exact here, so the counting horizon is known at load
+            try:
+                kac_horizon(row.t, mu)
+            except ValueError as e:
+                raise ConfigError(str(e)) from None
 
     @classmethod
     def from_yaml(cls, text: str) -> "ExperimentConfig":

@@ -7,11 +7,11 @@ Built-in systems:
 * ``CmlSystem``           -- coupled map lattice over a 1-d expanding base map,
   iterated in float64; one site is the base map itself
 
-Every system builds its orbits through one vectorized interface,
-``indicator_block``, a group of trials (``orbit_groups``, one estimator task
-at any worker count) at a time; ``stationary_samples`` draws Monte Carlo
-samples of the invariant law for the systems whose mu(U) has no closed
-form, those that do not preserve Lebesgue measure.  The exact-digit systems
+Every system yields the orbits of a group of trials (``orbit_groups``, one
+estimator task at any worker count) in time slices, ``_orbit_slices``, and
+``MapSystem.indicator_block`` is the one membership loop over them, a call a
+slice; ``stationary_samples`` draws Monte Carlo samples of the invariant law
+for the systems that do not preserve Lebesgue measure.  The exact-digit systems
 realise a stationary orbit of a*x mod 1 as a sliding window over an i.i.d.
 base-a digit stream: x_n is the value of digits n, n+1, ..., n+W-1, which is
 exact in law for Lebesgue measure and immune to the mantissa-draining that
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -236,24 +235,56 @@ def _doubling_windows(digits: np.ndarray, a: int, width: int) -> np.ndarray:
 class MapSystem:
     """Base class: a concrete system with vectorized stationary orbits.
 
+    A system defines ``_orbit_slices``; grouping, the per-thread workspace
+    and the membership loop over the slices are shared.
     ``preserves_lebesgue`` is true when Lebesgue measure is the system's
     stationary law, so a target's closed-form volume is its mu(U).
     """
 
     dimension: int
     preserves_lebesgue = False
+    _group_budget = (40_000_000, 0)  # (points, overlap read per orbit) of a group
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def _workspace(self, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialised `shape` array on this thread's workspace (a group's digit
+        words, then its planes or slices), grown to the largest size asked for and kept:
+        a buffer freed per group is unmapped and faulted in again."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        buf = getattr(self._local, "buf", np.empty(0, np.uint8))
+        if buf.size < nbytes:
+            buf = self._local.buf = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+    def _orbit_slices(self, master_seed: int, trials: list, n_points: int):
+        """Yield ``(j, coords)`` over consecutive time slices of the trials' orbits:
+        `coords` holds points j, j+1, ... as a (len(trials), n, dimension) view of
+        this thread's workspace, valid until the thread builds its next slice."""
+        raise NotImplementedError
+
+    def orbit_groups(self, trials: list, n_points: int) -> list:
+        """`trials` cut into the fewest consecutive groups within `_group_budget`,
+        whose orbits are built together, one estimator task each."""
+        points, overlap = self._group_budget
+        size = max(1, points // (n_points + overlap))
+        return [trials[i : i + size] for i in range(0, len(trials), size)]
 
     def indicator_block(self, target, master_seed: int, trial_indices,
                         n_points: int) -> np.ndarray:
         """Boolean (n_trials, n_points) membership array along stationary
-        orbits, one independent RNG stream per trial index."""
-        raise NotImplementedError
-
-    def orbit_groups(self, trials: list, n_points: int) -> list:
-        """`trials` cut into consecutive groups whose orbits are built together, one
-        estimator task each: by default the fewest groups of at most 4·10^7 points."""
-        size = max(1, 40_000_000 // n_points)
-        return [trials[i : i + size] for i in range(0, len(trials), size)]
+        orbits, one independent RNG stream per trial index and one
+        membership call per time slice."""
+        out = np.empty((len(trial_indices), n_points), dtype=bool)
+        start = 0
+        for trials in self.orbit_groups(list(trial_indices), n_points):
+            rows = out[start : start + len(trials)]
+            start += len(trials)
+            for j, coords in self._orbit_slices(master_seed, trials, n_points):
+                rows[:, j : j + coords.shape[1]] = target.contains_points(
+                    coords.reshape(-1, self.dimension)).reshape(len(trials), -1)
+        return out
 
     def stationary_samples(self, master_seed: int, trial_index: int,
                            n_samples: int) -> np.ndarray:
@@ -278,20 +309,12 @@ class _DigitOrbitSystem(MapSystem):
     preserves_lebesgue = True
 
     def __init__(self, a: int, dimension: int):
+        super().__init__()
         self.a = LinearInterval(a).a  # the slope rule of the interval maps
         self.dimension = dimension
         self.width = digit_window_width(self.a)
-        self._local = threading.local()
 
-    def _workspace(self, shape: tuple, dtype) -> np.ndarray:
-        """An uninitialised `shape` array on this thread's workspace, which holds a
-        group's raw digit words and then its planes.  It grows to the largest size
-        asked for and is kept: a buffer freed per group is unmapped and faulted in again."""
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        buf = getattr(self._local, "buf", np.empty(0, np.uint8))
-        if buf.size < nbytes:
-            buf = self._local.buf = np.empty(nbytes, np.uint8)
-        return buf[:nbytes].view(dtype).reshape(shape)
+    _group_budget = property(lambda self: (_GROUP_DIGITS, self.width - 1))
 
     def _plane_filler(self, master_seed: int, trials: list):
         """A function that fills the coordinate planes before the last from
@@ -318,17 +341,9 @@ class _DigitOrbitSystem(MapSystem):
             raw[row] = trial_rng(master_seed, t).bit_generator.random_raw(raw.shape[1])
         return raw.view("<u4")[:, :n_digits] >= 1 << 31
 
-    def _orbit_slices(self, master_seed: int, trials, n_points: int):
-        """Yield ``(j, coords)`` over consecutive time slices of the trials'
-        orbits: `coords` holds points j, j+1, ... as a (len(trials), n,
-        dimension) transposed view of contiguous per-coordinate planes.  The
-        planes are this thread's workspace, so a slice is valid until the
-        thread builds its next group.
-
-        The digits of the whole orbits are drawn at once; everything built
-        from them holds one slice, whatever the orbit length.
-        """
-        trials = [int(t) for t in trials]
+    def _orbit_slices(self, master_seed, trials, n_points):
+        # the digits of the whole orbits are drawn at once, the windows and planes a
+        # slice at a time; `coords` is a transposed view of per-coordinate planes
         digits = self._digits(master_seed, trials, n_points + self.width - 1)
         fill = self._plane_filler(master_seed, trials)
         step = _GROUP_DIGITS // len(trials) - self.width + 1
@@ -339,21 +354,6 @@ class _DigitOrbitSystem(MapSystem):
                                   self.a, self.width, out=coords[-1])
             fill(coords)
             yield j, coords.transpose(1, 2, 0)
-
-    def orbit_groups(self, trials, n_points):
-        size = max(1, _GROUP_DIGITS // (n_points + self.width - 1))
-        return [trials[i : i + size] for i in range(0, len(trials), size)]
-
-    def indicator_block(self, target, master_seed, trial_indices, n_points):
-        out = np.empty((len(trial_indices), n_points), dtype=bool)
-        start = 0
-        for trials in self.orbit_groups(list(trial_indices), n_points):
-            rows = out[start : start + len(trials)]
-            start += len(trials)
-            for j, coords in self._orbit_slices(master_seed, trials, n_points):
-                rows[:, j : j + coords.shape[1]] = target.contains_points(
-                    coords.reshape(-1, self.dimension)).reshape(len(trials), -1)
-        return out
 
 
 class LinearMod1System(_DigitOrbitSystem):
@@ -430,6 +430,7 @@ class CmlSystem(MapSystem):
     def __init__(self, spec: CmlSpec, burn_in: int = 1024):
         if burn_in < 0:
             raise ValueError("burn_in must be >= 0")
+        super().__init__()
         self.spec = spec
         self.dimension = spec.n
         self.burn_in = int(burn_in)
@@ -450,28 +451,26 @@ class CmlSystem(MapSystem):
         coupled = y @ self.spec.weights
         return (1.0 - self.spec.gamma) * y + self.spec.gamma * np.expand_dims(coupled, -1)
 
-    def _orbit(self, master_seed, trial_indices, n_points):
-        """Yield the trials' (n_trials, n) states at each of n_points time
-        points, iterated in lockstep from uniform starts after the burn-in."""
-        coords = np.empty((len(trial_indices), self.spec.n))
-        for row, t in enumerate(trial_indices):
-            coords[row] = trial_rng(master_seed, int(t)).random(self.spec.n)
+    def _orbit_slices(self, master_seed, trials, n_points):
+        # the trials step in lockstep from uniform starts after the burn-in, in
+        # slices of at most _GROUP_DIGITS // len(trials) steps
+        x = np.empty((len(trials), self.spec.n))
+        for row, t in enumerate(trials):
+            x[row] = trial_rng(master_seed, t).random(self.spec.n)
         for _ in range(self.burn_in):
-            coords = self._apply(coords)
-        yield coords
-        for _ in range(n_points - 1):
-            coords = self._apply(coords)
-            yield coords
-
-    def indicator_block(self, target, master_seed, trial_indices, n_points):
-        out = np.empty((len(trial_indices), n_points), dtype=bool)
-        for i, coords in enumerate(self._orbit(master_seed, trial_indices, n_points)):
-            out[:, i] = target.contains_points(coords)
-        return out
+            x = self._apply(x)
+        step = max(1, _GROUP_DIGITS // len(trials))
+        for j in range(0, n_points, step):
+            part = self._workspace((len(trials), min(step, n_points - j), self.dimension), float)
+            for i in range(part.shape[1]):
+                if i or j:
+                    x = self._apply(x)
+                part[:, i] = x
+            yield j, part
 
     def stationary_samples(self, master_seed, trial_index, n_samples):
-        # decorrelation stride: transverse contraction/expansion mixes in a
-        # few steps for uniformly expanding base maps
+        # every 16th point of one orbit, copied out before the next slice; the
+        # stride decorrelates: uniformly expanding base maps mix in a few steps
         stride = 16
-        orbit = self._orbit(master_seed, [trial_index], (n_samples - 1) * stride + 1)
-        return np.array([coords[0] for coords in islice(orbit, 0, None, stride)])
+        slices = self._orbit_slices(master_seed, [trial_index], (n_samples - 1) * stride + 1)
+        return np.concatenate([coords[0, -j % stride :: stride].copy() for j, coords in slices])

@@ -17,15 +17,16 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .distributions import empirical_distribution
 from .records import csv_table, from_json_fields, json_fields
-from .rngstreams import master_seed_of
-from .targets import MeasureEstimate, measure
+from .targets import measure
 
 __all__ = [
     "ClusterStats",
@@ -63,7 +64,9 @@ _pool = functools.cache(ThreadPoolExecutor)
 def _ordered_map(fn, items, workers: int) -> list:
     """``[fn(x) for x in items]``, computed on up to `workers` threads; the
     results are always in item order."""
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if workers == 1:
         return [fn(x) for x in items]
     return list(_pool(workers).map(fn, items))
 
@@ -85,26 +88,25 @@ def _indicator_batch(map_system, target, master_seed, trial_indices, n_points, r
 
 
 def kac_horizon(t: float, mu: float) -> int:
-    """The counting horizon N = floor(t / mu); refuses N above 10^12."""
-    n_steps = math.floor(t / mu)
-    if n_steps > 10**12:
-        raise ValueError(f"horizon N={n_steps} exceeds 10^12; refusing to iterate")
-    return n_steps
+    """The counting horizon N = floor(t / mu); refuses a mu that is not finite
+    and positive, and N above 10^12."""
+    if not 0 < mu < math.inf:
+        raise ValueError("mu must be finite and positive")
+    n_steps = t / mu  # inf where mu underflows against t
+    if n_steps >= 10**12 + 1:
+        raise ValueError(f"horizon N={n_steps:.0f} exceeds 10^12; refusing to iterate")
+    return math.floor(n_steps)
 
 
 def counting_distribution(map_system, target, t: float, n_trials: int, seed,
                           mu: float | None = None, workers: int = 1):
     """Empirical law of xi^t_U over independent stationary starts."""
-    from .distributions import empirical_distribution
-
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and positive")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    master_seed = master_seed_of(seed)
+    master_seed = operator.index(seed)
     mu = _resolve_mu(map_system, target, master_seed, mu)
-    if not 0 < mu < math.inf:
-        raise ValueError("mu must be finite and positive")
     n_points = kac_horizon(t, mu) + 1
 
     counts = _indicator_batch(map_system, target, master_seed, range(n_trials), n_points,
@@ -310,7 +312,7 @@ def cluster_statistics(map_system, target, K: int, min_entries: int,
         raise ValueError("K must be >= 1")
     if min_entries < 100:
         raise ValueError("min_entries must be >= 100")
-    master_seed = master_seed_of(seed)
+    master_seed = operator.index(seed)
     if orbit_len is None:
         orbit_len = _default_orbit_len(K)
     orbit_len = min(orbit_len, max_orbit)
@@ -347,7 +349,7 @@ def entry_time_ratio(map_system, target, L: int, n_trials: int, seed,
         raise ValueError("L must be >= 1")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    master_seed = master_seed_of(seed)
+    master_seed = operator.index(seed)
     mu = _resolve_mu(map_system, target, master_seed, mu)
     hits = sum(_indicator_batch(
         map_system, target, master_seed, range(n_trials), L + 1,

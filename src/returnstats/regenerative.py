@@ -19,15 +19,16 @@ Targets are the level sets U_m = {X_0 > m}.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .distributions import ClusterSizeDist
+from .distributions import ClusterSizeDist, empirical_distribution
 from .estimators import (ClusterAccumulator, ClusterStats, _default_orbit_len, _ordered_map,
                          kac_horizon)
-from .rngstreams import master_seed_of, rng_ahead, trial_rng
+from .rngstreams import rng_ahead, trial_rng
 
 __all__ = ["RegenSpec", "SymbolStream", "generate_stationary", "stationary_hit_runs",
            "level_measure", "regen_cluster_stats", "regen_counting_distribution"]
@@ -310,13 +311,11 @@ def regen_cluster_stats(spec: RegenSpec, m: int, K: int, n_streams: int, seed,
         raise ValueError("K must be >= 1")
     if n_streams < 1:
         raise ValueError("n_streams must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     mu = level_measure(spec, m)
     if mu <= 0.0:
         raise ValueError(f"U_m has zero measure under the truncation (m={m}, "
                          f"k_cap={spec.k_cap})")
-    master_seed = master_seed_of(seed)
+    master_seed = operator.index(seed)
     if stream_len is None:
         stream_len = _default_orbit_len(K)
 
@@ -335,8 +334,6 @@ def regen_counting_distribution(spec: RegenSpec, m: int, t: float,
     N = floor(t / mu(U_m)), one stationary stream per trial, summing the lengths
     of its hit runs.  One thread: the streams' short set-up holds the GIL, so a
     second thread made the phase slower."""
-    from .distributions import empirical_distribution
-
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and positive")
     if n_trials < 1:
@@ -344,7 +341,7 @@ def regen_counting_distribution(spec: RegenSpec, m: int, t: float,
     mu = level_measure(spec, m)
     if mu <= 0.0:
         raise ValueError("U_m has zero measure under the truncation")
-    master_seed = master_seed_of(seed)
+    master_seed = operator.index(seed)
     n_points = kac_horizon(t, mu) + 1
     values = np.empty(n_trials, dtype=np.int64)
     for trial in range(n_trials):

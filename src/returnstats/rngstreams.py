@@ -22,7 +22,7 @@ import operator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["master_seed_of", "rng_ahead", "trial_rng"]
+__all__ = ["rng_ahead", "trial_rng"]
 
 # numpy's SeedSequence constants (pool size 4, 32-bit words, xor-shift 16).
 # numpy's compiled module does not export them; tests/test_rngstreams.py
@@ -169,8 +169,3 @@ def rng_ahead(rng: np.random.Generator, n_words: int) -> np.random.Generator:
     if skip:
         bit_gen.random_raw(skip)
     return np.random.Generator(bit_gen)
-
-
-def master_seed_of(seed) -> int:
-    """Master seed of a ``(master_seed, trial_index)`` pair or a bare seed."""
-    return seed[0] if isinstance(seed, tuple) else int(seed)

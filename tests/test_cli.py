@@ -141,6 +141,13 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
      "target: {kind: level_set}",
      ["{m: 10, K: 3, n_trials: 20, min_entries: 10, stream_len: 2000}",
       "{m: 2999, K: 3, t: 1.0e5}"]),
+    # mu is exact on every system that preserves Lebesgue measure: 2 rho =
+    # 2e-3, so t = 1e10 is a horizon of 5e12 steps
+    ("system: {kind: torus, a: 2}\ntarget: {kind: torus_strip}",
+     ["{rho: 0.02, K: 5, t: 1, n_trials: 400, min_entries: 200, orbit_len: 20000}",
+      "{rho: 1.0e-3, t: 1.0e10}"]),
+    # the ball's closed-form volume rounds to 0 around 0.3
+    (LINEAR_BALL, [FIRST_ROW, "{rho: 1.0e-18, K: 3}"]),
     ("system: {kind: linear_mod1, a: 2}\ntarget: {kind: ball, center: [0.3, 0.7]}",
      ["{rho: 0.01, K: 3, n_trials: 50, min_entries: 100, orbit_len: 5000, "
       "max_orbit: 20000}"]),
@@ -152,7 +159,7 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
     ("system: {kind: cml, a: 3, n: 2, gamma: 0.1, burn_in: -1}\n"
      "target: {kind: diagonal_strip}", [STRIP_ROW]),
 ], ids=["repeated-label", "K0", "K-not-integral", "strip-rho-above-half", "m-from-k_cap",
-        "m-not-integral", "regen-horizon",
+        "m-not-integral", "regen-horizon", "torus-horizon", "ball-measure-0",
         "ball-centre-dimension", "cml-a2-drains", "cml-a8-drains", "cml-burn-in-below-0"])
 def test_simulate_rejects_a_bad_later_row_before_writing(tmp_path, pair, rows):
     out = tmp_path / "out"

@@ -318,10 +318,54 @@ SINE_SITE = CmlSystem(CmlSpec(SinePerturbedInterval(2, 0.1), 1, 0.0, [1.0]), bur
 
 @pytest.mark.parametrize("system", [COUPLED_PAIR, SINE_SITE], ids=["cml-pair", "sine-site"])
 def test_stationary_samples_are_strided_reference_orbit_points(system):
-    pts = system.stationary_samples(SEED, 6, 300)
-    want = _lattice_orbit(system, SEED, 6, 299 * 16 + 1)[::16]
-    assert pts.shape == (300, system.dimension)
-    np.testing.assert_array_equal(pts, want)
+    # 5000 samples read 79 985 orbit points, two time slices of one trial
+    want = _lattice_orbit(system, SEED, 6, 4999 * 16 + 1)[::16]
+    for n in (300, 5000):
+        pts = system.stationary_samples(SEED, 6, n)
+        assert pts.shape == (n, system.dimension)
+        np.testing.assert_array_equal(pts, want[:n])
+
+
+def test_lattice_slices_match_the_orbits_stepped_alone():
+    # 5000 trials are one group in 13-step slices, so 60 points cross four
+    # slice ends; one trial of a one-site lattice is a 65 536-step slice and
+    # a part of one
+    trials = list(range(5000))
+    slices = [j for j, _ in COUPLED_PAIR._orbit_slices(SEED, trials, 60)]
+    assert slices == [0, 13, 26, 39, 52]
+    orbits = _orbit(COUPLED_PAIR, trials, 60)
+    target = DiagonalStrip(0.05)
+    block = COUPLED_PAIR.indicator_block(target, SEED, trials, 60)
+    assert block.any()
+    for t in trials[::97] + trials[-3:]:
+        want = _lattice_orbit(COUPLED_PAIR, SEED, t, 60)
+        np.testing.assert_array_equal(orbits[t], want)
+        np.testing.assert_array_equal(block[t], target.contains_points(want))
+    n = dynamics._GROUP_DIGITS + 1001
+    np.testing.assert_array_equal(_orbit(SINE_SITE, [3], n)[0],
+                                  _lattice_orbit(SINE_SITE, SEED, 3, n))
+
+
+def test_lattice_membership_is_one_call_per_slice(monkeypatch):
+    # 1000 trials are one group in 65-step slices: 200 points take 4 calls
+    # where a call a step took 200
+    calls = []
+    contains = DiagonalStrip.contains_points
+    monkeypatch.setattr(DiagonalStrip, "contains_points",
+                        lambda self, pts: calls.append(pts.shape) or contains(self, pts))
+    COUPLED_PAIR.indicator_block(DiagonalStrip(0.05), SEED, range(1000), 200)
+    assert calls == [(65_000, 2)] * 3 + [(5000, 2)]
+
+
+def test_only_the_base_class_groups_buffers_and_loops():
+    # every system yields time slices; grouping, the workspace and the
+    # membership loop are written once, on MapSystem
+    systems = [c for c in vars(dynamics).values()
+               if isinstance(c, type) and issubclass(c, dynamics.MapSystem)]
+    assert {CmlSystem, LinearMod1System, TorusAffineSystem} < set(systems)
+    for cls in systems:
+        if cls is not dynamics.MapSystem:
+            assert not {"indicator_block", "orbit_groups", "_workspace"} & set(vars(cls))
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,40 @@ def test_entry_time_ratio_warns_when_no_hits():
     assert r == 0.0
 
 
+MAP_ESTIMATORS = {
+    "cluster": lambda **kw: cluster_statistics(LinearMod1System(2), Ball((0.3,), 0.1), K=3,
+                                               min_entries=100, max_orbit=10**5,
+                                               orbit_len=5000, **kw),
+    "counting": lambda **kw: counting_distribution(LinearMod1System(2), Ball((0.3,), 0.1),
+                                                   t=1.0, n_trials=10, **kw),
+    "entry": lambda **kw: entry_time_ratio(LinearMod1System(2), Ball((0.3,), 0.1), L=5,
+                                           n_trials=10, **kw),
+}
+
+
+@pytest.mark.parametrize("estimator", MAP_ESTIMATORS.values(), ids=MAP_ESTIMATORS)
+@pytest.mark.parametrize("workers", [0, -3])
+def test_map_estimators_refuse_fewer_than_one_worker(estimator, workers):
+    # each used to run serially
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        estimator(seed=SEED, workers=workers)
+
+
+def test_estimators_take_an_integer_master_seed():
+    # a (master_seed, trial) pair used to run the master seed and drop the trial
+    from returnstats.regenerative import (RegenSpec, regen_cluster_stats,
+                                          regen_counting_distribution)
+
+    spec = RegenSpec.smith(100)
+    estimators = [*MAP_ESTIMATORS.values(),
+                  lambda seed: regen_cluster_stats(spec, 10, 3, 2, seed, stream_len=1000),
+                  lambda seed: regen_counting_distribution(spec, 10, 1.0, 5, seed)]
+    for estimator in estimators:
+        with pytest.raises(TypeError):
+            estimator(seed=(7, 3))
+        estimator(seed=np.uint64(7))
+
+
 def test_entry_time_ratio_rejects_no_trials():
     from returnstats.targets import Ball
 

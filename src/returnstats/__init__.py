@@ -3,14 +3,15 @@
 Simulation of a*x mod 1, a torus skew product over a*y mod 1, coupled map
 lattices (a single expanding interval map is a one-site lattice) and
 symbolic regenerative processes, together with the
-compound Poisson / Polya-Aeppli / compound binomial limit laws their
-return-time statistics converge to, and estimators + goodness-of-fit tooling
+compound Poisson and compound binomial limit laws their return-time
+statistics converge to (Polya-Aeppli is the compound Poisson law over
+geometric clusters), and estimators + goodness-of-fit tooling
 to compare the two.
 """
 
 from .distributions import (ClusterSizeDist, CompoundSpec, DiscreteDistribution,
                             compound_binomial_pmf, compound_poisson_pmf,
-                            empirical_distribution, polya_aeppli_pmf)
+                            empirical_distribution)
 from .dynamics import (CmlSpec, CmlSystem, IntervalMap, LinearInterval,
                        LinearMod1System, SinePerturbedInterval, TorusAffineSystem)
 from .estimators import (ClusterStats, cluster_statistics, counting_distribution,

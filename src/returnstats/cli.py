@@ -27,7 +27,7 @@ import numpy as np
 from .cml_theory import cml_prediction
 from .config import ConfigError, ExperimentConfig
 from .distributions import (ClusterSizeDist, CompoundSpec, DiscreteDistribution,
-                            compound_poisson_pmf, polya_aeppli_pmf)
+                            compound_poisson_pmf)
 from .dynamics import CmlSystem, LinearMod1System, TorusAffineSystem
 from .estimators import cluster_statistics, counting_distribution
 from .records import csv_table, from_json_fields, json_fields
@@ -78,45 +78,42 @@ class _Prediction:
 
 def _analytic_prediction(config: ExperimentConfig, system, row) -> _Prediction:
     """The row's limit law, read from the built system (or RegenSpec);
-    raises ConfigError for a pair the package has no law for."""
-    t = row.t
+    raises ConfigError for a pair the package has no law for.  Each family
+    names its cluster-size law and the lambda table it knows exactly; the
+    rest of the law follows from the cluster-size law."""
+    if isinstance(system, RegenSpec) and system.block_rule == "smith":
+        # the cluster mass escapes to ever longer blocks, so there is no
+        # compound Poisson law: alpha_hat_k = 1/2 for every k >= 2
+        return _Prediction(np.concatenate([[1.0], np.full(row.k_max, 0.5)]),
+                           np.concatenate([[1.0], np.zeros(row.k_max - 1)]), 0.5)
     if isinstance(system, (TorusAffineSystem, LinearMod1System)):
-        # Polya-Aeppli with cluster ratio p = a^-period: the torus strip
-        # surrounds the fixed line {y = 0}, and a ball around a point of no
-        # known period gets p = 0, the Poisson law
+        # geometric clusters of ratio a^-period (Polya-Aeppli): the torus
+        # strip surrounds the fixed line {y = 0}, and a ball around a point
+        # of no known period has clusters of size 1 (Poisson)
         period = (1 if isinstance(system, TorusAffineSystem)
                   else config.target["periodic_period"])
-        p = 0.0 if period is None else float(system.a) ** -period
-        alpha1 = 1.0 - p
-        return _Prediction(p ** np.arange(row.k_max + 1),       # alpha_hat_k = p^(k-1)
-                           alpha1 * p ** np.arange(row.k_max), alpha1,
-                           polya_aeppli_pmf(alpha1 * t, p, _PMF_KMAX))
-    if isinstance(system, CmlSystem) and config.target["kind"] == "diagonal_strip":
+        clusters = (ClusterSizeDist.single() if period is None
+                    else ClusterSizeDist.geometric(float(system.a) ** -period))
+        table = np.concatenate([clusters.lambdas, np.zeros(row.k_max)])[:row.k_max]
+    elif isinstance(system, CmlSystem) and config.target["kind"] == "diagonal_strip":
         spec = system.spec
-        # Lebesgue measure along the diagonal
-        seqs = cml_prediction(spec.base_map, np.ones_like, spec.n, spec.gamma, row.k_max)
-        lam = seqs.lam[:row.k_max - 1]
-        pmf = None
-        if lam.sum() > 0:
-            cd = ClusterSizeDist(lam / lam.sum())
-            pmf = compound_poisson_pmf(CompoundSpec(seqs.extremal_index * t, cd), _PMF_KMAX)
-        return _Prediction(seqs.alpha_hat, lam, seqs.extremal_index, pmf)
-    if isinstance(system, RegenSpec):
-        if system.block_rule == "smith":
-            alpha_hat = np.concatenate([[1.0], np.full(row.k_max, 0.5)])
-            lambdas = np.concatenate([[1.0], np.zeros(row.k_max - 1)])
-            return _Prediction(alpha_hat, lambdas, 0.5)
-        cd = system.cluster_dist
-        lam, mean_len = cd.lambdas, cd.mean()
-        alpha = np.array([lam[k - 1:].sum() / mean_len
-                          for k in range(1, row.k_max + 2)])
-        alpha_hat = np.concatenate([[1.0], 1.0 - np.cumsum(alpha)[:-1]])
-        alpha_hat = np.clip(alpha_hat, 0.0, 1.0)
-        alpha1 = float(alpha[0])
-        pmf = compound_poisson_pmf(CompoundSpec(alpha1 * t, cd), _PMF_KMAX)
-        return _Prediction(alpha_hat, lam, alpha1, pmf)
-    raise ConfigError(f"no analytic law for a {config.system['kind']} system with "
-                      f"a {config.target['kind']} target")
+        # Lebesgue measure along the diagonal; lambda_1..lambda_{k_max-1} are
+        # exact, and the rest is the geometric envelope's tail
+        lam = cml_prediction(spec.base_map, np.ones_like, spec.n, spec.gamma, row.k_max).lam
+        clusters, table = ClusterSizeDist(lam), lam[:row.k_max - 1]
+    elif isinstance(system, RegenSpec):
+        clusters, table = system.cluster_dist, system.cluster_dist.lambdas
+    else:
+        raise ConfigError(f"no analytic law for a {config.system['kind']} system with "
+                          f"a {config.target['kind']} target")
+    # alpha_ell = P(X >= ell) / E[X], and alpha_hat_{ell+1} = 1 - sum of the
+    # first ell of them
+    lam, mean_len = clusters.lambdas, clusters.mean()
+    alpha = np.array([lam[k - 1:].sum() / mean_len for k in range(1, row.k_max + 2)])
+    alpha_hat = np.clip(np.concatenate([[1.0], 1.0 - np.cumsum(alpha)[:-1]]), 0.0, 1.0)
+    alpha1 = float(alpha[0])
+    pmf = compound_poisson_pmf(CompoundSpec(alpha1 * row.t, clusters), _PMF_KMAX)
+    return _Prediction(alpha_hat, table, alpha1, pmf)
 
 
 def cmd_predict(config: ExperimentConfig) -> int:

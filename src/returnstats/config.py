@@ -32,7 +32,8 @@ Schema (YAML):
     outputs: {dir: results, formats: [json, csv]}   # formats: json and/or csv
 
 Scale parameter per row: ``rho`` (ball / torus_strip), ``nu``
-(diagonal_strip) or the integer ``m`` (level_set, 0 <= m < k_cap).  Loading builds
+(diagonal_strip) or the integer ``m`` (level_set, 0 <= m < k_cap); a map row
+takes ``orbit_len`` and ``max_orbit``, a regenerative row ``stream_len``.  Loading builds
 the system and every row's target, so a row the system cannot run is an
 error before any row writes a file.  So is a ``cml`` whose float64 orbits
 drain to 0: uncoupled (gamma 0, eps 0) copies of a*x mod 1 with a a power
@@ -121,6 +122,23 @@ def _section(name: str, raw: dict) -> dict:
     return out
 
 
+def _check_minimal_period(a: int, c: float, q: int) -> None:
+    """`predict` reads a ball's periodic_period as its centre's minimal period
+    under a x mod 1.  T^d fixes c when c (a^d - 1) is an integer, up to the
+    2^-53 by which the float c may miss a rational."""
+    num, den = float(c).as_integer_ratio()  # exactly c
+
+    def fixed_by(d: int) -> bool:
+        r = num * (a**d - 1) % den
+        return min(r, den - r) << 53 <= (a**d - 1) * den
+
+    if not 1 <= q <= 52 / math.log2(a):  # from a^q = 2^52 on, every centre passes
+        raise ConfigError(f"target periodic_period {q} must be >= 1 with {a}^q < 2^52")
+    if not fixed_by(q) or any(fixed_by(d) for d in range(1, q) if q % d == 0):
+        raise ConfigError(f"ball centre {c} does not have minimal period {q} under "
+                          f"{a}x mod 1")
+
+
 @dataclass(frozen=True)
 class ScheduleRow:
     scale: float            # rho, nu or m depending on the target kind
@@ -128,7 +146,7 @@ class ScheduleRow:
     t: float = 1.0
     n_trials: int = 10000
     min_entries: int = 1000
-    max_orbit: int = 20_000_000
+    max_orbit: int | None = 20_000_000   # map rows only
     orbit_len: int | None = None
     stream_len: int | None = None
     k_max: int = 6
@@ -184,7 +202,10 @@ class ExperimentConfig:
         scale_name = cls._scale_name(tkind)
         schedule = []
         labels = set()
-        knobs = {f.name for f in fields(ScheduleRow)} - {"scale"}
+        # each row kind refuses the other's length keys
+        regen = kind == "regenerative"
+        other = {"orbit_len", "max_orbit"} if regen else {"stream_len"}
+        knobs = {f.name for f in fields(ScheduleRow)} - {"scale"} - other
         for row in rows:
             row = dict(row)
             if scale_name not in row:
@@ -193,7 +214,7 @@ class ExperimentConfig:
                             int if tkind == "level_set" else float)
             if not math.isfinite(scale):
                 raise ConfigError(f"schedule row {scale_name} must be finite")
-            _refuse_unknown("schedule", row, knobs)
+            _refuse_unknown("schedule", row, knobs, f" for a {kind} system")
             for name, value in row.items():
                 if value is not None or name not in ("orbit_len", "stream_len"):
                     row[name] = _number(f"schedule row {name}", value,
@@ -208,14 +229,14 @@ class ExperimentConfig:
                     raise ConfigError(f"schedule row {name} must be >= 1")
             # fill in the length each orbit or stream runs, so the manifest echoes it
             length = _default_orbit_len(r.K)
-            if kind == "regenerative":
-                r = replace(r, stream_len=r.stream_len or length)
+            if regen:
+                r = replace(r, stream_len=r.stream_len or length, max_orbit=None)
             else:
                 r = replace(r, orbit_len=min(r.orbit_len or length, r.max_orbit))
-            if kind != "regenerative" and r.min_entries < 100:
+            if not regen and r.min_entries < 100:
                 raise ConfigError("schedule row min_entries must be >= 100")
             # a tallied orbit holds at least one full window of 2K+1 and a point
-            if (r.stream_len if kind == "regenerative" else r.orbit_len) < 2 * r.K + 2:
+            if (r.stream_len if regen else r.orbit_len) < 2 * r.K + 2:
                 raise ConfigError("schedule row orbits must be at least 2K+2 steps long")
             label = r.label(scale_name)
             if label in labels:
@@ -274,6 +295,9 @@ class ExperimentConfig:
                 kac_horizon(row.t, mu)
             except ValueError as e:
                 raise ConfigError(str(e)) from None
+        q = self.target.get("periodic_period")
+        if isinstance(system, LinearMod1System) and q is not None:
+            _check_minimal_period(system.a, self.target["center"][0], q)
 
     @classmethod
     def from_yaml(cls, text: str) -> "ExperimentConfig":

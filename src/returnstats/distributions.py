@@ -1,10 +1,13 @@
 """Finite-truncation compound distributions on the non-negative integers.
 
 Covers the compound Poisson family W = X_1 + ... + X_P with P ~ Poisson(s)
-and i.i.d. cluster sizes X_j >= 1, the compound binomial analogue where the
-number of clusters is Binomial(N', p), and the Polya-Aeppli special case
-(geometric cluster sizes).  All pmfs carry an explicit ``tail_mass`` so that
-normalisation is exact bookkeeping, never a silent renormalisation.
+and i.i.d. cluster sizes X_j >= 1, and the compound binomial analogue where
+the number of clusters is Binomial(N', p).  Every limit law is built from its
+cluster-size law: the Polya-Aeppli law of a periodic point is the compound
+Poisson law over ``ClusterSizeDist.geometric`` clusters, and the Poisson law
+the one over ``ClusterSizeDist.single()``.  All pmfs carry an explicit
+``tail_mass`` so that normalisation is exact bookkeeping, never a silent
+renormalisation.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .records import csv_table, json_fields
 
@@ -23,7 +25,6 @@ __all__ = [
     "ClusterSizeDist",
     "CompoundSpec",
     "compound_poisson_pmf",
-    "polya_aeppli_pmf",
     "compound_binomial_pmf",
     "empirical_distribution",
 ]
@@ -95,18 +96,20 @@ class ClusterSizeDist:
         return cls(np.array([1.0]))
 
     @classmethod
-    def geometric(cls, p: float, tail_tol: float = 1e-13) -> "ClusterSizeDist":
-        """Truncated geometric clusters (1-p) p^(ell-1), renormalised.
+    def geometric(cls, p: float) -> "ClusterSizeDist":
+        """Geometric clusters (1-p) p^(ell-1), truncated and renormalised.
 
-        The truncation index is the smallest one whose geometric tail is
-        below ``tail_tol`` so downstream pmfs agree with the closed-form
-        Polya-Aeppli expression far beyond any test tolerance.
+        The truncation index is the smallest one whose clusters beyond it
+        carry less than 2^-53 of the mean, p^ell (1 + ell (1-p)), so that
+        renormalising moves the mean and 1/mean by at most an ulp.
         """
         if not 0.0 <= p < 1.0:
             raise ValueError("geometric cluster parameter must satisfy 0 <= p < 1")
         if p == 0.0:
             return cls.single()
-        ell_max = max(1, math.ceil(math.log(tail_tol) / math.log(p)) + 1)
+        ell_max = 1
+        while p**ell_max * (1 + ell_max * (1 - p)) >= 2.0**-53:
+            ell_max += 1
         lam = (1.0 - p) * p ** np.arange(ell_max)
         return cls(lam / lam.sum())
 
@@ -140,35 +143,6 @@ def compound_poisson_pmf(spec: CompoundSpec, k_max: int) -> DiscreteDistribution
     for k in range(1, k_max + 1):
         m = min(k, lam.size)
         probs[k] = (s / k) * (weighted[:m] @ probs[k - 1 :: -1][:m])
-    return DiscreteDistribution(probs, max(0.0, 1.0 - probs.sum()))
-
-
-def polya_aeppli_pmf(s: float, p: float, k_max: int) -> DiscreteDistribution:
-    """Closed-form Polya-Aeppli pmf (geometrically distributed cluster sizes).
-
-    P(W=0) = exp(-s) and for k >= 1
-    P(W=k) = exp(-s) sum_{j=1..k} p^(k-j) (1-p)^j s^j / j! * C(k-1, j-1).
-    Binomial coefficients are evaluated in log space.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError("p must satisfy 0 <= p < 1 (p=1 gives degenerate clusters)")
-    if not s > 0:
-        raise ValueError("s must be positive")
-    if k_max < 0:
-        raise ValueError("k_max must be non-negative")
-    probs = np.zeros(k_max + 1)
-    probs[0] = math.exp(-s)
-    log_s, log_q = math.log(s), math.log1p(-p)
-    log_p = math.log(p) if p > 0 else None
-    for k in range(1, k_max + 1):
-        if log_p is None:
-            # pure Poisson: only the j=k term survives
-            probs[k] = math.exp(-s + k * (log_s + log_q) - gammaln(k + 1))
-            continue
-        j = np.arange(1, k + 1)
-        log_terms = ((k - j) * log_p + j * (log_q + log_s) - gammaln(j + 1)
-                     + gammaln(k) - gammaln(j) - gammaln(k - j + 1))
-        probs[k] = math.exp(-s) * np.exp(log_terms).sum()
     return DiscreteDistribution(probs, max(0.0, 1.0 - probs.sum()))
 
 

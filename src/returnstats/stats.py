@@ -32,7 +32,8 @@ __all__ = ["AlphaSequences", "GofReport", "lambda_from_alpha_hat",
 
 @dataclass(frozen=True)
 class AlphaSequences:
-    """alpha_hat / alpha / lambda triples; index i holds the value at ell = i+1."""
+    """alpha_hat and alpha to the retained index and the whole lambda law, its
+    envelope tail included; index i holds the value at ell = i+1."""
 
     alpha_hat: np.ndarray
     alpha: np.ndarray
@@ -86,7 +87,7 @@ def lambda_from_alpha_hat(alpha_hat) -> AlphaSequences:
     lam_full = np.clip((alpha_full[:-1] - alpha_full[1:]) / alpha1, 0.0, None)
     mean_cluster = float(np.arange(1, lam_full.size + 1) @ lam_full)
 
-    return AlphaSequences(alpha_hat=full[:m], alpha=alpha_full[:m], lam=lam_full[:m],
+    return AlphaSequences(alpha_hat=full[:m], alpha=alpha_full[:m], lam=lam_full,
                           tail_ratio=r, mean_cluster_size=mean_cluster)
 
 

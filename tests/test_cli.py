@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -10,8 +11,11 @@ import pytest
 
 from returnstats import cli
 from returnstats.cli import main
-from returnstats.distributions import polya_aeppli_pmf
+from returnstats.config import ExperimentConfig
 from returnstats.regenerative import RegenSpec, level_measure
+from returnstats.stats import lambda_from_alpha_hat
+
+from polya_aeppli_reference import polya_aeppli_pmf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,6 +44,10 @@ def test_predict_torus_lambda_table(tmp_path):
     payload = json.loads((out / "predict_rho0p02_K5.json").read_text())
     np.testing.assert_allclose(payload["lambdas"][:2], [0.5, 0.25], atol=1e-12)
     assert payload["extremal_index"] == pytest.approx(0.5)
+    # the compound Poisson law over geometric clusters is Polya-Aeppli
+    pmf = json.loads((out / "counting_pmf_rho0p02_K5.json").read_text())
+    np.testing.assert_allclose(pmf["probs"], polya_aeppli_pmf(0.5, 0.5, 60).probs,
+                               rtol=0, atol=2e-16)
     assert (out / "predict_rho0p02_K5.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert "predict_rho0p02_K5.json" in manifest["outputs"]
@@ -158,9 +166,22 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
     ("system: {kind: cml, a: 8, n: 1}\ntarget: {kind: ball, center: [0.3]}", [FIRST_ROW]),
     ("system: {kind: cml, a: 3, n: 2, gamma: 0.1, burn_in: -1}\n"
      "target: {kind: diagonal_strip}", [STRIP_ROW]),
+    # a regenerative row runs streams, and a map row orbits
+    ("system: {kind: regenerative, block_rule: smith, k_cap: 300}\n"
+     "target: {kind: level_set}",
+     ["{m: 10, K: 3, n_trials: 20, min_entries: 10, stream_len: 2000}",
+      "{m: 20, K: 3, orbit_len: 7, max_orbit: 5}"]),
+    (LINEAR_BALL, [FIRST_ROW, "{rho: 0.02, K: 3, stream_len: 3}"]),
+    # 0.3 has period 4 under 3x mod 1, and 1/2 is its fixed point
+    ("system: {kind: linear_mod1, a: 3}\n"
+     "target: {kind: ball, center: [0.3], periodic_period: 1}", [FIRST_ROW]),
+    ("system: {kind: linear_mod1, a: 3}\n"
+     "target: {kind: ball, center: [0.5], periodic_period: 2}", [FIRST_ROW]),
 ], ids=["repeated-label", "K0", "K-not-integral", "strip-rho-above-half", "m-from-k_cap",
         "m-not-integral", "regen-horizon", "torus-horizon", "ball-measure-0",
-        "ball-centre-dimension", "cml-a2-drains", "cml-a8-drains", "cml-burn-in-below-0"])
+        "ball-centre-dimension", "cml-a2-drains", "cml-a8-drains", "cml-burn-in-below-0",
+        "regen-orbit-keys", "map-stream_len", "period-not-of-centre",
+        "period-not-minimal"])
 def test_simulate_rejects_a_bad_later_row_before_writing(tmp_path, pair, rows):
     out = tmp_path / "out"
     schedule = "".join(f"\n  - {row}" for row in rows)
@@ -180,6 +201,73 @@ def test_package_import_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_stats_imports_scipy():
+    # the chi-square survival function is the package's last scipy call
+    importers = set()
+    for path in sorted((SRC / "returnstats").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"stats.py"}
+
+
+def test_every_shipped_counting_pmf_has_mean_t(tmp_path):
+    # a compound Poisson law of intensity theta t over clusters of mean
+    # 1/theta has mean t; cml_sweep's pmf, cut to k_max - 1 cluster sizes
+    # and renormalised, had mean 0.876
+    configs = SRC.parent / "configs"
+    checked = 0
+    for path in sorted(configs.glob("*.yaml")):
+        out = tmp_path / path.stem
+        assert main(["--config", str(path), "--out", str(out), "predict"]) == 0
+        config = ExperimentConfig.load(path)
+        for row in config.schedule:
+            f = out / f"counting_pmf_{row.label(config.scale_name)}.json"
+            if f.exists():
+                probs = np.array(json.loads(f.read_text())["probs"])
+                assert abs(np.arange(probs.size) @ probs - row.t) < 1e-9, f
+                checked += 1
+    assert checked == 8
+
+
+def test_predict_writes_a_cml_pmf_at_k_max_1(tmp_path):
+    # alpha_hat_1 and alpha_hat_2 and the geometric envelope give the whole
+    # cluster law, though no lambda is exact
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, f"""
+system: {{kind: cml, a: 2, n: 2, gamma: 0.1, weights: [0.5, 0.5]}}
+target: {{kind: diagonal_strip}}
+schedule: [{{nu: 0.01, K: 3, t: 2.0, k_max: 1}}]
+outputs: {{dir: "{out}"}}
+""")
+    assert main(["--config", cfg, "predict"]) == 0
+    payload = json.loads((out / "predict_nu0p01_K3.json").read_text())
+    assert payload["lambdas"] == [] and len(payload["alpha_hat"]) == 2
+    assert payload["extremal_index"] == pytest.approx(1 - 1 / 1.8, abs=1e-12)
+    probs = np.array(json.loads((out / "counting_pmf_nu0p01_K3.json").read_text())["probs"])
+    assert abs(np.arange(probs.size) @ probs - 2.0) < 1e-9
+
+
+def test_predict_refuses_a_cml_cluster_law_that_does_not_sum_to_1(tmp_path, monkeypatch,
+                                                                  capsys):
+    # an alpha_hat whose alpha increases gives a negative lambda_2, clipped
+    # to 0, so the law sums above 1; predict says so and writes nothing
+    monkeypatch.setattr(cli, "cml_prediction",
+                        lambda *args: lambda_from_alpha_hat([1.0, 0.5, 0.45, 0.1]))
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, f"""
+system: {{kind: cml, a: 2, n: 2, gamma: 0.1}}
+target: {{kind: diagonal_strip}}
+schedule: [{{nu: 0.01, k_max: 3}}]
+outputs: {{dir: "{out}"}}
+""")
+    assert main(["--config", cfg, "predict"]) == 2
+    assert "cluster probabilities must sum to 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_predict_rejects_a_pair_with_no_law(tmp_path, capsys):

@@ -112,7 +112,6 @@ def test_schedule_validation():
                          ({"rho": 0.1, "k_max": 0}, "k_max must be >= 1"),
                          ({"rho": 0.1, "max_orbit": 0}, "max_orbit must be >= 1"),
                          ({"rho": 0.1, "orbit_len": -5}, "orbit_len must be >= 1"),
-                         ({"rho": 0.1, "stream_len": 0}, "stream_len must be >= 1"),
                          ({"rho": 0.1, "min_entries": 99}, "min_entries must be >= 100"),
                          ({"rho": 0.1, "K": 3, "orbit_len": 7}, "at least 2K\\+2"),
                          ({"rho": 0.1, "K": 3, "max_orbit": 7}, "at least 2K\\+2"),
@@ -137,6 +136,71 @@ schedule: [{m: 100, min_entries: 10}]
     with pytest.raises(ConfigError, match="at least 2K\\+2"):
         ExperimentConfig.from_dict(dict(regen.to_dict(),
                                         schedule=[{"m": 100, "K": 3, "stream_len": 7}]))
+    with pytest.raises(ConfigError, match="stream_len must be >= 1"):
+        ExperimentConfig.from_dict(dict(regen.to_dict(), schedule=[{"m": 100, "stream_len": 0}]))
+
+
+def test_rows_refuse_the_length_keys_of_the_other_kind():
+    # a regenerative row runs streams of stream_len symbols, and a map row
+    # orbits of orbit_len points up to max_orbit; the other kind's keys used
+    # to load, be echoed into the manifest and be ignored
+    regen = ExperimentConfig.from_yaml("""
+system: {kind: regenerative}
+target: {kind: level_set}
+schedule: [{m: 100, K: 3}]
+""")
+    for patch in ({"orbit_len": 7, "max_orbit": 5}, {"orbit_len": 7}, {"max_orbit": 5}):
+        with pytest.raises(ConfigError, match="unknown schedule keys .* for a regenerative"):
+            ExperimentConfig.from_dict(dict(regen.to_dict(),
+                                            schedule=[{"m": 100, "K": 3, **patch}]))
+    with pytest.raises(ConfigError, match=r"unknown schedule keys \['stream_len'\] for a "
+                                          "linear_mod1 system"):
+        ExperimentConfig.from_yaml("""
+system: {kind: linear_mod1, a: 3}
+target: {kind: ball, center: [0.5]}
+schedule: [{rho: 0.01, stream_len: 3}]
+""")
+    # max_orbit's default is filled in on map rows alone, and both kinds
+    # round-trip through to_dict
+    row = regen.to_dict()["schedule"][0]
+    assert "max_orbit" not in row and "orbit_len" not in row and row["stream_len"] == 200_000
+    assert regen.schedule[0].max_orbit is None
+    assert ExperimentConfig.from_dict(regen.to_dict()) == regen
+    torus = ExperimentConfig.from_yaml(TORUS_YAML)
+    assert torus.to_dict()["schedule"][0]["max_orbit"] == 20_000_000
+    assert "stream_len" not in torus.to_dict()["schedule"][0]
+    assert ExperimentConfig.from_dict(torus.to_dict()) == torus
+
+
+def test_a_declared_period_is_the_centres_minimal_period():
+    for a, centre, period in ((3, 0.5, 1), (3, 0.3, 4), (3, 0.25, 2), (2, 1 / 7, 3),
+                              (2, 0.2, 4), (2, 0.0, 1)):
+        ExperimentConfig.from_dict({"system": {"kind": "linear_mod1", "a": a},
+                                    "target": {"kind": "ball", "center": [centre],
+                                               "periodic_period": period},
+                                    "schedule": [{"rho": 1e-3}]})
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    fixed = ExperimentConfig.load(configs / "fixed_point.yaml")
+    assert fixed.target == {"kind": "ball", "center": [0.5], "periodic_period": 1}
+
+
+@pytest.mark.parametrize("a, centre, period, message", [
+    # 0.3 has period 4 under 3x mod 1; predict used to write theta = 2/3
+    (3, 0.3, 1, "does not have minimal period 1 under 3x mod 1"),
+    (3, 0.3, 2, "does not have minimal period 2"),
+    (3, 0.5, 2, "does not have minimal period 2"),
+    (3, 0.3, 8, "does not have minimal period 8"),
+    (2, 0.5, 1, "does not have minimal period 1"),   # 1/2 maps to the fixed point 0
+    (3, 0.5, 0, r"periodic_period 0 must be >= 1 with 3\^q < 2\^52"),
+    (3, 0.3, 33, r"periodic_period 33 must be >= 1 with 3\^q < 2\^52"),
+], ids=["0.3-period-1", "0.3-period-2", "fixed-point-period-2", "0.3-period-8",
+        "preperiodic", "period-0", "period-beyond-float"])
+def test_a_declared_period_that_is_not_minimal_is_refused(a, centre, period, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict({"system": {"kind": "linear_mod1", "a": a},
+                                    "target": {"kind": "ball", "center": [centre],
+                                               "periodic_period": period},
+                                    "schedule": [{"rho": 1e-3}]})
 
 
 def test_schedule_numbers_written_as_exponents():

@@ -11,9 +11,10 @@ from returnstats.distributions import (ClusterSizeDist, CompoundSpec,
                                        DiscreteDistribution,
                                        compound_binomial_pmf,
                                        compound_poisson_pmf,
-                                       empirical_distribution,
-                                       polya_aeppli_pmf)
+                                       empirical_distribution)
 from returnstats.records import from_json_fields
+
+from polya_aeppli_reference import polya_aeppli_pmf
 
 
 def test_compound_poisson_atom_at_zero_is_exact():
@@ -94,6 +95,16 @@ def test_cluster_size_dist_geometric_mean():
         cd = ClusterSizeDist.geometric(p)
         assert abs(cd.mean() - 1.0 / (1.0 - p)) < 1e-9
         assert abs(cd.lambdas.sum() - 1.0) < 1e-12
+
+
+def test_geometric_truncation_moves_the_extremal_index_by_ulps():
+    # the clusters cut off carry under 2^-53 of the mean, so 1/mean is 1-p
+    # up to the rounding of the sums (a cut where p^ell < 1e-13 read 0.5 as
+    # 0.5000000000003197)
+    for p in (0.5, 1 / 3, 0.25, 0.1, 0.9, 0.99, 2.0**-10):
+        cd = ClusterSizeDist.geometric(p)
+        assert abs(1.0 / cd.mean() - (1.0 - p)) <= 4 * np.spacing(1.0 - p)
+        assert p**cd.ell_max * (1 + cd.ell_max * (1 - p)) < 2.0**-53
 
 
 def test_cluster_size_dist_validation():

@@ -66,39 +66,39 @@ workers: 2
 GOLDEN = {
     "predict/cml_sweep": {
         "counting_pmf_nu0p001_K3.json":
-            "aa4b51849f8dcd4305f425536aac15ff7b97a072efa4ce291dafdb9eadd207f8",
+            "dd38c58ce1d69108044730bb8c9a83db97809d8e6ae5835b3e8215b2838b9201",
         "counting_pmf_nu0p01_K3.json":
-            "aa4b51849f8dcd4305f425536aac15ff7b97a072efa4ce291dafdb9eadd207f8",
+            "dd38c58ce1d69108044730bb8c9a83db97809d8e6ae5835b3e8215b2838b9201",
         "predict_nu0p001_K3.csv":
-            "923fd43bbe48ef44a77ee914ff0a99cfce060daced94b89c3534f9a862f81b66",
+            "3ab31af65cde6d1eede1f9b3abe6b5aa2598e8d4faced49a652505170bc9b46e",
         "predict_nu0p001_K3.json":
-            "13c42fe00364dbda424d2d8d88f2d73e3f10eb5c5559976a75bb53bcd03dc0ed",
+            "55ca0b175f2e73feffbbae973dc7499f2ad8d3d1ae3246e10c3760a58a1dc003",
         "predict_nu0p01_K3.csv":
-            "923fd43bbe48ef44a77ee914ff0a99cfce060daced94b89c3534f9a862f81b66",
+            "3ab31af65cde6d1eede1f9b3abe6b5aa2598e8d4faced49a652505170bc9b46e",
         "predict_nu0p01_K3.json":
-            "13c42fe00364dbda424d2d8d88f2d73e3f10eb5c5559976a75bb53bcd03dc0ed",
+            "55ca0b175f2e73feffbbae973dc7499f2ad8d3d1ae3246e10c3760a58a1dc003",
     },
     "predict/fixed_point": {
         "counting_pmf_rho0p001_K14.json":
-            "6ba00d1e792e6a9ec4d3dca2418f373ff0574673c389b3b7c3d2b482658651c8",
+            "f9b1752e394120af0e2de81a2f2f3d88cd71156a1d6264bc4c9f88b9b44c61a9",
         "counting_pmf_rho0p01_K14.json":
-            "6ba00d1e792e6a9ec4d3dca2418f373ff0574673c389b3b7c3d2b482658651c8",
+            "f9b1752e394120af0e2de81a2f2f3d88cd71156a1d6264bc4c9f88b9b44c61a9",
         "predict_rho0p001_K14.csv":
-            "5d1b2dfbb3c04b748d81cccde8c1f74ef6457eb682e487aa0c74914a54f66e75",
+            "19d4d919f38473b1ba01860f3cb7891104439a852bce0782531e69ed6b64e202",
         "predict_rho0p001_K14.json":
-            "a2ed1d59361cb42a661f8b4cba6dacd36a68c598e551b28e994e1e5419836783",
+            "bd6948a25a1774d082b36125e296fcbc96d3c17a6c354f13fa12293b015317e9",
         "predict_rho0p01_K14.csv":
-            "5d1b2dfbb3c04b748d81cccde8c1f74ef6457eb682e487aa0c74914a54f66e75",
+            "19d4d919f38473b1ba01860f3cb7891104439a852bce0782531e69ed6b64e202",
         "predict_rho0p01_K14.json":
-            "a2ed1d59361cb42a661f8b4cba6dacd36a68c598e551b28e994e1e5419836783",
+            "bd6948a25a1774d082b36125e296fcbc96d3c17a6c354f13fa12293b015317e9",
     },
     "predict/nonperiodic_point": {
         "counting_pmf_rho0p001_K3.json":
-            "007fc322cee9d704ac264c8214e8665da760fd26776dec7bd3cb58fc7da615cb",
+            "7c987f781af4f6d705284a521f762f2f203d641bfa071fe428574b5b7e3b1ecb",
         "predict_rho0p001_K3.csv":
             "909fc1c728ba2c3c339e16d22bcd2dafbb3f0045d98f7754717f8f0ac2e1683a",
         "predict_rho0p001_K3.json":
-            "70d6200f0c8be021bf658329a987a1ed18cc472038a1a2400dc8a08dfe69c2fd",
+            "6d5de9c620aafc4cfa683ce82a329939ffae6f6d78b7beeedf208f578c8de57a",
     },
     "predict/regenerative_fixed_lengths": {
         "counting_pmf_m1000_K10.json":
@@ -120,17 +120,17 @@ GOLDEN = {
     },
     "predict/torus_strip": {
         "counting_pmf_rho0p001_K50.json":
-            "d6795a609669c973cfd169238d0c8e6ce11583a9ee9ad11e37139e928ac91726",
+            "4fdace39e1e85165b3fd43100294c01b4da296227126473856a0a5b0a0f92568",
         "counting_pmf_rho0p01_K50.json":
-            "d6795a609669c973cfd169238d0c8e6ce11583a9ee9ad11e37139e928ac91726",
+            "4fdace39e1e85165b3fd43100294c01b4da296227126473856a0a5b0a0f92568",
         "predict_rho0p001_K50.csv":
-            "1e5cd91350375d29a6ee976214f1331b6e58a1c6195038f0bc7c0950718121d5",
+            "7a2d5de0335f1196967e3ae225cd4d9892e6ac744306d53b7eccac47f68ac052",
         "predict_rho0p001_K50.json":
-            "b3ec991debad59b803e7e57e632005b7818ed3a8a0b21a5feab24880156b2541",
+            "296b4f84ba6b754d06ee8c779571ddfb62d446f3687f1c652eedbad5f6e79cd6",
         "predict_rho0p01_K50.csv":
-            "1e5cd91350375d29a6ee976214f1331b6e58a1c6195038f0bc7c0950718121d5",
+            "7a2d5de0335f1196967e3ae225cd4d9892e6ac744306d53b7eccac47f68ac052",
         "predict_rho0p01_K50.json":
-            "b3ec991debad59b803e7e57e632005b7818ed3a8a0b21a5feab24880156b2541",
+            "296b4f84ba6b754d06ee8c779571ddfb62d446f3687f1c652eedbad5f6e79cd6",
     },
     "simulate/torus_strip": {
         "cluster_rho0p02_K5.csv":

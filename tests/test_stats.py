@@ -5,24 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from returnstats.distributions import (DiscreteDistribution,
-                                       empirical_distribution,
-                                       polya_aeppli_pmf)
+from returnstats.distributions import DiscreteDistribution, empirical_distribution
 from returnstats.records import from_json_fields
 from returnstats.stats import (AlphaSequences, GofReport, chi_square_gof,
                                lambda_from_alpha_hat, total_variation)
 
+from polya_aeppli_reference import polya_aeppli_pmf
+
 
 def test_lambda_from_geometric_alpha_hat_closed_form():
     # alpha_hat_k = p^(k-1) gives alpha_1 = 1-p, lambda_ell = (1-p) p^(ell-1)
-    # and mean cluster size 1/(1-p)
+    # and mean cluster size 1/(1-p); lam is the whole law, the envelope's
+    # tail included
     for p in (0.2, 0.5, 0.8):
         ah = p ** np.arange(8)
         seqs = lambda_from_alpha_hat(ah)
         assert abs(seqs.extremal_index - (1 - p)) < 1e-12
-        expected = (1 - p) ** 2 * p ** np.arange(8)
+        assert seqs.lam.size > 8
+        expected = (1 - p) ** 2 * p ** np.arange(seqs.lam.size)
         np.testing.assert_allclose(seqs.alpha, (1 - p) * p ** np.arange(8), atol=1e-12)
         np.testing.assert_allclose(seqs.lam, expected / (1 - p), atol=1e-12)
+        assert abs(seqs.lam.sum() - 1.0) < 1e-12
         assert abs(seqs.mean_cluster_size - 1.0 / (1 - p)) < 1e-10
         assert abs(seqs.tail_ratio - p) < 1e-12
 
@@ -49,6 +52,7 @@ def test_mean_cluster_identity_random_sequences():
         seqs = lambda_from_alpha_hat(ah)
         assert abs(seqs.mean_cluster_size - 1.0 / (1.0 - ah[1])) < 1e-9
         assert abs(seqs.mean_cluster_size - mean) < 1e-9
+        assert abs(seqs.lam.sum() - 1.0) < 1e-12
 
 
 def test_lambda_from_alpha_hat_validation():

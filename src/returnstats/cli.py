@@ -34,6 +34,7 @@ from .records import csv_table, from_json_fields, json_fields
 from .regenerative import (RegenSpec, level_measure, regen_cluster_stats,
                            regen_counting_distribution)
 from .stats import chi_square_gof
+from .targets import DiagonalStrip
 
 __all__ = ["main", "cmd_predict", "cmd_simulate", "cmd_compare"]
 
@@ -76,11 +77,11 @@ class _Prediction:
     counting_pmf: DiscreteDistribution | None = None
 
 
-def _analytic_prediction(config: ExperimentConfig, system, row) -> _Prediction:
-    """The row's limit law, read from the built system (or RegenSpec);
-    raises ConfigError for a pair the package has no law for.  Each family
-    names its cluster-size law and the lambda table it knows exactly; the
-    rest of the law follows from the cluster-size law."""
+def _analytic_prediction(system, target, row) -> _Prediction:
+    """The row's limit law, read from the built system (or RegenSpec) and
+    target; raises ConfigError for a pair the package has no law for.  Each
+    family names its cluster-size law and the lambda table it knows exactly;
+    the rest of the law follows from the cluster-size law."""
     if isinstance(system, RegenSpec) and system.block_rule == "smith":
         # the cluster mass escapes to ever longer blocks, so there is no
         # compound Poisson law: alpha_hat_k = 1/2 for every k >= 2
@@ -89,13 +90,13 @@ def _analytic_prediction(config: ExperimentConfig, system, row) -> _Prediction:
     if isinstance(system, (TorusAffineSystem, LinearMod1System)):
         # geometric clusters of ratio a^-period (Polya-Aeppli): the torus
         # strip surrounds the fixed line {y = 0}, and a ball around a point
-        # of no known period has clusters of size 1 (Poisson)
+        # of no period has clusters of size 1 (Poisson)
         period = (1 if isinstance(system, TorusAffineSystem)
-                  else config.target["periodic_period"])
+                  else system.minimal_period(target.center[0]))
         clusters = (ClusterSizeDist.single() if period is None
                     else ClusterSizeDist.geometric(float(system.a) ** -period))
         table = np.concatenate([clusters.lambdas, np.zeros(row.k_max)])[:row.k_max]
-    elif isinstance(system, CmlSystem) and config.target["kind"] == "diagonal_strip":
+    elif isinstance(system, CmlSystem) and isinstance(target, DiagonalStrip):
         spec = system.spec
         # Lebesgue measure along the diagonal; lambda_1..lambda_{k_max-1} are
         # exact, and the rest is the geometric envelope's tail
@@ -104,8 +105,8 @@ def _analytic_prediction(config: ExperimentConfig, system, row) -> _Prediction:
     elif isinstance(system, RegenSpec):
         clusters, table = system.cluster_dist, system.cluster_dist.lambdas
     else:
-        raise ConfigError(f"no analytic law for a {config.system['kind']} system with "
-                          f"a {config.target['kind']} target")
+        raise ConfigError(f"no analytic law for a {type(system).__name__} with a "
+                          f"{type(target).__name__} target")
     # alpha_ell = P(X >= ell) / E[X], and alpha_hat_{ell+1} = 1 - sum of the
     # first ell of them
     lam, mean_len = clusters.lambdas, clusters.mean()
@@ -119,7 +120,7 @@ def _analytic_prediction(config: ExperimentConfig, system, row) -> _Prediction:
 def cmd_predict(config: ExperimentConfig) -> int:
     system = config.build_system()
     # compute everything first so a failure leaves no partial files
-    results = [(row, _analytic_prediction(config, system, row))
+    results = [(row, _analytic_prediction(system, config.build_target(row), row))
                for row in config.schedule]
     out = _out_dir(config)
     entries: list = []

@@ -21,8 +21,6 @@ Schema (YAML):
                                          # the system kind
       center: [0.5]                      # ball only: one coordinate per
                                          # system dimension
-      periodic_period: 1                 # optional: ball around a periodic
-                                         # point of known period (predictions)
     schedule:
       - {rho: 1.0e-3, K: 50, t: 1.0, n_trials: 100000,
          min_entries: 10000, max_orbit: 50000000}
@@ -37,7 +35,8 @@ takes ``orbit_len`` and ``max_orbit``, a regenerative row ``stream_len``.  Loadi
 the system and every row's target, so a row the system cannot run is an
 error before any row writes a file.  So is a ``cml`` whose float64 orbits
 drain to 0: uncoupled (gamma 0, eps 0) copies of a*x mod 1 with a a power
-of two, which ``linear_mod1`` runs on exact digits instead.
+of two, which ``linear_mod1`` runs on exact digits instead; and so is a key
+that cannot act (smith ``cluster_lambdas``, ``weights`` at gamma 0).
 """
 
 from __future__ import annotations
@@ -76,12 +75,12 @@ KEYS = {
     "linear_mod1": {"a": 2},
     "cml": {"a": 2, "n": 2, "gamma": 0.0, "weights": None, "eps": 0.0, "burn_in": 1024},
     "regenerative": {"block_rule": "smith", "cluster_lambdas": None, "k_cap": 10**5},
-    "ball": {"center": [0.5], "periodic_period": None},
+    "ball": {"center": [0.5]},
     "torus_strip": {},
     "diagonal_strip": {},
     "level_set": {},
 }
-_INTEGER_KEYS = ("a", "n", "burn_in", "k_cap", "periodic_period")
+_INTEGER_KEYS = ("a", "n", "burn_in", "k_cap")
 
 
 class ConfigError(ValueError):
@@ -120,23 +119,6 @@ def _section(name: str, raw: dict) -> dict:
             value = _number(f"{name} {key}", value, int)
         out[key] = value
     return out
-
-
-def _check_minimal_period(a: int, c: float, q: int) -> None:
-    """`predict` reads a ball's periodic_period as its centre's minimal period
-    under a x mod 1.  T^d fixes c when c (a^d - 1) is an integer, up to the
-    2^-53 by which the float c may miss a rational."""
-    num, den = float(c).as_integer_ratio()  # exactly c
-
-    def fixed_by(d: int) -> bool:
-        r = num * (a**d - 1) % den
-        return min(r, den - r) << 53 <= (a**d - 1) * den
-
-    if not 1 <= q <= 52 / math.log2(a):  # from a^q = 2^52 on, every centre passes
-        raise ConfigError(f"target periodic_period {q} must be >= 1 with {a}^q < 2^52")
-    if not fixed_by(q) or any(fixed_by(d) for d in range(1, q) if q % d == 0):
-        raise ConfigError(f"ball centre {c} does not have minimal period {q} under "
-                          f"{a}x mod 1")
 
 
 @dataclass(frozen=True)
@@ -295,9 +277,6 @@ class ExperimentConfig:
                 kac_horizon(row.t, mu)
             except ValueError as e:
                 raise ConfigError(str(e)) from None
-        q = self.target.get("periodic_period")
-        if isinstance(system, LinearMod1System) and q is not None:
-            _check_minimal_period(system.a, self.target["center"][0], q)
 
     @classmethod
     def from_yaml(cls, text: str) -> "ExperimentConfig":
@@ -343,11 +322,13 @@ class ExperimentConfig:
         if kind == "linear_mod1":
             return LinearMod1System(s["a"])
         if kind == "cml":
-            n, eps = s["n"], float(s["eps"])
+            n, gamma, eps = s["n"], float(s["gamma"]), float(s["eps"])
+            if gamma == 0 and s["weights"] is not None:
+                raise ConfigError("cml weights act only through the coupling (gamma > 0)")
             # n < 1 is left for CmlSpec to refuse
             w = np.ones(n) / n if s["weights"] is None else np.asarray(s["weights"], float)
             base_map = SinePerturbedInterval(s["a"], eps) if eps else LinearInterval(s["a"])
-            spec = CmlSpec(base_map=base_map, n=n, gamma=float(s["gamma"]), weights=w)
+            spec = CmlSpec(base_map=base_map, n=n, gamma=gamma, weights=w)
             return CmlSystem(spec, burn_in=s["burn_in"])
         if kind == "regenerative":
             return self.build_regen_spec()
@@ -355,13 +336,12 @@ class ExperimentConfig:
 
     def build_regen_spec(self) -> RegenSpec:
         s = self.system
-        rule, k_cap = s["block_rule"], s["k_cap"]
+        rule, k_cap, lam = s["block_rule"], s["k_cap"], s["cluster_lambdas"]
+        if (rule == "fixed_lengths") != (lam is not None):
+            raise ConfigError("cluster_lambdas is set for, and only for, fixed_lengths")
         if rule == "smith":
             return RegenSpec.smith(k_cap)
         if rule == "fixed_lengths":
-            lam = s["cluster_lambdas"]
-            if lam is None:
-                raise ConfigError("fixed_lengths needs cluster_lambdas")
             return RegenSpec.fixed_lengths(ClusterSizeDist(np.asarray(lam, float)), k_cap)
         raise ConfigError(f"unknown block rule {rule!r}")
 

@@ -362,6 +362,20 @@ class LinearMod1System(_DigitOrbitSystem):
     def __init__(self, a: int):
         super().__init__(a, dimension=1)
 
+    def minimal_period(self, c: float) -> int | None:
+        """c's minimal period: the least q with a^q <= 2^26 for which c (a^q - 1)
+        lies within (a^q - 1) 2^-53 of an integer (T^q c = c up to the float's
+        rounding), or None.  A longer period's cluster ratio a^-q is too small to
+        tell from Poisson, and a non-periodic float passes with probability ~2^-25."""
+        num, den = float(c).as_integer_ratio()  # exactly c
+        q = 1
+        while self.a**q <= 2**26:
+            r = num * (self.a**q - 1) % den
+            if min(r, den - r) << 53 <= (self.a**q - 1) * den:
+                return q
+            q += 1
+        return None
+
 
 class TorusAffineSystem(_DigitOrbitSystem):
     """(x, y) -> (x + y mod 1, a*y mod 1); Lebesgue measure is invariant.
@@ -410,6 +424,8 @@ class CmlSpec:
             raise ValueError("lattice size n must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
+        if self.n == 1 and self.gamma != 0.0:  # it would turn preserves_lebesgue off
+            raise ValueError("a one-site lattice has no coupling: gamma must be 0")
         if w.size != self.n or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be a length-n probability vector")
 

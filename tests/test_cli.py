@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -172,7 +173,8 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
      ["{m: 10, K: 3, n_trials: 20, min_entries: 10, stream_len: 2000}",
       "{m: 20, K: 3, orbit_len: 7, max_orbit: 5}"]),
     (LINEAR_BALL, [FIRST_ROW, "{rho: 0.02, K: 3, stream_len: 3}"]),
-    # 0.3 has period 4 under 3x mod 1, and 1/2 is its fixed point
+    # a ball's period comes from its centre, so declaring one is an unknown
+    # key (0.3 has period 4 under 3x mod 1, and 1/2 is its fixed point)
     ("system: {kind: linear_mod1, a: 3}\n"
      "target: {kind: ball, center: [0.3], periodic_period: 1}", [FIRST_ROW]),
     ("system: {kind: linear_mod1, a: 3}\n"
@@ -281,8 +283,35 @@ schedule: [{{rho: 0.01}}]
 outputs: {{dir: "{out}"}}
 """)
     assert main(["--config", cfg, "predict"]) == 2
-    assert "no analytic law for a cml system with a ball target" in capsys.readouterr().err
+    assert "no analytic law for a CmlSystem with a Ball target" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_predict_derives_a_balls_period_from_its_centre(tmp_path):
+    # 1/2 is the fixed point of 3x mod 1.  With no period declared, predict
+    # wrote theta = 1 (Poisson) where simulate estimated 0.645; the derived
+    # period 1 gives Polya-Aeppli clusters of ratio 1/3, and these are the
+    # bytes a declared period of 1 gave
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, f"""
+system: {{kind: linear_mod1, a: 3}}
+target: {{kind: ball, center: [0.5]}}
+schedule: [{{rho: 0.01, K: 6}}]
+outputs: {{dir: "{out}"}}
+""")
+    assert main(["--config", cfg, "predict"]) == 0
+    theta = json.loads((out / "predict_rho0p01_K6.json").read_text())["extremal_index"]
+    assert theta == pytest.approx(2 / 3, rel=1e-15)
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in out.iterdir() if f.name != "manifest.json"}
+    assert digests == {
+        "predict_rho0p01_K6.csv":
+            "19d4d919f38473b1ba01860f3cb7891104439a852bce0782531e69ed6b64e202",
+        "predict_rho0p01_K6.json":
+            "bd6948a25a1774d082b36125e296fcbc96d3c17a6c354f13fa12293b015317e9",
+        "counting_pmf_rho0p01_K6.json":
+            "f9b1752e394120af0e2de81a2f2f3d88cd71156a1d6264bc4c9f88b9b44c61a9",
+    }
 
 
 def test_simulate_writes_results_and_manifest(tmp_path):

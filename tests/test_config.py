@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import yaml
 
-from returnstats.config import PAIRS, ConfigError, ExperimentConfig
+from returnstats.cli import _analytic_prediction
+from returnstats.config import KEYS, PAIRS, ConfigError, ExperimentConfig, ScheduleRow
 from returnstats.dynamics import (CmlSystem, LinearMod1System, SinePerturbedInterval,
                                   TorusAffineSystem)
 from returnstats.regenerative import RegenSpec
@@ -48,7 +49,7 @@ schedule: [{rho: 1.0e-2}]
 """).to_dict()
     assert d["system"] == {"kind": "cml", "a": 3, "n": 2, "gamma": 0.0, "weights": None,
                            "eps": 0.0, "burn_in": 1024}
-    assert d["target"] == {"kind": "ball", "center": [0.5, 0.5], "periodic_period": None}
+    assert d["target"] == {"kind": "ball", "center": [0.5, 0.5]}
     d = ExperimentConfig.from_yaml("""
 system: {kind: regenerative}
 target: {kind: level_set}
@@ -172,35 +173,43 @@ schedule: [{rho: 0.01, stream_len: 3}]
     assert ExperimentConfig.from_dict(torus.to_dict()) == torus
 
 
-def test_a_declared_period_is_the_centres_minimal_period():
-    for a, centre, period in ((3, 0.5, 1), (3, 0.3, 4), (3, 0.25, 2), (2, 1 / 7, 3),
-                              (2, 0.2, 4), (2, 0.0, 1)):
-        ExperimentConfig.from_dict({"system": {"kind": "linear_mod1", "a": a},
-                                    "target": {"kind": "ball", "center": [centre],
-                                               "periodic_period": period},
-                                    "schedule": [{"rho": 1e-3}]})
+PERIODS = [(3, 0.5, 1), (3, 0.3, 4), (3, 0.25, 2), (2, 1 / 7, 3), (2, 0.2, 4), (2, 0.0, 1),
+           (2, 1 / 3, 2), (2, 0.5, None), (2, 2**-0.5, None), (2, 0.3, None)]
+
+
+def test_a_balls_period_is_derived_from_its_centre():
+    # c (a^q - 1) is an integer up to the float's rounding; 1/2 maps to the
+    # fixed point 0 of 2x mod 1 and is not periodic itself, and 2^-1/2 and
+    # the float 0.3 have no period with 2^q <= 2^26
+    for a, centre, period in PERIODS:
+        assert LinearMod1System(a).minimal_period(centre) == period, (a, centre)
     configs = Path(__file__).resolve().parents[1] / "configs"
     fixed = ExperimentConfig.load(configs / "fixed_point.yaml")
-    assert fixed.target == {"kind": "ball", "center": [0.5], "periodic_period": 1}
+    assert fixed.target == {"kind": "ball", "center": [0.5]}
+    assert fixed.build_system().minimal_period(0.5) == 1
+    other = ExperimentConfig.load(configs / "nonperiodic_point.yaml")
+    assert other.build_system().minimal_period(other.target["center"][0]) is None
 
 
-@pytest.mark.parametrize("a, centre, period, message", [
-    # 0.3 has period 4 under 3x mod 1; predict used to write theta = 2/3
-    (3, 0.3, 1, "does not have minimal period 1 under 3x mod 1"),
-    (3, 0.3, 2, "does not have minimal period 2"),
-    (3, 0.5, 2, "does not have minimal period 2"),
-    (3, 0.3, 8, "does not have minimal period 8"),
-    (2, 0.5, 1, "does not have minimal period 1"),   # 1/2 maps to the fixed point 0
-    (3, 0.5, 0, r"periodic_period 0 must be >= 1 with 3\^q < 2\^52"),
-    (3, 0.3, 33, r"periodic_period 33 must be >= 1 with 3\^q < 2\^52"),
+@pytest.mark.parametrize("a, centre, period", [
+    (3, 0.3, 1), (3, 0.3, 2), (3, 0.5, 2), (3, 0.3, 8), (2, 0.5, 1), (3, 0.5, 0), (3, 0.3, 33),
 ], ids=["0.3-period-1", "0.3-period-2", "fixed-point-period-2", "0.3-period-8",
         "preperiodic", "period-0", "period-beyond-float"])
-def test_a_declared_period_that_is_not_minimal_is_refused(a, centre, period, message):
-    with pytest.raises(ConfigError, match=message):
+def test_a_declared_period_that_is_not_minimal_is_refused(a, centre, period):
+    # predict read a declared period as the centre's minimal one, so a wrong
+    # one wrote a wrong law (0.3 has period 4 under 3x mod 1, and period 1
+    # wrote theta = 2/3).  The key is refused, and predict's extremal index
+    # 1 - a^-q is that of the centre's own period q
+    with pytest.raises(ConfigError, match=r"unknown target keys \['periodic_period'\]"):
         ExperimentConfig.from_dict({"system": {"kind": "linear_mod1", "a": a},
                                     "target": {"kind": "ball", "center": [centre],
                                                "periodic_period": period},
                                     "schedule": [{"rho": 1e-3}]})
+    system = LinearMod1System(a)
+    q = system.minimal_period(centre)
+    assert q != period
+    theta = _analytic_prediction(system, Ball((centre,), 1e-3), ScheduleRow(1e-3)).extremal_index
+    assert theta == pytest.approx(1.0 if q is None else 1 - a**-q, rel=1e-15)
 
 
 def test_schedule_numbers_written_as_exponents():
@@ -236,8 +245,8 @@ def test_schedule_numbers_written_as_exponents():
      "system k_cap must be an integer"),
     ("{kind: regenerative}", "{kind: level_set}", "{m: 2.5}",
      "schedule row m must be an integer"),
-    ("{kind: linear_mod1, a: 3}", "{kind: ball, periodic_period: 1.5}", "{rho: 0.01}",
-     "target periodic_period must be an integer"),
+    ("{kind: linear_mod1, a: 3}", "{kind: ball, periodic_period: 1}", "{rho: 0.01}",
+     r"unknown target keys \['periodic_period'\] for kind 'ball'"),
     ("{kind: linear_mod1, a: two}", "{kind: ball}", "{rho: 0.01}", "system a must be a number"),
     ("{kind: cml, a: 3, n: 2, gama: 0.3}", "{kind: diagonal_strip}", "{nu: 0.01}",
      r"unknown system keys \['gama'\]"),
@@ -247,9 +256,24 @@ def test_schedule_numbers_written_as_exponents():
      r"unknown target keys \['center'\]"),
     ("{kind: torus, a: 2}", "{kind: torus_strip, periodic_period: 1}", "{rho: 0.01}",
      r"unknown target keys \['periodic_period'\]"),
+    # keys that would load and act on nothing: smith blocks ignore cluster
+    # lambdas, weights act only through the coupling, and the coupling of
+    # one site is the identity (2x mod 1 with gamma 0.1 drained to 0)
+    ("{kind: regenerative, block_rule: smith, cluster_lambdas: [0.5, 0.5]}",
+     "{kind: level_set}", "{m: 10}", "cluster_lambdas is set for, and only for, fixed_lengths"),
+    ("{kind: cml, a: 3, weights: [0.25, 0.75]}", "{kind: diagonal_strip}", "{nu: 0.01}",
+     "weights act only through the coupling"),
+    ("{kind: cml, a: 3, gamma: 0, weights: [0.5, 0.5]}", "{kind: diagonal_strip}",
+     "{nu: 0.01}", "weights act only through the coupling"),
+    ("{kind: cml, a: 2, n: 1, gamma: 0.1}", "{kind: ball, center: [0.3]}", "{rho: 0.01}",
+     "a one-site lattice has no coupling"),
+    ("{kind: cml, a: 3, n: 1, gamma: 0.5, eps: 0.05}", "{kind: ball, center: [0.3]}",
+     "{rho: 0.01}", "a one-site lattice has no coupling"),
 ], ids=["torus-a", "linear_mod1-a", "cml-a", "cml-n", "cml-burn_in", "cml-n-0",
         "regenerative-k_cap", "level_set-m", "ball-periodic_period", "a-not-a-number",
-        "cml-gama", "torus-n", "torus_strip-center", "torus_strip-periodic_period"])
+        "cml-gama", "torus-n", "torus_strip-center", "torus_strip-periodic_period",
+        "smith-cluster_lambdas", "cml-weights-uncoupled", "cml-weights-gamma-0",
+        "cml-one-site-gamma", "cml-one-site-sine-gamma"])
 def test_system_and_target_values_are_checked(system, target, row, message):
     # a non-integral value used to be truncated, an unknown key ignored
     with pytest.raises(ConfigError, match=message):
@@ -378,3 +402,65 @@ def test_readme_pairs_table_is_config_pairs():
         kind, targets = line.split("|")[1:3]
         table[kind.strip(" `")] = tuple(re.findall(r"`(\w+)`", targets))
     assert table == PAIRS
+
+
+# a loadable config of each shape, and a value other than the loaded one for
+# every key its system and target kinds read
+ACTING = [
+    ({"kind": "torus"}, {"kind": "torus_strip"}, {"rho": 0.01}, {"a": 3}),
+    ({"kind": "linear_mod1", "a": 3}, {"kind": "ball", "center": [0.3]}, {"rho": 0.01},
+     {"a": 5, "center": [0.7]}),
+    ({"kind": "cml", "a": 3}, {"kind": "diagonal_strip"}, {"nu": 0.01},
+     {"a": 5, "n": 3, "gamma": 0.2, "weights": [0.25, 0.75], "eps": 0.05, "burn_in": 7}),
+    ({"kind": "cml", "a": 3, "gamma": 0.1}, {"kind": "ball", "center": [0.3, 0.6]},
+     {"rho": 0.01}, {"gamma": 0.2, "weights": [0.25, 0.75], "center": [0.3, 0.7]}),
+    ({"kind": "cml", "a": 3, "n": 1}, {"kind": "ball", "center": [0.3]}, {"rho": 0.01},
+     {"n": 2, "gamma": 0.2, "weights": [1.0], "eps": 0.05, "center": [0.7]}),
+    ({"kind": "regenerative"}, {"kind": "level_set"}, {"m": 10},
+     {"block_rule": "fixed_lengths", "cluster_lambdas": [0.5, 0.5], "k_cap": 3000}),
+    ({"kind": "regenerative", "block_rule": "fixed_lengths", "cluster_lambdas": [0.5, 0.5]},
+     {"kind": "level_set"}, {"m": 10},
+     {"block_rule": "smith", "cluster_lambdas": [0.2, 0.8], "k_cap": 3000}),
+]
+
+
+def _what_runs(cfg: ExperimentConfig):
+    """What the built system does, and the built targets: a map system's
+    first orbit points (fields such as uncoupled weights change no bit of
+    them), or a RegenSpec's laws."""
+    system = cfg.build_system()
+    if isinstance(system, RegenSpec):
+        dist = system.cluster_dist
+        acts = (system.block_rule, system.symbol_probs.tobytes(),
+                None if dist is None else dist.lambdas.tobytes())
+    else:
+        _, coords = next(system._orbit_slices(1, [0, 1], 4))
+        acts = (type(system), system.preserves_lebesgue, coords.tobytes())
+    return acts, [repr(cfg.build_target(row)) for row in cfg.schedule]
+
+
+def test_every_key_acts_or_is_refused():
+    # predict and simulate read only the built system and targets, so a key
+    # that changes neither loads, is echoed into the manifest and does
+    # nothing; such a key must be refused at load
+    covered = set()
+    for system, target, row, other in ACTING:
+        raw = {"system": system, "target": target, "schedule": [row]}
+        base = _what_runs(ExperimentConfig.from_dict(raw))
+        for key, value in other.items():
+            section = "system" if key in KEYS[system["kind"]] else "target"
+            kind = raw[section]["kind"]
+            covered.add((kind, key))
+            changed = dict(raw, **{section: {**raw[section], key: value}})
+            try:
+                cfg = ExperimentConfig.from_dict(changed)
+            except ConfigError:
+                continue
+            assert _what_runs(cfg) != base, f"{kind} {key}: {value!r} loads and acts on nothing"
+    assert covered == {(kind, key) for kind in KEYS for key in KEYS[kind]}
+    # the one key that acts on nothing: the top-level threshold is echoed
+    # only (compare reads --threshold), and bench/workloads.py sets it, so
+    # it stays until the benchmark changes (ROADMAP item 10)
+    raw = yaml.safe_load(TORUS_YAML)
+    assert (_what_runs(ExperimentConfig.from_dict(dict(raw, threshold=0.5)))
+            == _what_runs(ExperimentConfig.from_dict(raw)))

@@ -476,6 +476,10 @@ def test_cml_spec_validation():
         CmlSpec(LinearInterval(2), 2, 0.1, np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         CmlSpec(LinearInterval(2), 0, 0.1, np.array([]))
+    # one site has no coupling, and gamma > 0 turned preserves_lebesgue off,
+    # so a draining 2x mod 1 passed the power-of-two check
+    with pytest.raises(ValueError, match="one-site lattice has no coupling"):
+        CmlSpec(LinearInterval(2), 1, 0.1, np.array([1.0]))
 
 
 def test_cml_indicator_block_deterministic_and_trialwise():

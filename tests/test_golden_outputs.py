@@ -30,7 +30,7 @@ workers: 2
 """,
     "fixed_point": """
 system: {kind: linear_mod1, a: 3}
-target: {kind: ball, center: [0.5], periodic_period: 1}
+target: {kind: ball, center: [0.5]}
 schedule:
   - {rho: 0.02, K: 6, t: 1.0, n_trials: 400, min_entries: 300, orbit_len: 20000}
 seed: 1234

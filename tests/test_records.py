@@ -129,7 +129,7 @@ def test_cli_result_files_are_strict_json_and_float_csv(tmp_path, command):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(f"""
 system: {{kind: linear_mod1, a: 3}}
-target: {{kind: ball, center: [0.5], periodic_period: 1}}
+target: {{kind: ball, center: [0.5]}}
 schedule: [{{rho: 0.02, K: 4, n_trials: 200, min_entries: 200, orbit_len: 20000}}]
 seed: 5
 outputs: {{dir: "{out}"}}

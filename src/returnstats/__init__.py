@@ -9,7 +9,7 @@ geometric clusters), and estimators + goodness-of-fit tooling
 to compare the two.
 """
 
-from .distributions import (ClusterSizeDist, CompoundSpec, DiscreteDistribution,
+from .distributions import (ClusterSizeDist, DiscreteDistribution,
                             compound_binomial_pmf, compound_poisson_pmf,
                             empirical_distribution)
 from .dynamics import (CmlSpec, CmlSystem, IntervalMap, LinearInterval,
@@ -19,8 +19,7 @@ from .estimators import (ClusterStats, cluster_statistics, counting_distribution
 from .regenerative import (RegenSpec, SymbolStream, generate_stationary,
                            level_measure, regen_cluster_stats)
 from .cml_theory import ExpansionWarning, alpha_hat_integral, cml_prediction
-from .stats import (AlphaSequences, GofReport, chi_square_gof,
-                    lambda_from_alpha_hat, total_variation)
+from .stats import GofReport, chi_square_gof, total_variation
 from .targets import (Ball, DiagonalStrip, MeasureEstimate, TargetSet,
                       TorusStrip, measure)
 from .config import ExperimentConfig

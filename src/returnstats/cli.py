@@ -25,9 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .cml_theory import cml_prediction
-from .config import ConfigError, ExperimentConfig
-from .distributions import (ClusterSizeDist, CompoundSpec, DiscreteDistribution,
-                            compound_poisson_pmf)
+from .config import ConfigError, ExperimentConfig, _threshold
+from .distributions import ClusterSizeDist, DiscreteDistribution, compound_poisson_pmf
 from .dynamics import CmlSystem, LinearMod1System, TorusAffineSystem
 from .estimators import cluster_statistics, counting_distribution
 from .records import csv_table, from_json_fields, json_fields
@@ -100,21 +99,16 @@ def _analytic_prediction(system, target, row) -> _Prediction:
         spec = system.spec
         # Lebesgue measure along the diagonal; lambda_1..lambda_{k_max-1} are
         # exact, and the rest is the geometric envelope's tail
-        lam = cml_prediction(spec.base_map, np.ones_like, spec.n, spec.gamma, row.k_max).lam
-        clusters, table = ClusterSizeDist(lam), lam[:row.k_max - 1]
+        clusters = cml_prediction(spec.base_map, np.ones_like, spec.n, spec.gamma, row.k_max)
+        table = clusters.lambdas[:row.k_max - 1]
     elif isinstance(system, RegenSpec):
         clusters, table = system.cluster_dist, system.cluster_dist.lambdas
     else:
         raise ConfigError(f"no analytic law for a {type(system).__name__} with a "
                           f"{type(target).__name__} target")
-    # alpha_ell = P(X >= ell) / E[X], and alpha_hat_{ell+1} = 1 - sum of the
-    # first ell of them
-    lam, mean_len = clusters.lambdas, clusters.mean()
-    alpha = np.array([lam[k - 1:].sum() / mean_len for k in range(1, row.k_max + 2)])
-    alpha_hat = np.clip(np.concatenate([[1.0], 1.0 - np.cumsum(alpha)[:-1]]), 0.0, 1.0)
-    alpha1 = float(alpha[0])
-    pmf = compound_poisson_pmf(CompoundSpec(alpha1 * row.t, clusters), _PMF_KMAX)
-    return _Prediction(alpha_hat, table, alpha1, pmf)
+    alpha_hat, theta = clusters.alpha_hat(row.k_max + 1), clusters.extremal_index
+    return _Prediction(alpha_hat, table, theta,
+                       compound_poisson_pmf(theta * row.t, clusters, _PMF_KMAX))
 
 
 def cmd_predict(config: ExperimentConfig) -> int:
@@ -206,6 +200,7 @@ def _load_distribution(path: Path, need_samples: bool):
 
 def cmd_compare(prediction_file, simulation_file, threshold: float,
                 out_dir: Path | None = None) -> int:
+    threshold = _threshold(threshold)
     model = _load_distribution(Path(prediction_file), need_samples=False)
     empirical = _load_distribution(Path(simulation_file), need_samples=True)
     report = chi_square_gof(empirical, empirical.n_samples, model)

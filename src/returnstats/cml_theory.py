@@ -21,8 +21,8 @@ import warnings
 
 import numpy as np
 
+from .distributions import ClusterSizeDist
 from .dynamics import IntervalMap
-from .stats import AlphaSequences, lambda_from_alpha_hat
 
 __all__ = ["alpha_hat_integral", "cml_prediction", "ExpansionWarning"]
 
@@ -110,11 +110,11 @@ def alpha_hat_integral(base_map: IntervalMap, h, n: int, gamma: float,
 
 
 def cml_prediction(base_map: IntervalMap, h, n: int, gamma: float,
-                   k_max: int) -> AlphaSequences:
-    """alpha_hat_{1..k_max+1} by quadrature, with the alpha and lambda
-    sequences and the extremal index alpha_1 = 1 - alpha_hat_2 that
-    `lambda_from_alpha_hat` derives from them."""
+                   k_max: int) -> ClusterSizeDist:
+    """The cluster-size law of alpha_hat_{1..k_max+1} by quadrature
+    (`ClusterSizeDist.from_alpha_hat`); its extremal index is
+    alpha_1 = 1 - alpha_hat_2."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return lambda_from_alpha_hat([alpha_hat_integral(base_map, h, n, gamma, k)
-                                  for k in range(k_max + 1)])
+    return ClusterSizeDist.from_alpha_hat([alpha_hat_integral(base_map, h, n, gamma, k)
+                                           for k in range(k_max + 1)])

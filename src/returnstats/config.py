@@ -89,7 +89,10 @@ class ConfigError(ValueError):
 
 def _number(name: str, value, kind):
     """Config value `name` as a float or an int (`kind`).  PyYAML reads an
-    exponent without a dot, such as 1e5, as a string, so strings parse too."""
+    exponent without a dot, such as 1e5, as a string, so strings parse too;
+    it reads yes and true as a bool, which is no number."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -99,6 +102,20 @@ def _number(name: str, value, kind):
     if not number.is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value if type(value) is int else int(number)
+
+
+def _mapping(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a mapping, got {value!r}")
+    return dict(value)
+
+
+def _threshold(value) -> float:
+    """The p-value pass threshold, of the config and of `compare --threshold`."""
+    threshold = _number("threshold", value, float)
+    if not 0.0 <= threshold < 1.0:
+        raise ConfigError(f"threshold must lie in [0, 1), got {value!r}")
+    return threshold
 
 
 def _refuse_unknown(name: str, raw: dict, known, why: str = "") -> None:
@@ -162,8 +179,8 @@ class ExperimentConfig:
                 raise ConfigError(f"missing required section {key!r}")
         _refuse_unknown("top-level", raw, ("experiment", "system", "target", "schedule",
                                            "seed", "workers", "threshold", "outputs"))
-        system = dict(raw["system"])
-        target = dict(raw["target"])
+        system = _mapping("system", raw["system"])
+        target = _mapping("target", raw["target"])
         kind = system.get("kind")
         if kind not in PAIRS:
             raise ConfigError(f"unknown system kind {kind!r}")
@@ -189,7 +206,7 @@ class ExperimentConfig:
         other = {"orbit_len", "max_orbit"} if regen else {"stream_len"}
         knobs = {f.name for f in fields(ScheduleRow)} - {"scale"} - other
         for row in rows:
-            row = dict(row)
+            row = _mapping("schedule row", row)
             if scale_name not in row:
                 raise ConfigError(f"schedule row missing scale parameter {scale_name!r}")
             scale = _number(f"schedule row {scale_name}", row.pop(scale_name),
@@ -233,12 +250,11 @@ class ExperimentConfig:
         workers = _number("workers", raw.get("workers", 1), int)
         if workers < 1:
             raise ConfigError("workers must be >= 1")
-        threshold = float(raw.get("threshold", 0.01))
-        if not 0.0 <= threshold < 1.0:
-            raise ConfigError("threshold must lie in [0, 1)")
-        outputs = dict(raw.get("outputs", {}))
+        threshold = _threshold(raw.get("threshold", 0.01))
+        outputs = _mapping("outputs", raw.get("outputs", {}))
         _refuse_unknown("outputs", outputs, ("dir", "formats"))
-        outputs.setdefault("dir", "results")
+        if not isinstance(outputs.setdefault("dir", "results"), str):
+            raise ConfigError(f"outputs dir must be a string, got {outputs['dir']!r}")
         fmts = outputs.setdefault("formats", ["json", "csv"])
         if not (isinstance(fmts, list) and fmts and all(f in ("json", "csv") for f in fmts)):
             raise ConfigError(f"outputs formats must be a non-empty list of json and "

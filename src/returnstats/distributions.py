@@ -1,11 +1,19 @@
-"""Finite-truncation compound distributions on the non-negative integers.
+"""Cluster-size laws and the finite-truncation compound laws built from them.
 
-Covers the compound Poisson family W = X_1 + ... + X_P with P ~ Poisson(s)
-and i.i.d. cluster sizes X_j >= 1, and the compound binomial analogue where
-the number of clusters is Binomial(N', p).  Every limit law is built from its
-cluster-size law: the Polya-Aeppli law of a periodic point is the compound
-Poisson law over ``ClusterSizeDist.geometric`` clusters, and the Poisson law
-the one over ``ClusterSizeDist.single()``.  All pmfs carry an explicit
+A cluster-size law lambda_ell = P(X = ell) and the tail-probability sequence
+alpha_hat_ell (alpha_hat_1 = 1, non-increasing) determine each other through
+
+    alpha_ell  = P(X >= ell) / E[X] = alpha_hat_ell - alpha_hat_{ell+1}
+    lambda_ell = (alpha_ell - alpha_{ell+1}) / alpha_1
+
+with alpha_1 = 1/E[X] = 1 - alpha_hat_2 the extremal index.  A finite
+alpha_hat table is extended by the geometric envelope of its last two terms,
+so its law carries the tail explicitly instead of quietly truncating it.
+
+The compound Poisson law of W = X_1 + ... + X_P, P ~ Poisson(s), and its
+compound binomial analogue (P ~ Binomial(N', p)) are built from the
+cluster-size law: Polya-Aeppli over ``ClusterSizeDist.geometric`` clusters,
+Poisson over ``ClusterSizeDist.single()``.  All pmfs carry an explicit
 ``tail_mass`` so that normalisation is exact bookkeeping, never a silent
 renormalisation.
 """
@@ -20,14 +28,8 @@ import numpy as np
 
 from .records import csv_table, json_fields
 
-__all__ = [
-    "DiscreteDistribution",
-    "ClusterSizeDist",
-    "CompoundSpec",
-    "compound_poisson_pmf",
-    "compound_binomial_pmf",
-    "empirical_distribution",
-]
+__all__ = ["DiscreteDistribution", "ClusterSizeDist", "compound_poisson_pmf",
+           "compound_binomial_pmf", "empirical_distribution"]
 
 _NORM_TOL = 1e-12
 
@@ -46,6 +48,8 @@ class DiscreteDistribution:
         object.__setattr__(self, "tail_mass", float(self.tail_mass))
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty 1-d array")
+        if not (np.all(np.isfinite(probs)) and math.isfinite(self.tail_mass)):
+            raise ValueError("probabilities and tail_mass must be finite")
         if np.any(probs < -_NORM_TOL) or np.any(probs > 1 + _NORM_TOL):
             raise ValueError("probabilities must lie in [0, 1]")
         if self.tail_mass < -_NORM_TOL:
@@ -78,17 +82,63 @@ class ClusterSizeDist:
         object.__setattr__(self, "lambdas", lam)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("lambdas must be a non-empty 1-d array")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("cluster probabilities must be finite")
         if np.any(lam < -_NORM_TOL):
             raise ValueError("cluster probabilities must be non-negative")
         if abs(lam.sum() - 1.0) > _NORM_TOL:
             raise ValueError(f"cluster probabilities must sum to 1, got {lam.sum()!r}")
 
-    @property
-    def ell_max(self) -> int:
-        return self.lambdas.size
-
     def mean(self) -> float:
         return float(np.arange(1, self.lambdas.size + 1) @ self.lambdas)
+
+    @property
+    def extremal_index(self) -> float:
+        """alpha_1 = P(X >= 1) / E[X]."""
+        return float(self.lambdas.sum() / self.mean())
+
+    def alpha_hat(self, n: int) -> np.ndarray:
+        """alpha_hat_1..alpha_hat_n, where alpha_hat_{ell+1} = 1 - alpha_1 - ...
+        - alpha_ell; it is exactly 0 past the law's support."""
+        lam, mean = self.lambdas, self.mean()
+        alpha = np.array([lam[k - 1:].sum() / mean for k in range(1, n)])
+        alpha_hat = np.clip(np.concatenate([[1.0], 1.0 - np.cumsum(alpha)]), 0.0, 1.0)
+        alpha_hat[lam.size:] = 0.0
+        return alpha_hat
+
+    @classmethod
+    def from_alpha_hat(cls, alpha_hat) -> "ClusterSizeDist":
+        """The law of a tail-probability table alpha_hat_1..alpha_hat_m, with
+        the table's geometric envelope as its tail.
+
+        Requires alpha_hat_1 = 1, non-increasing entries in [0, 1] and a
+        decaying tail (finite mean cluster size); violations are rejected,
+        and so is a table whose law does not sum to 1.
+        """
+        ah = np.asarray(alpha_hat, dtype=float)
+        if ah.ndim != 1 or ah.size < 2:
+            raise ValueError("alpha_hat needs at least the first two entries")
+        if abs(ah[0] - 1.0) > 1e-12:
+            raise ValueError("alpha_hat_1 must equal 1")
+        if np.any(np.diff(ah) > 1e-12):
+            raise ValueError("alpha_hat must be non-increasing")
+        if np.any(ah < -1e-15) or np.any(ah > 1 + 1e-12):
+            raise ValueError("alpha_hat entries must lie in [0, 1]")
+        alpha1 = 1.0 - ah[1]
+        if alpha1 <= 0.0:
+            raise ValueError("alpha_1 = 1 - alpha_hat_2 must be positive")
+
+        # geometric envelope for the tail beyond the last retained index
+        r = 0.0 if ah[-1] <= 0.0 or ah[-2] <= 0.0 else float(ah[-1] / ah[-2])
+        if r >= 1.0:
+            raise ValueError("alpha_hat tail does not decay; sum k*alpha_hat_k diverges")
+        # extend with the envelope until the remaining alpha_hat mass is far
+        # below double precision, so term-wise sums carry no visible truncation
+        extra = (max(2, math.ceil((math.log(1e-18) - math.log(ah[-1])) / math.log(r)))
+                 if r > 0.0 else 2)
+        full = np.concatenate([ah, ah[-1] * r ** np.arange(1, extra + 1)])
+        alpha = full[:-1] - full[1:]
+        return cls(np.clip((alpha[:-1] - alpha[1:]) / alpha1, 0.0, None))
 
     @classmethod
     def single(cls) -> "ClusterSizeDist":
@@ -114,29 +164,19 @@ class ClusterSizeDist:
         return cls(lam / lam.sum())
 
 
-@dataclass(frozen=True)
-class CompoundSpec:
-    """Intensity s > 0 of the cluster-count Poisson plus the cluster-size law."""
-
-    intensity: float
-    clusters: ClusterSizeDist
-
-    def __post_init__(self):
-        if not self.intensity > 0:
-            raise ValueError("intensity must be positive")
-
-
-def compound_poisson_pmf(spec: CompoundSpec, k_max: int) -> DiscreteDistribution:
+def compound_poisson_pmf(s: float, clusters: ClusterSizeDist,
+                         k_max: int) -> DiscreteDistribution:
     """pmf of W = sum of a Poisson(s) number of i.i.d. cluster sizes.
 
     Uses the weighted recursion
     P(W=k) = (s/k) * sum_{ell<=k} ell * lambda_ell * P(W=k-ell),
     with P(W=0) = exp(-s).  The mass beyond k_max is the pmf's tail_mass.
     """
+    if not s > 0:
+        raise ValueError("intensity must be positive")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    s = spec.intensity
-    lam = spec.clusters.lambdas
+    lam = clusters.lambdas
     probs = np.zeros(k_max + 1)
     probs[0] = math.exp(-s)
     weighted = np.arange(1, lam.size + 1) * lam  # ell * lambda_ell
@@ -161,13 +201,10 @@ def compound_binomial_pmf(n_trials: int, p: float, clusters: ClusterSizeDist,
         raise ValueError("p must lie in [0, 1]")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    block = np.zeros(min(k_max, clusters.ell_max) + 1)
-    block[0] = 1.0 - p
-    upto = min(k_max, clusters.ell_max)
-    block[1 : upto + 1] = p * clusters.lambdas[:upto]
-    # repeated squaring with truncation at k_max + 1 coefficients
+    # repeated squaring of the per-block polynomial, truncated at k_max + 1
+    # coefficients
+    base = np.concatenate([[1.0 - p], p * clusters.lambdas[:k_max]])
     result = np.array([1.0])
-    base = block
     e = n_trials
     while e:
         if e & 1:
@@ -175,8 +212,7 @@ def compound_binomial_pmf(n_trials: int, p: float, clusters: ClusterSizeDist,
         e >>= 1
         if e:
             base = np.convolve(base, base)[: k_max + 1]
-    probs = np.zeros(k_max + 1)
-    probs[: result.size] = result
+    probs = np.pad(result, (0, k_max + 1 - result.size))
     return DiscreteDistribution(probs, max(0.0, 1.0 - probs.sum()))
 
 

@@ -1,23 +1,9 @@
-"""Cluster-sequence algebra and goodness-of-fit utilities.
-
-The tail-probability sequence alpha_hat_ell (alpha_hat_1 = 1, non-increasing)
-determines the per-cluster return probabilities alpha_ell and the cluster-size
-probabilities lambda_ell through
-
-    alpha_ell  = alpha_hat_ell - alpha_hat_{ell+1}
-    lambda_ell = (alpha_ell - alpha_{ell+1}) / alpha_1
-
-with alpha_1 = 1 - alpha_hat_2 the extremal index.  Finite sequences are
-extended past the truncation index by the geometric envelope fitted to the
-last two retained terms, so the identities (mean cluster size = 1/alpha_1)
-can be evaluated with an explicit tail budget instead of being quietly
-truncated.
-"""
+"""Goodness-of-fit utilities: total variation and the Pearson chi-square test
+of an empirical pmf against a model pmf."""
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,78 +12,13 @@ from scipy.special import gammaincc
 from .distributions import DiscreteDistribution
 from .records import json_fields
 
-__all__ = ["AlphaSequences", "GofReport", "lambda_from_alpha_hat",
-           "total_variation", "chi_square_gof"]
-
-
-@dataclass(frozen=True)
-class AlphaSequences:
-    """alpha_hat and alpha to the retained index and the whole lambda law, its
-    envelope tail included; index i holds the value at ell = i+1."""
-
-    alpha_hat: np.ndarray
-    alpha: np.ndarray
-    lam: np.ndarray
-    tail_ratio: float          # fitted geometric ratio of alpha_hat past the end
-    mean_cluster_size: float   # includes the geometric tail, in closed form
-
-    @property
-    def extremal_index(self) -> float:
-        return float(self.alpha[0])
-
-
-def lambda_from_alpha_hat(alpha_hat) -> AlphaSequences:
-    """Convert a tail-probability sequence into alpha and lambda sequences.
-
-    Requires alpha_hat[0] = 1, non-increasing entries and a summable tail
-    (finite mean cluster size); violations are rejected.
-    """
-    ah = np.asarray(alpha_hat, dtype=float)
-    if ah.ndim != 1 or ah.size < 2:
-        raise ValueError("alpha_hat needs at least the first two entries")
-    if abs(ah[0] - 1.0) > 1e-12:
-        raise ValueError("alpha_hat_1 must equal 1")
-    if np.any(np.diff(ah) > 1e-12):
-        raise ValueError("alpha_hat must be non-increasing")
-    if np.any(ah < -1e-15) or np.any(ah > 1 + 1e-12):
-        raise ValueError("alpha_hat entries must lie in [0, 1]")
-    alpha1 = 1.0 - ah[1]
-    if alpha1 <= 0.0:
-        raise ValueError("alpha_1 = 1 - alpha_hat_2 must be positive")
-
-    # geometric envelope for the tail beyond the last retained index
-    m = ah.size
-    if ah[-1] <= 0.0 or ah[-2] <= 0.0:
-        r = 0.0
-    else:
-        r = float(ah[-1] / ah[-2])
-    if r >= 1.0:
-        raise ValueError("alpha_hat tail does not decay; sum k*alpha_hat_k diverges")
-
-    # extend with the envelope until the remaining alpha_hat mass is far
-    # below double precision, so term-wise sums carry no visible truncation
-    if r > 0.0:
-        extra = max(2, math.ceil((math.log(1e-18) - math.log(ah[-1])) / math.log(r)))
-    else:
-        extra = 2
-    tail = ah[-1] * r ** np.arange(1, extra + 1)
-    full = np.concatenate([ah, tail])
-
-    alpha_full = full[:-1] - full[1:]
-    lam_full = np.clip((alpha_full[:-1] - alpha_full[1:]) / alpha1, 0.0, None)
-    mean_cluster = float(np.arange(1, lam_full.size + 1) @ lam_full)
-
-    return AlphaSequences(alpha_hat=full[:m], alpha=alpha_full[:m], lam=lam_full,
-                          tail_ratio=r, mean_cluster_size=mean_cluster)
+__all__ = ["GofReport", "total_variation", "chi_square_gof"]
 
 
 def total_variation(d1: DiscreteDistribution, d2: DiscreteDistribution) -> float:
     """0.5 * sum_k |p1_k - p2_k| + 0.5 * |tail1 - tail2|."""
     n = max(d1.probs.size, d2.probs.size)
-    p1 = np.zeros(n)
-    p2 = np.zeros(n)
-    p1[: d1.probs.size] = d1.probs
-    p2[: d2.probs.size] = d2.probs
+    p1, p2 = (np.pad(d.probs, (0, n - d.probs.size)) for d in (d1, d2))
     return float(0.5 * np.abs(p1 - p2).sum() + 0.5 * abs(d1.tail_mass - d2.tail_mass))
 
 
@@ -123,10 +44,7 @@ def chi_square_gof(empirical: DiscreteDistribution, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     size = max(empirical.probs.size, model.probs.size)
-    pe = np.zeros(size)
-    pm = np.zeros(size)
-    pe[: empirical.probs.size] = empirical.probs
-    pm[: model.probs.size] = model.probs
+    pe, pm = (np.pad(d.probs, (0, size - d.probs.size)) for d in (empirical, model))
 
     cutoff = 5.0 / n
     keep = pm >= cutoff

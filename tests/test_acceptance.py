@@ -13,15 +13,15 @@ from fractions import Fraction
 import numpy as np
 
 from returnstats.cml_theory import alpha_hat_integral
-from returnstats.distributions import (ClusterSizeDist, CompoundSpec,
-                                       compound_binomial_pmf, compound_poisson_pmf)
+from returnstats.distributions import (ClusterSizeDist, compound_binomial_pmf,
+                                       compound_poisson_pmf)
 from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
                                   LinearMod1System, TorusAffineSystem)
 from returnstats.estimators import (ClusterAccumulator, _ordered_map,
                                     cluster_statistics, counting_distribution,
                                     entry_time_ratio)
 from returnstats.regenerative import RegenSpec, stationary_hit_runs
-from returnstats.stats import lambda_from_alpha_hat, total_variation
+from returnstats.stats import total_variation
 from returnstats.targets import Ball, DiagonalStrip, TorusStrip
 
 from polya_aeppli_reference import polya_aeppli_pmf
@@ -40,8 +40,7 @@ def test_criterion_01_distribution_kernel_exactness():
     for s in (0.5, 1.0, 2.0):
         for p in (0.1, 0.5, 0.9):
             pa = polya_aeppli_pmf(s, p, 40)
-            cp = compound_poisson_pmf(
-                CompoundSpec(s, ClusterSizeDist.geometric(p)), 40)
+            cp = compound_poisson_pmf(s, ClusterSizeDist.geometric(p), 40)
             worst = max(worst, float(np.max(np.abs(pa.probs - cp.probs))))
     atom_exact = all(
         polya_aeppli_pmf(s, 0.5, 5).probs[0] == math.exp(-s)
@@ -53,14 +52,14 @@ def test_criterion_01_distribution_kernel_exactness():
 
 
 def test_criterion_02_mean_cluster_identity():
-    from test_stats import random_valid_alpha_hat
+    from test_distributions import random_valid_alpha_hat
 
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(100):
         ah, _ = random_valid_alpha_hat(rng)
-        seqs = lambda_from_alpha_hat(ah)
-        worst = max(worst, abs(seqs.mean_cluster_size - 1.0 / (1.0 - ah[1])))
+        law = ClusterSizeDist.from_alpha_hat(ah)
+        worst = max(worst, abs(law.mean() - 1.0 / (1.0 - ah[1])))
     ok = worst < 1e-9
     _report(2, "sum k lambda_k = 1/alpha_1", ok, f"max deviation = {worst:.2e}")
     assert ok

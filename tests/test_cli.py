@@ -13,8 +13,8 @@ import pytest
 from returnstats import cli
 from returnstats.cli import main
 from returnstats.config import ExperimentConfig
+from returnstats.distributions import ClusterSizeDist
 from returnstats.regenerative import RegenSpec, level_measure
-from returnstats.stats import lambda_from_alpha_hat
 
 from polya_aeppli_reference import polya_aeppli_pmf
 
@@ -259,7 +259,7 @@ def test_predict_refuses_a_cml_cluster_law_that_does_not_sum_to_1(tmp_path, monk
     # an alpha_hat whose alpha increases gives a negative lambda_2, clipped
     # to 0, so the law sums above 1; predict says so and writes nothing
     monkeypatch.setattr(cli, "cml_prediction",
-                        lambda *args: lambda_from_alpha_hat([1.0, 0.5, 0.45, 0.1]))
+                        lambda *args: ClusterSizeDist.from_alpha_hat([1.0, 0.5, 0.45, 0.1]))
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path, f"""
 system: {{kind: cml, a: 2, n: 2, gamma: 0.1}}
@@ -443,3 +443,51 @@ def test_compare_requires_sample_counts(tmp_path):
     f = tmp_path / "pmf.json"
     f.write_text(pmf.to_json())  # no n_samples
     assert main(["compare", str(f), str(f)]) == 2
+
+
+@pytest.mark.parametrize("threshold", ["1.5", "1", "nan", "-1", "inf"])
+def test_compare_refuses_a_threshold_outside_0_1(tmp_path, capsys, threshold):
+    # the config's [0, 1) rule: 1.5 and nan used to fail a perfect fit
+    # (exit 1), and -1 to pass anything (exit 0)
+    d = dict(json.loads(polya_aeppli_pmf(0.5, 0.5, 40).to_json()), n_samples=5000)
+    f = tmp_path / "pmf.json"
+    f.write_text(json.dumps(d))
+    assert main(["--threshold", threshold, "compare", str(f), str(f)]) == 2
+    assert "threshold must lie in [0, 1)" in capsys.readouterr().err
+    assert main(["--threshold", "0", "compare", str(f), str(f)]) == 0
+
+
+def test_compare_refuses_a_pmf_with_a_nan_entry(tmp_path, capsys):
+    # a null in a pmf file reads back as nan; compare used to print
+    # tv_distance nan and exit 1, a statistical fail, rather than 2
+    good = dict(json.loads(polya_aeppli_pmf(0.5, 0.5, 40).to_json()), n_samples=5000)
+    bad = dict(good, probs=[None] + good["probs"][1:])
+    (tmp_path / "good.json").write_text(json.dumps(good))
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    for model, empirical in (("bad", "good"), ("good", "bad")):
+        assert main(["compare", str(tmp_path / f"{model}.json"),
+                     str(tmp_path / f"{empirical}.json")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", [
+    "system: 5", "target: 5", "schedule: [5]", "schedule: [[1, 2]]", "schedule: [null]",
+    "outputs: [1]", "outputs: null", "outputs: {dir: 5}",
+    "system: {kind: regenerative, block_rule: fixed_lengths, cluster_lambdas: [0.5, .nan]}",
+    "schedule: [{rho: 0.01, K: yes, n_trials: 50, min_entries: 100, orbit_len: 5000}]"])
+def test_malformed_sections_and_values_exit_2_without_files(tmp_path, monkeypatch, section):
+    # each used to raise TypeError out of main (exit 1 with a traceback), or
+    # to load: a dir of 5 failed in predict, a nan cluster probability failed
+    # later with an unrelated message, and K: yes ran as K = 1
+    monkeypatch.chdir(tmp_path)
+    sections = {"system": "system: {kind: linear_mod1, a: 2}",
+                "target": "target: {kind: ball, center: [0.3]}",
+                "schedule": f"schedule: [{FIRST_ROW}]", "outputs": "outputs: {dir: out}"}
+    key = section.split(":")[0]
+    if key == "system":
+        sections["target"], sections["schedule"] = "target: {kind: level_set}", "schedule: [{m: 3}]"
+    sections[key] = section
+    cfg = _write_cfg(tmp_path, "\n".join(sections.values()) + "\n")
+    for command in ("predict", "simulate"):
+        assert main(["--config", cfg, command]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]

@@ -92,12 +92,14 @@ def test_prediction_assembly_telescopes_exactly():
     alphas = [a - b for a, b in zip(ah[:-1], ah[1:])]
     alpha1 = alphas[0]
     lambdas = [(a - b) / alpha1 for a, b in zip(alphas[:-1], alphas[1:])]
-    np.testing.assert_allclose(pred.alpha_hat, [float(v) for v in ah], atol=1e-10)
-    np.testing.assert_allclose(pred.alpha[:6], [float(v) for v in alphas], atol=1e-10)
-    np.testing.assert_allclose(pred.lam[:5], [float(v) for v in lambdas], atol=1e-10)
+    alpha_hat = pred.alpha_hat(8)
+    alpha = -np.diff(alpha_hat)
+    np.testing.assert_allclose(alpha_hat[:7], [float(v) for v in ah], atol=1e-10)
+    np.testing.assert_allclose(alpha[:6], [float(v) for v in alphas], atol=1e-10)
+    np.testing.assert_allclose(pred.lambdas[:5], [float(v) for v in lambdas], atol=1e-10)
     assert abs(pred.extremal_index - 0.5) < 1e-10
     # truncation bookkeeping: sum lambda + alpha_kmax/alpha_1 telescopes to 1
-    assert abs(pred.lam[:5].sum() + pred.alpha[5] / pred.extremal_index - 1.0) < 1e-9
+    assert abs(pred.lambdas[:5].sum() + alpha[5] / pred.extremal_index - 1.0) < 1e-9
 
 
 def test_prediction_validation():

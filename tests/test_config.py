@@ -317,6 +317,22 @@ def test_numeric_range_validation():
             ExperimentConfig.from_dict(dict(base, **patch))
 
 
+@pytest.mark.parametrize("value", ["yes", "true", "no", "false"])
+@pytest.mark.parametrize("key", ["K", "t", "n_trials", "seed", "workers", "system a"])
+def test_booleans_are_not_numbers(key, value):
+    # PyYAML reads yes and true as bools, and float(True) is 1.0: K: yes
+    # loaded as K = 1 and ran
+    raw = yaml.safe_load(TORUS_YAML)
+    if key == "system a":
+        raw["system"]["a"] = yaml.safe_load(value)
+    elif key in ("seed", "workers"):
+        raw[key] = yaml.safe_load(value)
+    else:
+        raw["schedule"][0][key] = yaml.safe_load(value)
+    with pytest.raises(ConfigError, match="must be a number, got (True|False)"):
+        ExperimentConfig.from_dict(raw)
+
+
 def test_build_system_families():
     assert isinstance(ExperimentConfig.from_yaml(TORUS_YAML).build_system(),
                       TorusAffineSystem)

@@ -104,9 +104,9 @@ GOLDEN = {
         "counting_pmf_m1000_K10.json":
             "c80c1d0a8eabe4221a974ae21ea3120922e9bab124351a05e2e438a8d2c6ac8d",
         "predict_m1000_K10.csv":
-            "30b6d90c9d8c8cf695e31c14f43ea1af532c782ea439d378b3b7fdbb6a693021",
+            "0400dadf9a37367ddd1a625ba6cee2a10bf7ff4cec4e5c146d17044426c5998f",
         "predict_m1000_K10.json":
-            "e9c6e625e294009502ff4070683294d5a4ef8092ce6b90ff6c3efa34adc98674",
+            "a288ca4e7359cbface9ee60c5fbc6f3341e3e835e885747e266ae46442571856",
     },
     "predict/smith_regenerative": {
         "predict_m1000_K10.csv":

@@ -7,65 +7,9 @@ from hypothesis import strategies as st
 
 from returnstats.distributions import DiscreteDistribution, empirical_distribution
 from returnstats.records import from_json_fields
-from returnstats.stats import (AlphaSequences, GofReport, chi_square_gof,
-                               lambda_from_alpha_hat, total_variation)
+from returnstats.stats import GofReport, chi_square_gof, total_variation
 
 from polya_aeppli_reference import polya_aeppli_pmf
-
-
-def test_lambda_from_geometric_alpha_hat_closed_form():
-    # alpha_hat_k = p^(k-1) gives alpha_1 = 1-p, lambda_ell = (1-p) p^(ell-1)
-    # and mean cluster size 1/(1-p); lam is the whole law, the envelope's
-    # tail included
-    for p in (0.2, 0.5, 0.8):
-        ah = p ** np.arange(8)
-        seqs = lambda_from_alpha_hat(ah)
-        assert abs(seqs.extremal_index - (1 - p)) < 1e-12
-        assert seqs.lam.size > 8
-        expected = (1 - p) ** 2 * p ** np.arange(seqs.lam.size)
-        np.testing.assert_allclose(seqs.alpha, (1 - p) * p ** np.arange(8), atol=1e-12)
-        np.testing.assert_allclose(seqs.lam, expected / (1 - p), atol=1e-12)
-        assert abs(seqs.lam.sum() - 1.0) < 1e-12
-        assert abs(seqs.mean_cluster_size - 1.0 / (1 - p)) < 1e-10
-        assert abs(seqs.tail_ratio - p) < 1e-12
-
-
-def random_valid_alpha_hat(rng):
-    """alpha_hat built from a random cluster law with a geometric tail
-    (random head + exact geometric continuation), plus its true mean."""
-    h = int(rng.integers(1, 5))
-    head = rng.uniform(0.1, 1.0, size=h)
-    r = float(rng.uniform(0.05, 0.9))
-    w = np.concatenate([head, head[-1] * r ** np.arange(1, 2000)])
-    lam = w / w.sum()
-    mean = float(np.arange(1, lam.size + 1) @ lam)
-    alpha = np.cumsum(lam[::-1])[::-1] / mean     # alpha_1 = 1/mean
-    ahat = np.cumsum(alpha[::-1])[::-1]
-    ahat = ahat / ahat[0]
-    return ahat[: h + 4], mean
-
-
-def test_mean_cluster_identity_random_sequences():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        ah, mean = random_valid_alpha_hat(rng)
-        seqs = lambda_from_alpha_hat(ah)
-        assert abs(seqs.mean_cluster_size - 1.0 / (1.0 - ah[1])) < 1e-9
-        assert abs(seqs.mean_cluster_size - mean) < 1e-9
-        assert abs(seqs.lam.sum() - 1.0) < 1e-12
-
-
-def test_lambda_from_alpha_hat_validation():
-    with pytest.raises(ValueError):
-        lambda_from_alpha_hat([0.9, 0.5])          # alpha_hat_1 != 1
-    with pytest.raises(ValueError):
-        lambda_from_alpha_hat([1.0, 0.3, 0.4])     # increasing
-    with pytest.raises(ValueError):
-        lambda_from_alpha_hat([1.0, 1.0, 1.0])     # alpha_1 = 0
-    with pytest.raises(ValueError):
-        lambda_from_alpha_hat([1.0])               # too short
-    with pytest.raises(ValueError):
-        lambda_from_alpha_hat([1.0, 0.5, 0.5])     # non-decaying tail
 
 
 def test_total_variation_brute_force():
@@ -138,9 +82,3 @@ def test_gof_report_round_trip():
     rep = GofReport(tv_distance=0.01, chi_square=3.2, dof=4, p_value=0.52, n=1000)
     back = from_json_fields(GofReport, json.loads(rep.to_json()))
     assert back == rep
-
-
-def test_alpha_sequences_extremal_index():
-    seqs = lambda_from_alpha_hat([1.0, 0.5, 0.25, 0.125])
-    assert isinstance(seqs, AlphaSequences)
-    assert seqs.extremal_index == pytest.approx(0.5)

@@ -2,15 +2,13 @@
 
 Simulation of a*x mod 1, a torus skew product over a*y mod 1, coupled map
 lattices (a single expanding interval map is a one-site lattice) and
-symbolic regenerative processes, together with the
-compound Poisson and compound binomial limit laws their return-time
-statistics converge to (Polya-Aeppli is the compound Poisson law over
-geometric clusters), and estimators + goodness-of-fit tooling
-to compare the two.
+symbolic regenerative processes, together with the compound Poisson limit
+laws their return-time statistics converge to (Polya-Aeppli is the compound
+Poisson law over geometric clusters), and estimators + goodness-of-fit
+tooling to compare the two.
 """
 
-from .distributions import (ClusterSizeDist, DiscreteDistribution,
-                            compound_binomial_pmf, compound_poisson_pmf,
+from .distributions import (ClusterSizeDist, DiscreteDistribution, compound_poisson_pmf,
                             empirical_distribution)
 from .dynamics import (CmlSpec, CmlSystem, IntervalMap, LinearInterval,
                        LinearMod1System, SinePerturbedInterval, TorusAffineSystem)

@@ -145,24 +145,28 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     fmts = config.outputs["formats"]
     system = config.build_system()
     regen = isinstance(system, RegenSpec)
+    counted: dict = {}  # (scale, t, n_trials) -> its counting law, shared by every K
 
     for row in config.schedule:
         label = row.label(config.scale_name)
         target = config.build_target(row)
+        counting = (row.scale, row.t, row.n_trials)
         if regen:
             # load fills in every regenerative row's stream_len
             n_streams = max(4, math.ceil(
                 row.min_entries / level_measure(system, target) / row.stream_len) + 1)
             cs = regen_cluster_stats(system, target, row.K, n_streams, config.seed,
                                      stream_len=row.stream_len, workers=config.workers)
-            cd = regen_counting_distribution(system, target, row.t, row.n_trials,
-                                             config.seed)
         else:
             cs = cluster_statistics(system, target, row.K, row.min_entries,
                                     row.max_orbit, config.seed,
                                     orbit_len=row.orbit_len, workers=config.workers)
-            cd = counting_distribution(system, target, row.t, row.n_trials,
-                                       config.seed, workers=config.workers)
+        if counting not in counted:
+            counted[counting] = (
+                regen_counting_distribution(system, target, row.t, row.n_trials, config.seed)
+                if regen else counting_distribution(system, target, row.t, row.n_trials,
+                                                    config.seed, workers=config.workers))
+        cd = counted[counting]
         if cs.insufficient:
             flags[label] = "insufficient_entries"
         if "json" in fmts:

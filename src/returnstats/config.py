@@ -81,6 +81,8 @@ KEYS = {
     "level_set": {},
 }
 _INTEGER_KEYS = ("a", "n", "burn_in", "k_cap")
+_FLOAT_KEYS = ("gamma", "eps")
+_FLOAT_LIST_KEYS = ("weights", "cluster_lambdas", "center")
 
 
 class ConfigError(ValueError):
@@ -102,6 +104,13 @@ def _number(name: str, value, kind):
     if not number.is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value if type(value) is int else int(number)
+
+
+def _finite(name: str, value) -> float:
+    number = _number(name, value, float)
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _mapping(name: str, value) -> dict:
@@ -126,14 +135,24 @@ def _refuse_unknown(name: str, raw: dict, known, why: str = "") -> None:
 
 def _section(name: str, raw: dict) -> dict:
     """The `name` section of kind ``raw["kind"]`` with every key of
-    ``KEYS[kind]`` present, its integer keys typed; any other key is an error."""
+    ``KEYS[kind]`` present, its integer keys typed and its float keys (lists
+    of floats) finite; any other key is an error."""
     kind = raw["kind"]
     _refuse_unknown(name, raw, {"kind", *KEYS[kind]}, f" for kind {kind!r}")
     out = {"kind": kind}
     for key, default in KEYS[kind].items():
         value = raw.get(key, default)
-        if key in _INTEGER_KEYS and value is not None:
-            value = _number(f"{name} {key}", value, int)
+        label = f"{name} {key}"
+        if value is None and default is None:
+            pass  # not set
+        elif key in _INTEGER_KEYS:
+            value = _number(label, value, int)
+        elif key in _FLOAT_KEYS:
+            value = _finite(label, value)
+        elif key in _FLOAT_LIST_KEYS:
+            if not isinstance(value, list):
+                raise ConfigError(f"{label} must be a list of numbers, got {value!r}")
+            value = [_finite(label, v) for v in value]
         out[key] = value
     return out
 
@@ -338,7 +357,7 @@ class ExperimentConfig:
         if kind == "linear_mod1":
             return LinearMod1System(s["a"])
         if kind == "cml":
-            n, gamma, eps = s["n"], float(s["gamma"]), float(s["eps"])
+            n, gamma, eps = s["n"], s["gamma"], s["eps"]
             if gamma == 0 and s["weights"] is not None:
                 raise ConfigError("cml weights act only through the coupling (gamma > 0)")
             # n < 1 is left for CmlSpec to refuse

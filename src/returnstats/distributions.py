@@ -10,10 +10,9 @@ with alpha_1 = 1/E[X] = 1 - alpha_hat_2 the extremal index.  A finite
 alpha_hat table is extended by the geometric envelope of its last two terms,
 so its law carries the tail explicitly instead of quietly truncating it.
 
-The compound Poisson law of W = X_1 + ... + X_P, P ~ Poisson(s), and its
-compound binomial analogue (P ~ Binomial(N', p)) are built from the
-cluster-size law: Polya-Aeppli over ``ClusterSizeDist.geometric`` clusters,
-Poisson over ``ClusterSizeDist.single()``.  All pmfs carry an explicit
+The compound Poisson law of W = X_1 + ... + X_P, P ~ Poisson(s), is built
+from the cluster-size law: Polya-Aeppli over ``ClusterSizeDist.geometric``
+clusters, Poisson over ``ClusterSizeDist.single()``.  All pmfs carry an explicit
 ``tail_mass`` so that normalisation is exact bookkeeping, never a silent
 renormalisation.
 """
@@ -29,7 +28,7 @@ import numpy as np
 from .records import csv_table, json_fields
 
 __all__ = ["DiscreteDistribution", "ClusterSizeDist", "compound_poisson_pmf",
-           "compound_binomial_pmf", "empirical_distribution"]
+           "empirical_distribution"]
 
 _NORM_TOL = 1e-12
 
@@ -183,36 +182,6 @@ def compound_poisson_pmf(s: float, clusters: ClusterSizeDist,
     for k in range(1, k_max + 1):
         m = min(k, lam.size)
         probs[k] = (s / k) * (weighted[:m] @ probs[k - 1 :: -1][:m])
-    return DiscreteDistribution(probs, max(0.0, 1.0 - probs.sum()))
-
-
-def compound_binomial_pmf(n_trials: int, p: float, clusters: ClusterSizeDist,
-                          k_max: int) -> DiscreteDistribution:
-    """pmf of W = sum of a Binomial(n_trials, p) number of cluster sizes.
-
-    Computed as the n_trials-fold power of the per-block generating
-    polynomial p*(phi_X(z) - 1) + 1, truncated at k_max.  The truncation is
-    exact for coefficients <= k_max because polynomial products never feed
-    high-order terms back into low orders.
-    """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if k_max < 0:
-        raise ValueError("k_max must be non-negative")
-    # repeated squaring of the per-block polynomial, truncated at k_max + 1
-    # coefficients
-    base = np.concatenate([[1.0 - p], p * clusters.lambdas[:k_max]])
-    result = np.array([1.0])
-    e = n_trials
-    while e:
-        if e & 1:
-            result = np.convolve(result, base)[: k_max + 1]
-        e >>= 1
-        if e:
-            base = np.convolve(base, base)[: k_max + 1]
-    probs = np.pad(result, (0, k_max + 1 - result.size))
     return DiscreteDistribution(probs, max(0.0, 1.0 - probs.sum()))
 
 

@@ -264,6 +264,12 @@ class MapSystem:
         this thread's workspace, valid until the thread builds its next slice."""
         raise NotImplementedError
 
+    def _counting_windows(self, n_points: int) -> tuple:
+        """``(c, stride)``: each orbit yields c counting samples, windows of
+        `n_points` points at `stride`, that are independent stationary samples.
+        A lattice's windows of one orbit are not, so it gives one an orbit."""
+        return 1, n_points
+
     def orbit_groups(self, trials: list, n_points: int) -> list:
         """`trials` cut into the fewest consecutive groups within `_group_budget`,
         whose orbits are built together, one estimator task each."""
@@ -315,6 +321,15 @@ class _DigitOrbitSystem(MapSystem):
         self.width = digit_window_width(self.a)
 
     _group_budget = property(lambda self: (_GROUP_DIGITS, self.width - 1))
+
+    def _counting_windows(self, n_points):
+        # window k reads digits kS .. kS + n_points + width - 2 alone, so windows
+        # at stride S = n_points + width - 1 share no digit and are exactly
+        # i.i.d.; c depends on n_points alone and fills one group's digits.  The
+        # torus x of one orbit links its windows, so they are independent only
+        # for targets of y alone, such as TorusStrip, the torus target load runs
+        stride = n_points + self.width - 1
+        return max(1, _GROUP_DIGITS // stride), stride
 
     def _plane_filler(self, master_seed: int, trials: list):
         """A function that fills the coordinate planes before the last from
@@ -422,8 +437,8 @@ class CmlSpec:
         object.__setattr__(self, "weights", w)
         if self.n < 1:
             raise ValueError("lattice size n must be >= 1")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+        if not 0.0 <= self.gamma < 1.0:  # at 1 every site is equal after one step
+            raise ValueError("gamma must lie in [0, 1)")
         if self.n == 1 and self.gamma != 0.0:  # it would turn preserves_lebesgue off
             raise ValueError("a one-site lattice has no coupling: gamma must be 0")
         if w.size != self.n or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:

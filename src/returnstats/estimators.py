@@ -100,7 +100,12 @@ def kac_horizon(t: float, mu: float) -> int:
 
 def counting_distribution(map_system, target, t: float, n_trials: int, seed,
                           mu: float | None = None, workers: int = 1):
-    """Empirical law of xi^t_U over independent stationary starts."""
+    """Empirical law of xi^t_U over independent stationary samples.
+
+    Sample i counts the hits in window i mod c of orbit i // c, where the
+    system gives c windows of N + 1 points an orbit
+    (``MapSystem._counting_windows``); c depends on N alone, so no sample
+    depends on `workers` or on `n_trials`."""
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and positive")
     if n_trials < 1:
@@ -109,9 +114,16 @@ def counting_distribution(map_system, target, t: float, n_trials: int, seed,
     mu = _resolve_mu(map_system, target, master_seed, mu)
     n_points = kac_horizon(t, mu) + 1
 
-    counts = _indicator_batch(map_system, target, master_seed, range(n_trials), n_points,
-                              lambda block: block.sum(axis=1), workers)
-    return empirical_distribution(np.concatenate(counts))
+    per_orbit, stride = map_system._counting_windows(n_points)
+    per_orbit = min(per_orbit, n_trials)  # a shorter orbit is a prefix of the longer
+
+    def window_counts(block):
+        windows = np.lib.stride_tricks.sliding_window_view(block, n_points, axis=1)
+        return windows[:, ::stride].sum(axis=2).ravel()
+
+    counts = _indicator_batch(map_system, target, master_seed, range(-(-n_trials // per_orbit)),
+                              (per_orbit - 1) * stride + n_points, window_counts, workers)
+    return empirical_distribution(np.concatenate(counts)[:n_trials])
 
 
 # ---------------------------------------------------------------------------

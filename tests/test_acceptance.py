@@ -13,8 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from returnstats.cml_theory import alpha_hat_integral
-from returnstats.distributions import (ClusterSizeDist, compound_binomial_pmf,
-                                       compound_poisson_pmf)
+from returnstats.distributions import ClusterSizeDist, compound_poisson_pmf
 from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
                                   LinearMod1System, TorusAffineSystem)
 from returnstats.estimators import (ClusterAccumulator, _ordered_map,
@@ -24,6 +23,7 @@ from returnstats.regenerative import RegenSpec, stationary_hit_runs
 from returnstats.stats import total_variation
 from returnstats.targets import Ball, DiagonalStrip, TorusStrip
 
+from compound_binomial_reference import compound_binomial_pmf
 from polya_aeppli_reference import polya_aeppli_pmf
 from strip_reference import alpha2_strip, entry_time_ratio_strip
 

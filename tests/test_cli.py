@@ -167,6 +167,10 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
     ("system: {kind: cml, a: 8, n: 1}\ntarget: {kind: ball, center: [0.3]}", [FIRST_ROW]),
     ("system: {kind: cml, a: 3, n: 2, gamma: 0.1, burn_in: -1}\n"
      "target: {kind: diagonal_strip}", [STRIP_ROW]),
+    # at gamma 1 every site is equal after one step, so every point is a hit
+    # and the cluster phase ran past a 120 s timeout
+    ("system: {kind: cml, a: 3, n: 2, gamma: 1}\ntarget: {kind: diagonal_strip}",
+     [STRIP_ROW]),
     # a regenerative row runs streams, and a map row orbits
     ("system: {kind: regenerative, block_rule: smith, k_cap: 300}\n"
      "target: {kind: level_set}",
@@ -182,6 +186,7 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
 ], ids=["repeated-label", "K0", "K-not-integral", "strip-rho-above-half", "m-from-k_cap",
         "m-not-integral", "regen-horizon", "torus-horizon", "ball-measure-0",
         "ball-centre-dimension", "cml-a2-drains", "cml-a8-drains", "cml-burn-in-below-0",
+        "cml-gamma-1",
         "regen-orbit-keys", "map-stream_len", "period-not-of-centre",
         "period-not-minimal"])
 def test_simulate_rejects_a_bad_later_row_before_writing(tmp_path, pair, rows):

@@ -269,11 +269,38 @@ def test_schedule_numbers_written_as_exponents():
      "a one-site lattice has no coupling"),
     ("{kind: cml, a: 3, n: 1, gamma: 0.5, eps: 0.05}", "{kind: ball, center: [0.3]}",
      "{rho: 0.01}", "a one-site lattice has no coupling"),
+    # the float keys are finite numbers: a nan eps used to load and fail later
+    # with unrelated messages, and booleans loaded as 1.0 and 0.0
+    ("{kind: cml, a: 3, n: 1, eps: .nan}", "{kind: ball, center: [0.3]}", "{rho: 0.01}",
+     "system eps must be finite"),
+    ("{kind: cml, a: 3, gamma: .inf}", "{kind: diagonal_strip}", "{nu: 0.01}",
+     "system gamma must be finite"),
+    ("{kind: cml, a: 3, gamma: yes}", "{kind: diagonal_strip}", "{nu: 0.01}",
+     "system gamma must be a number"),
+    ("{kind: cml, a: 3, gamma: 0.1, weights: [true, false]}", "{kind: diagonal_strip}",
+     "{nu: 0.01}", "system weights must be a number"),
+    ("{kind: cml, a: 3, gamma: 0.1, weights: [.inf, 0.5]}", "{kind: diagonal_strip}",
+     "{nu: 0.01}", "system weights must be finite"),
+    ("{kind: cml, a: 3, gamma: 0.1, weights: 1}", "{kind: diagonal_strip}",
+     "{nu: 0.01}", "system weights must be a list of numbers"),
+    ("{kind: linear_mod1, a: 2}", "{kind: ball, center: [true]}", "{rho: 0.01}",
+     "target center must be a number"),
+    ("{kind: linear_mod1, a: 2}", "{kind: ball, center: [-.inf]}", "{rho: 0.01}",
+     "target center must be finite"),
+    ("{kind: linear_mod1, a: 2}", "{kind: ball, center: 0.3}", "{rho: 0.01}",
+     "target center must be a list of numbers"),
+    ("{kind: cml, a: 3, gamma: null}", "{kind: diagonal_strip}", "{nu: 0.01}",
+     "system gamma must be a number"),
+    ("{kind: regenerative, block_rule: fixed_lengths, cluster_lambdas: [true, false]}",
+     "{kind: level_set}", "{m: 10}", "system cluster_lambdas must be a number"),
 ], ids=["torus-a", "linear_mod1-a", "cml-a", "cml-n", "cml-burn_in", "cml-n-0",
         "regenerative-k_cap", "level_set-m", "ball-periodic_period", "a-not-a-number",
         "cml-gama", "torus-n", "torus_strip-center", "torus_strip-periodic_period",
         "smith-cluster_lambdas", "cml-weights-uncoupled", "cml-weights-gamma-0",
-        "cml-one-site-gamma", "cml-one-site-sine-gamma"])
+        "cml-one-site-gamma", "cml-one-site-sine-gamma", "cml-eps-nan", "cml-gamma-inf",
+        "cml-gamma-bool", "cml-weights-bool", "cml-weights-inf", "cml-weights-scalar",
+        "ball-center-bool", "ball-center-inf", "ball-center-scalar", "cml-gamma-null",
+        "fixed_lengths-cluster_lambdas-bool"])
 def test_system_and_target_values_are_checked(system, target, row, message):
     # a non-integral value used to be truncated, an unknown key ignored
     with pytest.raises(ConfigError, match=message):

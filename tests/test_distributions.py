@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from scipy.stats import binom as scipy_binom
 
 from returnstats.distributions import (ClusterSizeDist, DiscreteDistribution,
-                                       compound_binomial_pmf,
                                        compound_poisson_pmf,
                                        empirical_distribution)
 from returnstats.records import from_json_fields
 
+from compound_binomial_reference import compound_binomial_pmf
 from polya_aeppli_reference import polya_aeppli_pmf
 
 

@@ -1,13 +1,16 @@
+import hashlib
 import math
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
-from returnstats.distributions import DiscreteDistribution
+from returnstats import estimators
+from returnstats.distributions import DiscreteDistribution, empirical_distribution
 from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval, LinearMod1System,
-                                  TorusAffineSystem)
+                                  TorusAffineSystem, sliding_window_values)
 from returnstats.estimators import (ClusterAccumulator, ClusterStats,
                                     cluster_statistics, counting_distribution,
                                     entry_time_ratio, kac_horizon)
@@ -65,6 +68,106 @@ def test_counting_distribution_mean_is_stationary():
     se = math.sqrt(max(second - mean**2, 0.0) / n_trials)
     assert abs(mean - n_points * mu) < 4 * se + 1e-9
     assert dist.n_samples == n_trials
+
+
+def _counting_samples(monkeypatch, *args, **kwargs) -> np.ndarray:
+    """The samples `counting_distribution` draws, in sample order."""
+    seen = []
+    monkeypatch.setattr(estimators, "empirical_distribution",
+                        lambda values: seen.append(values) or empirical_distribution(values))
+    counting_distribution(*args, **kwargs)
+    return seen.pop()
+
+
+DIGIT_CASES = [(LinearMod1System(2), Ball((0.3,), 0.01)),
+               (LinearMod1System(3), Ball((0.5,), 0.02)),
+               (TorusAffineSystem(2), TorusStrip(0.02))]
+
+
+@pytest.mark.parametrize("system,target", DIGIT_CASES, ids=["a2", "a3", "torus"])
+def test_counting_windows_read_disjoint_digits_of_one_orbit(system, target):
+    # window k is points kS .. kS + N of the orbit, and those points read
+    # digits kS .. (k+1)S - 1 alone, so no two windows share a digit
+    n_points = kac_horizon(1.0, target.exact_measure(system.dimension)) + 1
+    per_orbit, stride = system._counting_windows(n_points)
+    assert stride == n_points + system.width - 1
+    assert per_orbit == 2**16 // stride > 1
+    length = (per_orbit - 1) * stride + n_points
+    digits = system._digits(SEED, [4], length + system.width - 1)[0].copy()
+    ((_, coords),) = system._orbit_slices(SEED, [4], length)
+    for k in range(per_orbit):
+        window = coords[0, k * stride : k * stride + n_points, -1]
+        np.testing.assert_array_equal(window, sliding_window_values(
+            digits[k * stride : (k + 1) * stride], system.a, system.width))
+
+
+@pytest.mark.parametrize("system,target", DIGIT_CASES, ids=["a2", "a3", "torus"])
+def test_counting_sample_i_is_window_i_mod_c_of_orbit_i_div_c(system, target, monkeypatch):
+    mu = target.exact_measure(system.dimension)
+    n_points = kac_horizon(1.0, mu) + 1
+    per_orbit, stride = system._counting_windows(n_points)
+    n_trials = 2 * per_orbit + 7  # the last orbit is cut short
+    samples = _counting_samples(monkeypatch, system, target, t=1.0, n_trials=n_trials,
+                                seed=SEED, workers=2)
+    orbits = system.indicator_block(target, SEED, range(3), (per_orbit - 1) * stride + n_points)
+    want = [orbits[i // per_orbit, i % per_orbit * stride:][:n_points].sum()
+            for i in range(n_trials)]
+    np.testing.assert_array_equal(samples, want)
+    # a larger n_trials, past a multiple of c, leaves the earlier samples as they are
+    for n in (1, per_orbit - 1, per_orbit + 1):
+        np.testing.assert_array_equal(
+            _counting_samples(monkeypatch, system, target, t=1.0, n_trials=n, seed=SEED),
+            samples[:n])
+
+
+# digests of counting_distribution(system, target, t=1, n_trials=40, seed=SEED)
+# with one fresh orbit per trial, as written before the windows: N + W above
+# 2^15 leaves one window an orbit, so these rows keep their bytes
+ONE_WINDOW_ROWS = [
+    (LinearMod1System(2), Ball((0.3,), 1e-5),
+     "701200a93f657e40474aba0d380a2d27e18991bf47dceb1cb37506e6d36e5972"),
+    (TorusAffineSystem(2), TorusStrip(1e-5),
+     "8f4866363942fea5919bf08bd3af15e5a76293118be46693c2fb2ccdc397d907"),
+    (LinearMod1System(3), Ball((0.5,), 1e-5),
+     "36b0c35bf07294da47d645aca795aed27ffd22d36cd579c5d9e3032c81e6feb1"),
+]
+
+
+@pytest.mark.parametrize("system,target,digest", ONE_WINDOW_ROWS, ids=["a2", "torus", "a3"])
+def test_a_row_of_one_window_an_orbit_keeps_its_bytes(system, target, digest):
+    n_points = kac_horizon(1.0, target.exact_measure(system.dimension)) + 1
+    assert system._counting_windows(n_points)[0] == 1
+    cd = counting_distribution(system, target, t=1.0, n_trials=40, seed=SEED)
+    assert hashlib.sha256(cd.to_json().encode()).hexdigest() == digest
+
+
+def _homogeneity_p(a: np.ndarray, b: np.ndarray) -> float:
+    """Chi-square p-value that two samples of counts share one law; the
+    counts from the first whose pooled bin holds fewer than 10 are one bin."""
+    size = max(a.max(), b.max()) + 1
+    table = np.stack([np.bincount(a, minlength=size), np.bincount(b, minlength=size)])
+    cut = int(np.argmax(np.append(table.sum(axis=0), 0) < 10))
+    table = np.column_stack([table[:, :cut], table[:, cut:].sum(axis=1)])
+    return float(chi2_contingency(table[:, table.sum(axis=0) > 0], correction=False).pvalue)
+
+
+@pytest.mark.parametrize("system,target", [(TorusAffineSystem(2), TorusStrip(1e-3)),
+                                           (LinearMod1System(3), Ball((0.5,), 1e-2))],
+                         ids=["strip", "a3-fixed-point"])
+def test_windowed_counting_law_matches_the_law_of_one_orbit_a_trial(system, target,
+                                                                    monkeypatch):
+    # the threshold p >= 1e-3 and the seeds were fixed before the first run;
+    # the per-trial sample uses another master seed, so it shares no digit
+    # with the windowed one
+    n_trials = 20_000
+    n_points = kac_horizon(1.0, target.exact_measure(system.dimension)) + 1
+    assert system._counting_windows(n_points)[0] > 1
+    windowed = _counting_samples(monkeypatch, system, target, t=1.0, n_trials=n_trials,
+                                 seed=SEED)
+    per_trial = np.concatenate([
+        system.indicator_block(target, SEED + 1, range(i, i + 2000), n_points).sum(axis=1)
+        for i in range(0, n_trials, 2000)])
+    assert _homogeneity_p(windowed, per_trial) >= 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -138,9 +138,9 @@ GOLDEN = {
         "cluster_rho0p02_K5.json":
             "0ae17b88cb7e972cdb8c7b61d5243312a85fc525509231022c3d017c1346195a",
         "counting_rho0p02_K5.csv":
-            "ee2f029888ad4063f1b22a9a91cf3046e536d742610d29738d1d6d3806c81019",
+            "a40efe25bb4d646d24061a038b40c9e6bacd8d46730b3c35c4c04d7f65f780e0",
         "counting_rho0p02_K5.json":
-            "886bf7ffce23e3f43f411d7b08a7b5e54bf3ce12bbf5406a6bb8d3dd127f6ec8",
+            "3bf9c8dacbe70537bb90c97fb8bee49df8ce4e8c0a9603609a3ccbc3ee6083fa",
     },
     "simulate/fixed_point": {
         "cluster_rho0p02_K6.csv":
@@ -148,9 +148,9 @@ GOLDEN = {
         "cluster_rho0p02_K6.json":
             "64837e6f3b304f727ddf41e4ae10e4e0fe47e4746dc0f153e42af2adfe933e7b",
         "counting_rho0p02_K6.csv":
-            "dc828c683385591528eb2716dd96a8914616004b474af97f7db8757de45b5a25",
+            "591de6424ec016829c12620edba79d7143dca7d23f8dc03af7e0e3c9dfe3b2ec",
         "counting_rho0p02_K6.json":
-            "72fb888a1dc9231d4bb44c62c06a8ba1295e623b5c15d08816e69840a2f08718",
+            "723ad8d27721e2601f42ac650cbb2e5e6c7a9769b08234c309c60263ef78fcb7",
     },
     "simulate/smith": {
         "cluster_m100_K10.csv":

@@ -12,8 +12,7 @@ from .distributions import (ClusterSizeDist, DiscreteDistribution, compound_pois
                             empirical_distribution)
 from .dynamics import (CmlSpec, CmlSystem, IntervalMap, LinearInterval,
                        LinearMod1System, SinePerturbedInterval, TorusAffineSystem)
-from .estimators import (ClusterStats, cluster_statistics, counting_distribution,
-                         entry_time_ratio)
+from .estimators import ClusterStats, cluster_statistics, counting_distribution
 from .regenerative import (RegenSpec, SymbolStream, generate_stationary,
                            level_measure, regen_cluster_stats)
 from .cml_theory import ExpansionWarning, alpha_hat_integral, cml_prediction

@@ -27,7 +27,7 @@ import numpy as np
 from .cml_theory import cml_prediction
 from .config import ConfigError, ExperimentConfig, _threshold
 from .distributions import ClusterSizeDist, DiscreteDistribution, compound_poisson_pmf
-from .dynamics import CmlSystem, LinearMod1System, TorusAffineSystem
+from .dynamics import CmlSystem, LinearInterval, LinearMod1System, TorusAffineSystem
 from .estimators import cluster_statistics, counting_distribution
 from .records import csv_table, from_json_fields, json_fields
 from .regenerative import (RegenSpec, level_measure, regen_cluster_stats,
@@ -97,6 +97,9 @@ def _analytic_prediction(system, target, row) -> _Prediction:
         table = np.concatenate([clusters.lambdas, np.zeros(row.k_max)])[:row.k_max]
     elif isinstance(system, CmlSystem) and isinstance(target, DiagonalStrip):
         spec = system.spec
+        if not isinstance(spec.base_map, LinearInterval):
+            raise ConfigError(f"no analytic law for a lattice of {type(spec.base_map).__name__}"
+                              " maps: the invariant density of the base map is not known")
         # Lebesgue measure along the diagonal; lambda_1..lambda_{k_max-1} are
         # exact, and the rest is the geometric envelope's tail
         clusters = cml_prediction(spec.base_map, np.ones_like, spec.n, spec.gamma, row.k_max)

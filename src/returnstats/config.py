@@ -30,7 +30,7 @@ Schema (YAML):
     outputs: {dir: results, formats: [json, csv]}   # formats: json and/or csv
 
 Scale parameter per row: ``rho`` (ball / torus_strip), ``nu``
-(diagonal_strip) or the integer ``m`` (level_set, 0 <= m < k_cap); a map row
+(diagonal_strip) or the integer ``m`` (level_set, 1 <= m < k_cap); a map row
 takes ``orbit_len`` and ``max_orbit``, a regenerative row ``stream_len``.  Loading builds
 the system and every row's target, so a row the system cannot run is an
 error before any row writes a file.  So is a ``cml`` whose float64 orbits
@@ -299,14 +299,19 @@ class ExperimentConfig:
                 raise ConfigError(f"a ball centre needs one coordinate per system "
                                   f"dimension ({system.dimension}), got {target.center}")
             if isinstance(system, RegenSpec):
-                if not 0 <= target < system.k_cap:
-                    raise ConfigError(f"level set m = {target} must lie in [0, k_cap) = "
-                                      f"[0, {system.k_cap}); U_m is empty from k_cap on")
+                if not 1 <= target < system.k_cap:
+                    raise ConfigError(f"level set m = {target} must lie in [1, k_cap) = "
+                                      f"[1, {system.k_cap}); U_0 holds every symbol and "
+                                      "U_m is empty from k_cap on")
                 mu = level_measure(system, target)
-            elif system.preserves_lebesgue:
-                mu = target.exact_measure(system.dimension)
             else:
-                continue  # a Monte Carlo mu(U) is known, and checked, at run time
+                # a target of volume 1 holds every point under any stationary law
+                mu = target.exact_measure(system.dimension)
+                if mu >= 1:
+                    raise ConfigError(f"{target} is the whole {system.dimension}-dimensional "
+                                      "space, so every point is a hit")
+                if not system.preserves_lebesgue:
+                    continue  # a Monte Carlo mu(U) is known, and checked, at run time
             # mu(U) is exact here, so the counting horizon is known at load
             try:
                 kac_horizon(row.t, mu)

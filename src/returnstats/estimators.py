@@ -2,9 +2,8 @@
 
 Estimates the counting function xi, the centered-window cluster counts
 Z^K, forward windows W^K at entry events, the tail probabilities
-alpha_hat_ell(K), the cluster-size probabilities lambda_hat_ell(K), the
-extremal index 1 - alpha_hat_2 and the entry-time ratio
-P(tau <= L)/(L mu).
+alpha_hat_ell(K), the cluster-size probabilities lambda_hat_ell(K) and the
+extremal index 1 - alpha_hat_2.
 
 All Monte Carlo paths draw one independent stream per orbit (trial
 index), build the orbits one group (``MapSystem.orbit_groups``) a task, the
@@ -18,7 +17,6 @@ import functools
 import json
 import math
 import operator
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -34,18 +32,10 @@ __all__ = [
     "kac_horizon",
     "cluster_statistics",
     "ClusterAccumulator",
-    "entry_time_ratio",
 ]
 
 _MEASURE_TRIAL = 2**32  # trial index reserved for internal mu(U) estimation
 _CONFIDENT_EVENTS = 30
-
-
-def _resolve_mu(map_system, target, master_seed: int, mu=None) -> float:
-    if mu is not None:
-        return float(mu)
-    est = measure(target, map_system, 10**6, (master_seed, _MEASURE_TRIAL))
-    return est.mean
 
 
 def _window_sums(ind: np.ndarray, width: int) -> np.ndarray:
@@ -105,13 +95,18 @@ def counting_distribution(map_system, target, t: float, n_trials: int, seed,
     Sample i counts the hits in window i mod c of orbit i // c, where the
     system gives c windows of N + 1 points an orbit
     (``MapSystem._counting_windows``); c depends on N alone, so no sample
-    depends on `workers` or on `n_trials`."""
+    depends on `workers` or on `n_trials`.
+
+    By invariance P(tau_U <= L) = P(xi >= 1) over L points, so at
+    t = (L - 1/2) mu(U), where N = L - 1, the entry-time ratio
+    P(tau_U <= L) / (L mu(U)) is the law's mass off zero over L mu(U)."""
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and positive")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     master_seed = operator.index(seed)
-    mu = _resolve_mu(map_system, target, master_seed, mu)
+    if mu is None:
+        mu = measure(target, map_system, 10**6, (master_seed, _MEASURE_TRIAL)).mean
     n_points = kac_horizon(t, mu) + 1
 
     per_orbit, stride = map_system._counting_windows(n_points)
@@ -347,25 +342,3 @@ def cluster_statistics(map_system, target, K: int, min_entries: int,
         trial += batch
     return acc.finalize(insufficient=acc.n_entries < min_entries)
 
-
-# ---------------------------------------------------------------------------
-# entry-time ratio
-# ---------------------------------------------------------------------------
-
-
-def entry_time_ratio(map_system, target, L: int, n_trials: int, seed,
-                     mu: float | None = None, workers: int = 1) -> float:
-    """P_hat(tau_U <= L) / (L mu(U)); converges to the extremal index as
-    the target shrinks and then L grows."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    master_seed = operator.index(seed)
-    mu = _resolve_mu(map_system, target, master_seed, mu)
-    hits = sum(_indicator_batch(
-        map_system, target, master_seed, range(n_trials), L + 1,
-        lambda block: int(np.count_nonzero(block[:, 1:].any(axis=1))), workers))
-    if hits == 0:
-        warnings.warn("no entries within L steps in any trial; ratio is 0")
-    return hits / (n_trials * L * mu)

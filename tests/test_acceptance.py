@@ -17,8 +17,7 @@ from returnstats.distributions import ClusterSizeDist, compound_poisson_pmf
 from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
                                   LinearMod1System, TorusAffineSystem)
 from returnstats.estimators import (ClusterAccumulator, _ordered_map,
-                                    cluster_statistics, counting_distribution,
-                                    entry_time_ratio)
+                                    cluster_statistics, counting_distribution)
 from returnstats.regenerative import RegenSpec, stationary_hit_runs
 from returnstats.stats import total_variation
 from returnstats.targets import Ball, DiagonalStrip, TorusStrip
@@ -135,10 +134,14 @@ def test_criterion_06_entry_time_lemma():
     # the ratio tends to the extremal index 1/2 only as L mu -> 0 and then
     # L -> oo; at L mu = 2 it saturates near 0.32.  The simulation is
     # compared with the exact value at its scale, and the lemma is checked
-    # on exact values along a ladder with L mu = 0.098, 0.031, 0.0038
+    # on exact values along a ladder with L mu = 0.098, 0.031, 0.0038.
+    # P(tau <= L) is the counting law's mass off zero over L points, the
+    # horizon N = L - 1 of t = (L - 1/2) mu
     n, L = 10, 1000
-    ratio = entry_time_ratio(TorusAffineSystem(2), TorusStrip(2.0**-n),
-                             L=L, n_trials=20_000, seed=SEED)
+    mu = 2.0 ** (1 - n)
+    cd = counting_distribution(TorusAffineSystem(2), TorusStrip(2.0**-n),
+                               t=(L - 0.5) * mu, n_trials=20_000, seed=SEED)
+    ratio = (1.0 - cd.probs[0]) / (L * mu)
     exact = float(entry_time_ratio_strip(L, n))
     dev = abs(ratio - exact)
     rungs = [float(entry_time_ratio_strip(L_r, n_r))

@@ -292,6 +292,22 @@ outputs: {{dir: "{out}"}}
     assert not out.exists()
 
 
+def test_predict_rejects_a_lattice_of_maps_of_unknown_density(tmp_path, capsys):
+    # the diagonal law integrates the base map's invariant density, known
+    # only for a*x mod 1; with h = 1 for every map predict wrote alpha_hat_2
+    # = 0.3409 for this lattice
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, f"""
+system: {{kind: cml, a: 3, n: 2, eps: 0.1}}
+target: {{kind: diagonal_strip}}
+schedule: [{{nu: 0.01}}]
+outputs: {{dir: "{out}"}}
+""")
+    assert main(["--config", cfg, "predict"]) == 2
+    assert "lattice of SinePerturbedInterval maps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_derives_a_balls_period_from_its_centre(tmp_path):
     # 1/2 is the fixed point of 3x mod 1.  With no period declared, predict
     # wrote theta = 1 (Poisson) where simulate estimated 0.645; the derived

@@ -293,6 +293,18 @@ def test_schedule_numbers_written_as_exponents():
      "system gamma must be a number"),
     ("{kind: regenerative, block_rule: fixed_lengths, cluster_lambdas: [true, false]}",
      "{kind: level_set}", "{m: 10}", "system cluster_lambdas must be a number"),
+    # a target that holds every point: simulate wrote alpha_hat = 1 and
+    # theta = 0 for the one-site strip, and U_0 read mu 0.9999999999999999
+    ("{kind: cml, a: 3, n: 1}", "{kind: diagonal_strip}", "{nu: 0.01}",
+     "is the whole 1-dimensional space"),
+    ("{kind: linear_mod1, a: 2}", "{kind: ball, center: [0.5]}", "{rho: 2.0}",
+     "is the whole 1-dimensional space"),
+    ("{kind: torus, a: 2}", "{kind: torus_strip}", "{rho: 0.5}",
+     "is the whole 2-dimensional space"),
+    ("{kind: cml, a: 3, n: 2, gamma: 0.1}", "{kind: ball, center: [0.5, 0.5]}",
+     "{rho: 0.5}", "is the whole 2-dimensional space"),
+    ("{kind: regenerative}", "{kind: level_set}", "{m: 0}",
+     r"level set m = 0 must lie in \[1, k_cap\)"),
 ], ids=["torus-a", "linear_mod1-a", "cml-a", "cml-n", "cml-burn_in", "cml-n-0",
         "regenerative-k_cap", "level_set-m", "ball-periodic_period", "a-not-a-number",
         "cml-gama", "torus-n", "torus_strip-center", "torus_strip-periodic_period",
@@ -300,7 +312,8 @@ def test_schedule_numbers_written_as_exponents():
         "cml-one-site-gamma", "cml-one-site-sine-gamma", "cml-eps-nan", "cml-gamma-inf",
         "cml-gamma-bool", "cml-weights-bool", "cml-weights-inf", "cml-weights-scalar",
         "ball-center-bool", "ball-center-inf", "ball-center-scalar", "cml-gamma-null",
-        "fixed_lengths-cluster_lambdas-bool"])
+        "fixed_lengths-cluster_lambdas-bool", "cml-one-site-strip", "ball-whole-interval",
+        "torus_strip-half", "cml-coupled-ball-whole-lattice", "level_set-m-0"])
 def test_system_and_target_values_are_checked(system, target, row, message):
     # a non-integral value used to be truncated, an unknown key ignored
     with pytest.raises(ConfigError, match=message):

@@ -13,8 +13,10 @@ from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval, LinearMod1
                                   TorusAffineSystem, sliding_window_values)
 from returnstats.estimators import (ClusterAccumulator, ClusterStats,
                                     cluster_statistics, counting_distribution,
-                                    entry_time_ratio, kac_horizon)
+                                    kac_horizon)
 from returnstats.targets import Ball, DiagonalStrip, TorusStrip
+
+from strip_reference import entry_time_ratio_strip
 
 SEED = 31337
 
@@ -451,14 +453,15 @@ def test_estimators_are_identical_at_workers_1_2_and_3(system, target, orbit_len
         calls.clear()
         cs = cluster_statistics(system, target, K=4, min_entries=2000, max_orbit=10**7,
                                 seed=SEED, orbit_len=orbit_len, workers=workers)
+        cluster_calls = len(calls)
         cd = counting_distribution(system, target, t=t, n_trials=300, seed=SEED, mu=mu,
                                    workers=workers)
-        ratio = entry_time_ratio(system, target, L=50, n_trials=300, seed=SEED, mu=mu,
-                                 workers=workers)
-        return cs.to_json(), cd.to_json(), ratio, sorted(calls)
+        return cs.to_json(), cd.to_json(), (cluster_calls, len(calls)), sorted(calls)
 
     one = run(1)
-    assert len(one[-1]) >= 3
+    # both estimators built their orbits through the recorded calls
+    cluster_calls, all_calls = one[2]
+    assert 0 < cluster_calls < all_calls
     assert run(2) == one and run(3) == one
 
 
@@ -521,32 +524,42 @@ def test_hit_times_agree_with_cluster_alpha_hat():
 
 
 # ---------------------------------------------------------------------------
-# entry-time ratio
+# entry-time ratio, the counting law's mass off zero
 # ---------------------------------------------------------------------------
+
+
+def _ratio_from_counting_law(system, target, L, mu, n_trials, seed):
+    """P_hat(tau_U <= L) / (L mu): at t = (L - 1/2) mu each counting sample
+    holds L points, and tau_U <= L is a hit among them."""
+    cd = counting_distribution(system, target, t=(L - 0.5) * mu, n_trials=n_trials,
+                               seed=seed, mu=mu)
+    assert kac_horizon((L - 0.5) * mu, mu) == L - 1
+    return (1.0 - cd.probs[0]) / (L * mu)
 
 
 def test_entry_time_ratio_near_independent_prediction():
     # ball around a non-periodic point: short returns are negligible, so
     # P(tau <= L) is close to the independent value 1 - (1-mu)^L
-    from returnstats.targets import Ball
-
-    sys2 = LinearMod1System(2)
     rho, L = 1e-3, 100
     mu = 2 * rho
-    ratio = entry_time_ratio(sys2, Ball((1 / math.sqrt(2),), rho), L=L,
-                             n_trials=20_000, seed=SEED)
+    ratio = _ratio_from_counting_law(LinearMod1System(2), Ball((1 / math.sqrt(2),), rho),
+                                     L, mu, n_trials=20_000, seed=SEED)
     want = (1.0 - (1.0 - mu) ** L) / (L * mu)
     assert abs(ratio - want) < 0.05
 
 
-def test_entry_time_ratio_warns_when_no_hits():
-    from returnstats.targets import Ball
-
-    sys2 = LinearMod1System(2)
-    with pytest.warns(UserWarning):
-        r = entry_time_ratio(sys2, Ball((1 / math.sqrt(2),), 1e-9), L=5,
-                             n_trials=10, seed=SEED)
-    assert r == 0.0
+def test_counting_mass_off_zero_is_the_exact_strip_entry_ratio():
+    # at rho = 2^-7 and L = 50 the strip's ratio is known exactly; the
+    # estimate is a binomial proportion over independent windows, so it lies
+    # within 4 standard errors of the exact value
+    n, L, n_trials = 7, 50, 20_000
+    mu = 2.0 ** (1 - n)
+    ratio = _ratio_from_counting_law(TorusAffineSystem(2), TorusStrip(2.0**-n), L, mu,
+                                     n_trials=n_trials, seed=SEED)
+    exact = float(entry_time_ratio_strip(L, n))
+    p = exact * L * mu
+    se = math.sqrt(p * (1 - p) / n_trials) / (L * mu)
+    assert abs(ratio - exact) < 4 * se
 
 
 MAP_ESTIMATORS = {
@@ -555,8 +568,6 @@ MAP_ESTIMATORS = {
                                                orbit_len=5000, **kw),
     "counting": lambda **kw: counting_distribution(LinearMod1System(2), Ball((0.3,), 0.1),
                                                    t=1.0, n_trials=10, **kw),
-    "entry": lambda **kw: entry_time_ratio(LinearMod1System(2), Ball((0.3,), 0.1), L=5,
-                                           n_trials=10, **kw),
 }
 
 
@@ -583,12 +594,10 @@ def test_estimators_take_an_integer_master_seed():
         estimator(seed=np.uint64(7))
 
 
-def test_entry_time_ratio_rejects_no_trials():
-    from returnstats.targets import Ball
-
+def test_counting_distribution_rejects_no_trials():
     with pytest.raises(ValueError, match="n_trials"):
-        entry_time_ratio(LinearMod1System(2), Ball((0.3,), 0.01), L=5, n_trials=0,
-                         seed=SEED, mu=0.02)
+        counting_distribution(LinearMod1System(2), Ball((0.3,), 0.01), t=1.0, n_trials=0,
+                              seed=SEED, mu=0.02)
 
 
 def test_counting_distribution_is_a_distribution():

@@ -93,6 +93,8 @@ def test_measure_is_the_closed_form_on_every_lebesgue_system(monkeypatch):
     for system_raw in LEBESGUE_SYSTEMS:
         dim = system_raw.get("n", 2 if system_raw["kind"] == "torus" else 1)
         for kind in PAIRS[system_raw["kind"]]:
+            if dim == 1 and kind == "diagonal_strip":
+                continue  # the whole interval, refused at load (see test_exact_measures)
             scale, want = _closed_forms(kind, dim)
             target = {"kind": kind, "center": [0.5] * dim} if kind == "ball" else {"kind": kind}
             cfg = ExperimentConfig.from_dict({

@@ -54,8 +54,9 @@ class RegenSpec:
     def __post_init__(self):
         g = np.asarray(self.symbol_probs, dtype=float)
         object.__setattr__(self, "symbol_probs", g)
-        if g.ndim != 1 or g.size == 0 or np.any(g < 0):
-            raise ValueError("symbol_probs must be a non-negative 1-d array")
+        # NaN fails neither the sign nor the sum check
+        if g.ndim != 1 or g.size == 0 or not np.all(np.isfinite(g)) or np.any(g < 0):
+            raise ValueError("symbol_probs must be a finite non-negative 1-d array")
         if abs(g.sum() - 1.0) > 1e-9:
             raise ValueError("symbol_probs must sum to 1 (renormalize after truncation)")
         if self.block_rule not in ("smith", "fixed_lengths"):

@@ -7,7 +7,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
+# scipy imports scipy.special on first attribute access, so only a p-value
+# pays for loading it
+import scipy
 
 from .distributions import DiscreteDistribution
 from .records import json_fields
@@ -62,6 +64,6 @@ def chi_square_gof(empirical: DiscreteDistribution, n: int,
     exp_a = np.asarray(exp)
     chi2 = float(np.sum((obs_a - exp_a) ** 2 / exp_a))
     dof = len(obs) - 1
-    p_value = float(gammaincc(dof / 2.0, chi2 / 2.0))
+    p_value = float(scipy.special.gammaincc(dof / 2.0, chi2 / 2.0))
     return GofReport(tv_distance=total_variation(empirical, model),
                      chi_square=chi2, dof=dof, p_value=p_value, n=n)

@@ -210,6 +210,58 @@ def test_package_import_leaves_out_scipy_optimize():
     assert out.stdout.strip() == "[]"
 
 
+def _fresh_interpreter(code, *args):
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+    return out.stdout
+
+
+def test_package_import_leaves_scipy_special_to_the_first_p_value():
+    # scipy itself is loaded (the benchmark reads its version at set-up);
+    # scipy.special waits for chi_square_gof
+    code = ("import importlib, json, pkgutil, sys, returnstats\n"
+            "names = [m.name for m in pkgutil.iter_modules(returnstats.__path__, 'returnstats.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "print(json.dumps({'names': names, 'scipy': 'scipy' in sys.modules,\n"
+            "                  'special': 'scipy.special' in sys.modules}))\n")
+    seen = json.loads(_fresh_interpreter(code))
+    modules = {f"returnstats.{p.stem}" for p in (SRC / "returnstats").glob("*.py")
+               if p.stem != "__init__"}
+    assert set(seen["names"]) == modules
+    assert seen["scipy"] and not seen["special"]
+
+
+_MAIN_IN_FRESH_INTERPRETER = (
+    "import json, sys\n"
+    "from returnstats.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "print(json.dumps({'rc': rc, 'special': 'scipy.special' in sys.modules}))\n")
+
+
+def test_compare_loads_scipy_special_and_simulate_does_not(tmp_path):
+    # in this process the Polya-Aeppli reference has loaded scipy.special
+    # already, so the lazy load is checked in fresh interpreters
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, TORUS_CFG % out)
+    for command in ("predict", "simulate"):
+        last = json.loads(_fresh_interpreter(_MAIN_IN_FRESH_INTERPRETER, "--config", cfg,
+                                             command).splitlines()[-1])
+        assert last == {"rc": 0, "special": False}, command
+
+    gof = tmp_path / "gof"
+    printed = _fresh_interpreter(_MAIN_IN_FRESH_INTERPRETER, "--out", str(gof), "compare",
+                                 str(out / "counting_pmf_rho0p02_K5.json"),
+                                 str(out / "counting_rho0p02_K5.json")).splitlines()
+    assert json.loads(printed[-1])["special"]
+    report = json.loads((gof / "gof_counting_rho0p02_K5.json").read_text())
+    from scipy.special import gammaincc
+
+    want = float(gammaincc(report["dof"] / 2.0, report["chi_square"] / 2.0))
+    assert report["p_value"] == want
+    assert f"{'p_value':<14}{want:>14.3e}" in printed
+
+
 def test_only_stats_imports_scipy():
     # the chi-square survival function is the package's last scipy call
     importers = set()

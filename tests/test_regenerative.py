@@ -27,6 +27,8 @@ def test_spec_validation():
         RegenSpec(np.array([1.0]), "bogus")
     with pytest.raises(ValueError):
         RegenSpec(np.array([1.0]), "fixed_lengths")        # needs cluster law
+    with pytest.raises(ValueError, match="finite"):
+        RegenSpec(np.array([np.nan, 0.5, 0.5]), "smith")   # passes sign and sum
 
 
 def test_symbol_law_is_inverse_square():

@@ -149,6 +149,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     system = config.build_system()
     regen = isinstance(system, RegenSpec)
     counted: dict = {}  # (scale, t, n_trials) -> its counting law, shared by every K
+    streams: dict = {}  # (m, stream_len, n_streams) -> the cluster streams' hit runs, ditto
 
     for row in config.schedule:
         label = row.label(config.scale_name)
@@ -158,8 +159,10 @@ def cmd_simulate(config: ExperimentConfig) -> int:
             # load fills in every regenerative row's stream_len
             n_streams = max(4, math.ceil(
                 row.min_entries / level_measure(system, target) / row.stream_len) + 1)
+            runs = streams.setdefault((target, row.stream_len, n_streams), [])
             cs = regen_cluster_stats(system, target, row.K, n_streams, config.seed,
-                                     stream_len=row.stream_len, workers=config.workers)
+                                     stream_len=row.stream_len, workers=config.workers,
+                                     runs=runs)
         else:
             cs = cluster_statistics(system, target, row.K, row.min_entries,
                                     row.max_orbit, config.seed,

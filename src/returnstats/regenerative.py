@@ -34,8 +34,8 @@ __all__ = ["RegenSpec", "SymbolStream", "generate_stationary", "stationary_hit_r
            "level_measure", "regen_cluster_stats", "regen_counting_distribution"]
 
 _DEFAULT_K_CAP = 10**5
-# buckets of the symbol draw's guide table; a power of two, so u * _GUIDE_BUCKETS
-# is exact and floor() of it is the bucket holding u
+# buckets of the symbol draw's guide table; 2^14, so the bucket holding the
+# uniform u = (w >> 11) * 2^-53 of a raw word w is w >> 50
 _GUIDE_BUCKETS = 2**14
 # blocks per slice of a stream's draws: bounds the symbols, lengths and
 # temporaries one stream holds at a time, whatever its length
@@ -89,18 +89,46 @@ class RegenSpec:
         # symbols are int32 (a k_cap beyond 2^31 would not fit in memory)
         return np.where(lo == hi, lo + 1, 0).astype(np.int32)
 
-    def draw_symbols(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n i.i.d. int32 symbols via inverse-cdf sampling (fast path for the
-        very long streams the cluster estimators need): the guide table
-        answers most draws, and the rest search the cdf, with the same result
-        searchsorted(cdf, u, "right") + 1 for every u."""
-        u = rng.random(n)
-        bucket = np.empty(n, dtype=np.intp)
-        np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")  # truncates
+    @cached_property
+    def _long_words(self) -> np.ndarray:
+        """Entry k (1..k_cap) is the largest raw word whose uniform is below
+        1.0 / k: a smith block of symbol k is long when its length word is at
+        most it, and always for k = 1."""
+        # the scaling is exact, and v < c for an integer v is v <= ceil(c) - 1
+        v = np.ceil(1.0 / np.arange(1, self.k_cap + 1) * 2.0**53).astype(np.uint64) - 1
+        return np.concatenate([np.zeros(1, np.uint64), v << 11 | 0x7FF])
+
+    @cached_property
+    def _guide_long_words(self) -> np.ndarray:
+        """`_long_words` of each guide-table symbol (0 at a split bucket)."""
+        return self._long_words[self._symbol_guide]
+
+    def _read_blocks(self, n: int, sym_words, len_words):
+        """n i.i.d. blocks (int32 symbols, int64 lengths) read from raw Philox
+        words: n of bit generator `sym_words`, then n of `len_words`.  Each is
+        the block that the uniform u = (w >> 11) * 2^-53 `Generator.random`
+        makes of its word w draws, found in integers: the guide table's symbol
+        at bucket w >> 50 (only split buckets search the cdf at u), a smith
+        block of symbol k long (u < 1.0 / k) when its length word is at most
+        `_long_words[k]`, a fixed_lengths length as `choice(p=lambdas)` from u."""
+        w = sym_words.random_raw(n)
+        bucket = (w >> 50).view(np.intp)
         symbols = self._symbol_guide[bucket]
         split = (symbols == 0).nonzero()[0]
-        symbols[split] = np.searchsorted(self._symbol_cdf, u[split], side="right") + 1
-        return symbols
+        symbols[split] = self._symbol_cdf.searchsorted(_uniforms(w[split]), side="right") + 1
+        del w  # the dels keep a slice's working set to one word array at a time
+        if self.block_rule == "fixed_lengths":
+            del bucket
+            u = _uniforms(len_words.random_raw(n))
+            return symbols, self._length_cdf.searchsorted(u, side="right") + 1
+        long = self._guide_long_words[bucket]  # the bucket also gives the threshold
+        del bucket
+        long[split] = self._long_words[symbols[split]]
+        np.less_equal(len_words.random_raw(n), long, out=long)
+        lengths = long.view(np.int64)  # 1 for a long block, else 0
+        lengths *= symbols
+        lengths += 1
+        return symbols, lengths
 
     @cached_property
     def _size_biased_cdf(self) -> np.ndarray:
@@ -115,6 +143,11 @@ class RegenSpec:
             lam = self.cluster_dist.lambdas
             w = np.arange(1, lam.size + 1) * lam
         return _choice_cdf(w / w.sum())
+
+    @cached_property
+    def _length_cdf(self) -> np.ndarray:
+        """`_choice_cdf` of the fixed_lengths cluster-size law."""
+        return _choice_cdf(self.cluster_dist.lambdas)
 
     @cached_property
     def _symbol_choice_cdf(self) -> np.ndarray:
@@ -168,17 +201,9 @@ class SymbolStream:
             raise ValueError("block boundaries must start at 0")
 
 
-def _block_lengths(spec: RegenSpec, symbols: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """int64 lengths of the blocks of `symbols`, one uniform per block."""
-    if spec.block_rule == "smith":
-        # length 1 w.p. 1 - 1/k, else k + 1
-        lengths = (rng.random(symbols.size) < 1.0 / symbols).astype(np.int64)
-        lengths *= symbols
-        lengths += 1
-        return lengths
-    lam = spec.cluster_dist.lambdas
-    return rng.choice(np.arange(1, lam.size + 1), size=symbols.size, p=lam)
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniforms `Generator.random` makes of raw Philox words."""
+    return (words >> 11) * 2.0**-53
 
 
 def _choice_cdf(p: np.ndarray) -> np.ndarray:
@@ -212,18 +237,17 @@ def _size_biased_first_block(spec: RegenSpec, rng: np.random.Generator):
 def _block_slices(spec: RegenSpec, length: int, seed):
     """The blocks of the stationary stream of the requested length, drawn a
     bounded slice at a time: ``(phase, slices)``, where `slices` yields
-    ``(symbols, lengths, ends)`` in stream order (int32 symbols, int64
-    lengths and stream positions where the blocks end), the first holding
-    the block that covers index 0 and the last ending with the block that
-    reaches `length`, cut there.
+    ``(symbols, lengths, start)`` in stream order (int32 symbols, int64
+    lengths and the stream position where the slice starts), the first
+    holding the block that covers index 0 and the last ending with the block
+    that reaches `length`, cut there.
 
     The block covering index 0 is drawn from the size-biased block law with
     a uniform phase (``phase`` is the offset of index 0 inside it; its
     remaining length is the first length); subsequent blocks are i.i.d.
     They are drawn in chunks of n blocks: the chunk's symbols take the
-    stream's next n uniforms and its lengths the n after them, one 64-bit
-    word each, and the next chunk follows only if the stream is not yet long
-    enough.  A chunk of more than `_SLICE_BLOCKS` blocks reads its lengths
+    stream's next n 64-bit words and its lengths the n after them, and the
+    next chunk follows only if the stream is not yet long enough.  A chunk of more than `_SLICE_BLOCKS` blocks reads its lengths
     from a second generator positioned n words ahead (`rng_ahead`), so that
     symbol slice i and its lengths are drawn together, and the chunk stops
     at the block that reaches `length`: the symbols after that block are
@@ -241,30 +265,27 @@ def _block_slices(spec: RegenSpec, length: int, seed):
 
     def slices():
         total = min(len0 - phase, length)
-        first = np.array([total], dtype=np.int64)
-        yield np.array([sym0], dtype=np.int32), first, first
+        yield np.array([sym0], dtype=np.int32), np.array([total], dtype=np.int64), 0
         sym_rng = rng
         while total < length:
-            # the over-draw fixes which uniforms go to symbols and which to
+            # the over-draw fixes which words go to symbols and which to
             # lengths, so it is part of every stream's definition
             n_blocks = max(64, int((length - total) / mean_len * 1.2))
-            # a one-slice chunk draws its symbols, then its lengths, from one
+            # a one-slice chunk reads its symbols, then its lengths, from one
             # generator
             len_rng = sym_rng if n_blocks <= _SLICE_BLOCKS else rng_ahead(sym_rng, n_blocks)
             for lo in range(0, n_blocks, _SLICE_BLOCKS):
-                syms = spec.draw_symbols(min(_SLICE_BLOCKS, n_blocks - lo), sym_rng)
-                lens = _block_lengths(spec, syms, len_rng)
-                ends = lens.cumsum()
-                ends += total
-                if ends[-1] >= length:
-                    last = int(ends.searchsorted(length))
-                    lens, ends = lens[: last + 1], ends[: last + 1]
-                    lens[last] -= ends[last] - length
-                    ends[last] = length
-                    yield syms[: last + 1], lens, ends
+                syms, lens = spec._read_blocks(min(_SLICE_BLOCKS, n_blocks - lo),
+                                               sym_rng.bit_generator, len_rng.bit_generator)
+                start, total = total, total + int(lens.sum())
+                if total >= length:
+                    ends = lens.cumsum()
+                    last = int(ends.searchsorted(length - start))
+                    syms, lens = syms[: last + 1], lens[: last + 1]
+                    lens[last] -= ends[last] - (length - start)
+                    yield syms, lens, start
                     return
-                total = int(ends[-1])
-                yield syms, lens, ends
+                yield syms, lens, start
             sym_rng = len_rng
 
     return phase, slices()
@@ -274,21 +295,26 @@ def generate_stationary(spec: RegenSpec, length: int, seed) -> SymbolStream:
     """Stationary symbol stream of the requested length: the blocks of
     `_block_slices` expanded symbol by symbol, the last cut at `length`."""
     phase, slices = _block_slices(spec, length, seed)
-    syms, lens, ends = map(np.concatenate, zip(*slices))
-    return SymbolStream(symbols=np.repeat(syms, lens), block_boundaries=ends - lens,
+    syms, lens, _ = zip(*slices)
+    syms, lens = np.concatenate(syms), np.concatenate(lens)
+    return SymbolStream(symbols=np.repeat(syms, lens), block_boundaries=lens.cumsum() - lens,
                         phase=phase)
 
 
 def stationary_hit_runs(spec: RegenSpec, length: int, seed, m: int):
     """``(starts, ends)`` of the blocks of the stationary stream inside
     U_m = {X_0 > m}: the sorted, disjoint intervals [start, end) on which the
-    stream's indicator is 1, gathered slice by slice."""
+    stream's indicator is 1, gathered slice by slice.  A slice's hit ends are
+    its start plus the running sums of its lengths cut after each hit block."""
     _, slices = _block_slices(spec, length, seed)
     starts, stops = [], []
-    for syms, lens, ends in slices:
+    for syms, lens, start in slices:
         hit = np.flatnonzero(syms > m)
-        stops.append(ends[hit])
-        starts.append(ends[hit] - lens[hit])
+        cuts = np.concatenate(([0], hit + 1))  # reduceat takes only cuts inside the slice
+        ends = np.add.reduceat(lens, cuts[:-1] if cuts[-1] == lens.size else cuts)
+        ends = ends[: hit.size].cumsum() + start
+        stops.append(ends)
+        starts.append(ends - lens[hit])
     return np.concatenate(starts), np.concatenate(stops)
 
 
@@ -302,12 +328,16 @@ def level_measure(spec: RegenSpec, m: int) -> float:
 
 
 def regen_cluster_stats(spec: RegenSpec, m: int, K: int, n_streams: int, seed,
-                        stream_len: int | None = None, workers: int = 1) -> ClusterStats:
+                        stream_len: int | None = None, workers: int = 1,
+                        runs: list | None = None) -> ClusterStats:
     """Windowed cluster statistics of the indicator of U_m = {X_0 > m} under
     the shift map on stationary streams, tallied from each stream's hit
     blocks without expanding it into symbols.  Streams are built on up to
     `workers` threads and tallied in stream order, so the result does not
-    depend on `workers`."""
+    depend on `workers`.  Given `runs`, an empty list is filled with the
+    streams' ``(starts, ends)``, and a filled one (from a call with the same
+    spec, m, n_streams, seed and stream_len) is tallied as it is, so that
+    several K share one build."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if n_streams < 1:
@@ -320,9 +350,11 @@ def regen_cluster_stats(spec: RegenSpec, m: int, K: int, n_streams: int, seed,
     if stream_len is None:
         stream_len = _default_orbit_len(K)
 
-    runs = _ordered_map(
-        lambda trial: stationary_hit_runs(spec, stream_len, (master_seed, trial), m),
-        range(n_streams), workers)
+    runs = [] if runs is None else runs
+    if not runs:
+        runs += _ordered_map(
+            lambda trial: stationary_hit_runs(spec, stream_len, (master_seed, trial), m),
+            range(n_streams), workers)
     acc = ClusterAccumulator(K=K)
     for starts, ends in runs:
         acc.add_runs(starts, ends, stream_len)
@@ -333,8 +365,8 @@ def regen_counting_distribution(spec: RegenSpec, m: int, t: float,
                                 n_trials: int, seed):
     """Empirical law of the visit count to U_m over the Kac horizon
     N = floor(t / mu(U_m)), one stationary stream per trial, summing the lengths
-    of its hit runs.  One thread: the streams' short set-up holds the GIL, so a
-    second thread made the phase slower."""
+    of its hit blocks slice by slice.  One thread: the streams' short set-up
+    holds the GIL, so a second thread made the phase slower."""
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and positive")
     if n_trials < 1:
@@ -346,6 +378,6 @@ def regen_counting_distribution(spec: RegenSpec, m: int, t: float,
     n_points = kac_horizon(t, mu) + 1
     values = np.empty(n_trials, dtype=np.int64)
     for trial in range(n_trials):
-        starts, ends = stationary_hit_runs(spec, n_points, (master_seed, trial), m)
-        values[trial] = (ends - starts).sum()
+        _, slices = _block_slices(spec, n_points, (master_seed, trial))
+        values[trial] = sum(int(lens[syms > m].sum()) for syms, lens, _ in slices)
     return empirical_distribution(values)

@@ -14,7 +14,7 @@ from returnstats import cli
 from returnstats.cli import main
 from returnstats.config import ExperimentConfig
 from returnstats.distributions import ClusterSizeDist
-from returnstats.regenerative import RegenSpec, level_measure
+from returnstats.regenerative import RegenSpec, level_measure, regen_cluster_stats
 
 from polya_aeppli_reference import polya_aeppli_pmf
 
@@ -420,7 +420,7 @@ def test_simulate_sizes_regenerative_streams_for_the_length_they_run(tmp_path, m
     # symbols, and its stream count must be sized for that length
     calls = []
 
-    def record(spec, m, K, n_streams, seed, stream_len=None, workers=1):
+    def record(spec, m, K, n_streams, seed, stream_len=None, workers=1, runs=None):
         calls.append((n_streams, stream_len))
         raise _Stop
 
@@ -436,6 +436,38 @@ outputs: {{dir: "{tmp_path / 'out'}"}}
     stream_len = 100 * (2 * 5000 + 1)
     mu = level_measure(RegenSpec.smith(), 10)
     assert calls == [(max(4, math.ceil(1_000_000 / mu / stream_len) + 1), stream_len)]
+
+
+def test_simulate_builds_regenerative_streams_once_for_every_K(tmp_path, monkeypatch):
+    # two rows that differ only in K share the cluster streams and the
+    # counting law, and each cluster file is its K's tally of those streams
+    from returnstats import regenerative
+
+    lengths = []
+    build = regenerative._block_slices
+
+    def counted(spec, length, seed):
+        lengths.append(length)
+        return build(spec, length, seed)
+
+    monkeypatch.setattr(regenerative, "_block_slices", counted)
+    cfg = _write_cfg(tmp_path, f"""
+system: {{kind: regenerative, block_rule: smith, k_cap: 300}}
+target: {{kind: level_set}}
+schedule:
+  - {{m: 30, K: 3, t: 1.0, n_trials: 20, min_entries: 500, stream_len: 20000}}
+  - {{m: 30, K: 7, t: 1.0, n_trials: 20, min_entries: 500, stream_len: 20000}}
+seed: 5
+workers: 2
+outputs: {{dir: "{tmp_path / 'out'}"}}
+""")
+    assert main(["--config", cfg, "simulate"]) == 0
+    spec = RegenSpec.smith(300)
+    n_streams = max(4, math.ceil(500 / level_measure(spec, 30) / 20000) + 1)
+    assert lengths.count(20000) == n_streams and len(lengths) == n_streams + 20
+    for K in (3, 7):
+        want = regen_cluster_stats(spec, 30, K, n_streams, 5, stream_len=20000)
+        assert (tmp_path / "out" / f"cluster_m30_K{K}.json").read_text() == want.to_json()
 
 
 def test_simulate_byte_identical_across_worker_counts(tmp_path):

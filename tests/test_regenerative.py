@@ -8,7 +8,7 @@ from returnstats import regenerative
 from returnstats.distributions import ClusterSizeDist, empirical_distribution
 from returnstats.estimators import ClusterAccumulator
 from returnstats.regenerative import (_GUIDE_BUCKETS, _SLICE_BLOCKS, RegenSpec,
-                                      SymbolStream, _block_lengths, _block_slices,
+                                      SymbolStream, _block_slices,
                                       _size_biased_first_block,
                                       generate_stationary, level_measure,
                                       regen_cluster_stats,
@@ -54,10 +54,10 @@ def test_mean_block_length():
 
 def test_smith_block_lengths_conditional_law():
     # given symbol k, the block is long (length k+1) with probability 1/k
-    spec = RegenSpec.smith(10)
-    rng = trial_rng(SEED, 0)
-    symbols = np.full(200_000, 2, dtype=np.int64)
-    lens = _block_lengths(spec, symbols, rng)
+    spec = RegenSpec(np.array([0.0, 1.0]), "smith")
+    words = trial_rng(SEED, 0).bit_generator
+    symbols, lens = spec._read_blocks(200_000, words, words)
+    assert np.all(symbols == 2)
     assert set(np.unique(lens)) == {1, 3}
     frac_long = np.mean(lens == 3)
     assert abs(frac_long - 0.5) < 4 * np.sqrt(0.25 / symbols.size)
@@ -67,8 +67,8 @@ def test_smith_block_lengths_conditional_law():
 
 def test_fixed_lengths_block_law():
     spec = RegenSpec.fixed_lengths(LAM, 100)
-    rng = trial_rng(SEED, 1)
-    lens = _block_lengths(spec, np.ones(100_000, dtype=np.int64), rng)
+    words = trial_rng(SEED, 1).bit_generator
+    _, lens = spec._read_blocks(100_000, words, words)
     freqs = np.bincount(lens, minlength=4)[1:4] / lens.size
     np.testing.assert_allclose(freqs, [0.5, 0.3, 0.2], atol=0.01)
 
@@ -409,15 +409,29 @@ def test_regen_tallies_equal_the_dense_reference():
         assert got.to_json() == empirical_distribution(np.array(counts)).to_json()
 
 
-class _StubRng:
-    """Hands out prescribed uniforms in place of rng.random."""
+class _StubWords:
+    """Hands out prescribed raw words in place of a bit generator's random_raw."""
 
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
 
-    def random(self, n):
-        assert n == self.u.size
-        return self.u.copy()
+    def random_raw(self, n):
+        assert n == self.words.size
+        return self.words.copy()
+
+
+def _uniforms(words):
+    return (words >> 11) * 2.0**-53
+
+
+def _bracketing_words(x):
+    """For each x in [0, 1], the raw words of the largest uniform below x and
+    of the smallest at or above it, each with the 11 low bits the uniform
+    drops all 0 and all 1."""
+    v = np.ceil(np.asarray(x) * 2.0**53).astype(np.uint64)
+    v = np.concatenate([v - 1, v])  # v = 0 wraps to 2^64 - 1 and is dropped
+    v = v[v < 2**53]
+    return np.concatenate([v << 11, v << 11 | 0x7FF])
 
 
 # a law whose plain cumulative sums reach 1.0000000000000002 before its
@@ -430,23 +444,66 @@ _OVERSHOOT = RegenSpec(np.array([0.15324321880937372, 0.1741020222634683,
 
 @pytest.mark.parametrize("spec", [RegenSpec.smith(10), RegenSpec.smith(100),
                                   RegenSpec.smith(1000), RegenSpec.smith(3000),
-                                  RegenSpec.fixed_lengths(LAM, 100), _OVERSHOOT],
+                                  RegenSpec.fixed_lengths(LAM, 100),
+                                  RegenSpec.fixed_lengths(SPIKY, 100), _OVERSHOOT],
                          ids=["smith10", "smith100", "smith1000", "smith3000",
-                              "fixed_lengths", "overshoot"])
+                              "fixed_lengths", "fixed_lengths_spiky", "overshoot"])
 def test_guide_table_draw_equals_the_cdf_search(spec):
+    # random() makes only multiples of 2^-53, so the words next to every cdf
+    # value and bucket edge are all the cases where a reading could differ
     cdf = spec._symbol_cdf
     assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
-    edges = np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS
-    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
-                        edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
-    u = u[(u >= 0.0) & (u < 1.0)]
-    got = spec.draw_symbols(u.size, _StubRng(u))
-    np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right") + 1)
-    assert got.min() >= 1 and got.max() <= spec.k_cap
-    # the largest uniform below 1 draws the last symbol of positive
-    # probability (k_cap in the shipped laws), never k_cap + 1
+    values = [cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS]
+    if spec.block_rule == "fixed_lengths":
+        values.append(spec._length_cdf)
+    words = _bracketing_words(np.concatenate(values))
+    u = _uniforms(words)
+    symbols, lengths = spec._read_blocks(words.size, _StubWords(words), _StubWords(words))
+    np.testing.assert_array_equal(symbols, np.searchsorted(cdf, u, side="right") + 1)
+    assert symbols.min() >= 1 and symbols.max() <= spec.k_cap
+    if spec.block_rule == "smith":
+        want = np.where(u < 1.0 / symbols, symbols + 1, 1)
+    else:
+        want = np.searchsorted(spec._length_cdf, u, side="right") + 1
+    np.testing.assert_array_equal(lengths, want)
+    # the largest word draws the last symbol of positive probability (k_cap
+    # in the shipped laws), never k_cap + 1
     last = np.flatnonzero(spec.symbol_probs)[-1] + 1
-    assert spec.draw_symbols(1, _StubRng([np.nextafter(1.0, 0.0)]))[0] == last
+    top = _StubWords([2**64 - 1])
+    assert spec._read_blocks(1, top, top)[0][0] == last
+
+
+@pytest.mark.parametrize("k_cap", [3000, 10**5])
+def test_long_words_give_the_smith_length_test(k_cap):
+    # the largest word w with u < 1.0 / k, for every k of the shipped laws
+    spec = RegenSpec.smith(k_cap)
+    k = np.arange(1, k_cap + 1)
+    long = spec._long_words[1:]
+    assert long[0] == 2**64 - 1  # symbol 1 is always long
+    assert np.all(_uniforms(long) < 1.0 / k)
+    assert not np.any(_uniforms(long[1:] + 1) < 1.0 / k[1:])
+    # and through the kernel: the first word that draws symbol k, with the
+    # length words LONG[k] and LONG[k] + 1
+    k = k[1:]
+    sym_words = np.repeat(spec._symbol_cdf[k - 2] * 2.0**53, 2).astype(np.uint64) << 11
+    len_words = np.stack([long[1:], long[1:] + 1], axis=1).ravel()
+    symbols, lengths = spec._read_blocks(sym_words.size, _StubWords(sym_words),
+                                         _StubWords(len_words))
+    np.testing.assert_array_equal(symbols, np.repeat(k, 2))
+    np.testing.assert_array_equal(lengths, np.stack([k + 1, np.ones_like(k)], axis=1).ravel())
+
+
+@pytest.mark.parametrize("lam", [LAM, SPIKY], ids=["lam", "spiky"])
+def test_fixed_lengths_read_the_lengths_choice_draws(lam):
+    spec = RegenSpec.fixed_lengths(lam, 100)
+    for trial in range(3):
+        a, b = trial_rng(SEED, trial), trial_rng(SEED, trial)
+        symbols, lengths = spec._read_blocks(5000, a.bit_generator, a.bit_generator)
+        want = np.searchsorted(spec._symbol_cdf, b.random(5000), side="right") + 1
+        np.testing.assert_array_equal(symbols, want)
+        want = b.choice(np.arange(1, lam.lambdas.size + 1), size=5000, p=lam.lambdas)
+        np.testing.assert_array_equal(lengths, want)
+        assert a.random() == b.random()
 
 
 def test_symbol_cdf_ends_at_one():
@@ -494,3 +551,12 @@ def test_stream_memory_does_not_grow_with_the_stream_length():
     short, long = (_traced_peak(lambda: stationary_hit_runs(spec, n, (SEED, 1), 1000))
                    for n in (2 * 10**6, 2 * 10**7))
     assert long < 1.5 * short
+
+
+def test_stream_working_set_stays_under_the_float_draws():
+    # a slice holds its symbol words, int32 symbols and int64 lengths; the
+    # float draws (`Generator.random` for symbols and lengths, a cumsum of
+    # every slice's ends) peaked at 2 803 080 bytes on this stream
+    spec = RegenSpec.smith(3000)
+    stationary_hit_runs(spec, 100, (SEED, 1), 1000)  # builds the spec's cached tables
+    assert _traced_peak(lambda: stationary_hit_runs(spec, 2 * 10**7, (SEED, 1), 1000)) <= 2_800_000

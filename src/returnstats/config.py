@@ -33,10 +33,8 @@ Scale parameter per row: ``rho`` (ball / torus_strip), ``nu``
 (diagonal_strip) or the integer ``m`` (level_set, 1 <= m < k_cap); a map row
 takes ``orbit_len`` and ``max_orbit``, a regenerative row ``stream_len``.  Loading builds
 the system and every row's target, so a row the system cannot run is an
-error before any row writes a file.  So is a ``cml`` whose float64 orbits
-drain to 0: uncoupled (gamma 0, eps 0) copies of a*x mod 1 with a a power
-of two, which ``linear_mod1`` runs on exact digits instead; and so is a key
-that cannot act (smith ``cluster_lambdas``, ``weights`` at gamma 0).
+error before any row writes a file.  So is a key that cannot act (smith
+``cluster_lambdas``, ``weights`` at gamma 0).
 """
 
 from __future__ import annotations

@@ -120,8 +120,8 @@ class SinePerturbedInterval(IntervalMap):
     def __init__(self, a: int, eps: float):
         super().__init__(a)
         if eps == 0:
-            # the map is then a*x mod 1, which CmlSystem's drain check knows
-            # only as LinearInterval
+            # the map is then a*x mod 1, which is LinearInterval: it alone gets
+            # the exact mu(U) and predict's law
             raise ValueError("eps = 0 is a*x mod 1: use LinearInterval(a)")
         if abs(eps) * 2 * math.pi >= a - 1:
             raise ValueError("perturbation too large: map no longer expanding")
@@ -452,10 +452,6 @@ class CmlSystem(MapSystem):
     transversally to the diagonal), so stationary sampling starts uniform and
     burns in.  Orbits are float64.  One site (n = 1) iterates the base map
     itself, so this is also the float64 system of a single interval map.
-
-    Uncoupled copies of a*x mod 1 with a a power of two are refused: every
-    float64 step is then an exact bit shift, and every orbit reaches 0
-    within 53 steps.  ``LinearMod1System`` builds exact orbits of that map.
     """
 
     def __init__(self, spec: CmlSpec, burn_in: int = 1024):
@@ -465,12 +461,14 @@ class CmlSystem(MapSystem):
         self.spec = spec
         self.dimension = spec.n
         self.burn_in = int(burn_in)
-        a = spec.base_map.a
-        if self.preserves_lebesgue and a & (a - 1) == 0:
-            raise ValueError(f"float64 orbits of the uncoupled {a}x mod 1 lattice drain to 0: "
-                             "each step is an exact bit shift, so every orbit reaches 0 "
-                             "within 53 steps; linear_mod1 builds exact-digit orbits of "
-                             "this map")
+        # a float64 orbit that reaches a fixed point, or puts every site bitwise equal
+        # (equal sites get equal updates), stays there: every point would be a hit.
+        # Probe 16 orbits of trials 2^32 + 1 on at seed 0, which no estimator reads
+        _, probe = next(self._orbit_slices(0, range(2**32 + 1, 2**32 + 17), 256))
+        last = probe[:, -1]
+        if np.any((last == probe[:, -2]).all(1) | (spec.n > 1) & (last == last[:, :1]).all(1)):
+            raise ValueError("float64 orbits of this lattice drain: a probe orbit reaches a "
+                             "fixed point or puts every site equal")
 
     @property
     def preserves_lebesgue(self) -> bool:

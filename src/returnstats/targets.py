@@ -52,6 +52,8 @@ class Ball(TargetSet):
         object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(self.center)))
         if self.rho <= 0:
             raise ValueError("rho must be positive")
+        if not all(0.0 <= c <= 1.0 for c in self.center):
+            raise ValueError(f"a ball centre lies in the unit cube [0, 1], got {self.center}")
 
     def contains_points(self, pts):
         return np.abs(pts - np.asarray(self.center)).max(axis=-1) <= self.rho

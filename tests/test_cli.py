@@ -165,6 +165,12 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
     ("system: {kind: cml, a: 2, n: 2, gamma: 0}\ntarget: {kind: diagonal_strip}",
      [STRIP_ROW]),
     ("system: {kind: cml, a: 8, n: 1}\ntarget: {kind: ball, center: [0.3]}", [FIRST_ROW]),
+    # every even a drains (6x mod 1 reaches 0 at step 53, and simulate wrote
+    # alpha_hat = 1 at every k), and so does the coupled (4, 0.5) lattice
+    ("system: {kind: cml, a: 6, n: 2, gamma: 0}\ntarget: {kind: diagonal_strip}",
+     [STRIP_ROW]),
+    ("system: {kind: cml, a: 4, n: 2, gamma: 0.5}\ntarget: {kind: diagonal_strip}",
+     [STRIP_ROW]),
     ("system: {kind: cml, a: 3, n: 2, gamma: 0.1, burn_in: -1}\n"
      "target: {kind: diagonal_strip}", [STRIP_ROW]),
     # at gamma 1 every site is equal after one step, so every point is a hit
@@ -185,7 +191,8 @@ STRIP_ROW = "{nu: 0.05, K: 3, t: 1, n_trials: 50, min_entries: 100, orbit_len: 5
      "target: {kind: ball, center: [0.5], periodic_period: 2}", [FIRST_ROW]),
 ], ids=["repeated-label", "K0", "K-not-integral", "strip-rho-above-half", "m-from-k_cap",
         "m-not-integral", "regen-horizon", "torus-horizon", "ball-measure-0",
-        "ball-centre-dimension", "cml-a2-drains", "cml-a8-drains", "cml-burn-in-below-0",
+        "ball-centre-dimension", "cml-a2-drains", "cml-a8-drains", "cml-a6-drains",
+        "cml-a4-gamma-half-drains", "cml-burn-in-below-0",
         "cml-gamma-1",
         "regen-orbit-keys", "map-stream_len", "period-not-of-centre",
         "period-not-minimal"])

@@ -305,6 +305,14 @@ def test_schedule_numbers_written_as_exponents():
      "{rho: 0.5}", "is the whole 2-dimensional space"),
     ("{kind: regenerative}", "{kind: level_set}", "{m: 0}",
      r"level set m = 0 must lie in \[1, k_cap\)"),
+    # a centre off the cube: on a lattice the cluster phase ran to max_orbit with
+    # no entry, on linear_mod1 mu read "must be finite and positive"
+    ("{kind: cml, a: 3, n: 2, gamma: 0.1}", "{kind: ball, center: [1.5, 1.5]}",
+     "{rho: 0.01}", r"a ball centre lies in the unit cube \[0, 1\]"),
+    ("{kind: linear_mod1, a: 3}", "{kind: ball, center: [1.5]}", "{rho: 0.01}",
+     r"a ball centre lies in the unit cube \[0, 1\]"),
+    ("{kind: linear_mod1, a: 3}", "{kind: ball, center: [-0.25]}", "{rho: 0.01}",
+     r"a ball centre lies in the unit cube \[0, 1\]"),
 ], ids=["torus-a", "linear_mod1-a", "cml-a", "cml-n", "cml-burn_in", "cml-n-0",
         "regenerative-k_cap", "level_set-m", "ball-periodic_period", "a-not-a-number",
         "cml-gama", "torus-n", "torus_strip-center", "torus_strip-periodic_period",
@@ -313,7 +321,8 @@ def test_schedule_numbers_written_as_exponents():
         "cml-gamma-bool", "cml-weights-bool", "cml-weights-inf", "cml-weights-scalar",
         "ball-center-bool", "ball-center-inf", "ball-center-scalar", "cml-gamma-null",
         "fixed_lengths-cluster_lambdas-bool", "cml-one-site-strip", "ball-whole-interval",
-        "torus_strip-half", "cml-coupled-ball-whole-lattice", "level_set-m-0"])
+        "torus_strip-half", "cml-coupled-ball-whole-lattice", "level_set-m-0",
+        "cml-ball-center-off-cube", "ball-center-above-1", "ball-center-below-0"])
 def test_system_and_target_values_are_checked(system, target, row, message):
     # a non-integral value used to be truncated, an unknown key ignored
     with pytest.raises(ConfigError, match=message):

@@ -396,8 +396,8 @@ def test_sine_perturbed_breakpoints_solve_the_lift():
 @pytest.mark.parametrize("a", [2, 3])
 @pytest.mark.parametrize("eps", [0.0, -0.0])
 def test_sine_perturbation_zero_is_refused(a, eps):
-    # with eps 0 the map is a*x mod 1, whose power-of-two lattices drain to
-    # 0 in float64 unless the lattice sees it as LinearInterval
+    # with eps 0 the map is a*x mod 1: LinearInterval, which alone gets the
+    # exact mu(U) and predict's law
     with pytest.raises(ValueError, match="LinearInterval"):
         SinePerturbedInterval(a, eps)
 
@@ -476,8 +476,7 @@ def test_cml_spec_validation():
         CmlSpec(LinearInterval(2), 2, 0.1, np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         CmlSpec(LinearInterval(2), 0, 0.1, np.array([]))
-    # one site has no coupling, and gamma > 0 turned preserves_lebesgue off,
-    # so a draining 2x mod 1 passed the power-of-two check
+    # one site has no coupling, and gamma > 0 would turn preserves_lebesgue off
     with pytest.raises(ValueError, match="one-site lattice has no coupling"):
         CmlSpec(LinearInterval(2), 1, 0.1, np.array([1.0]))
 
@@ -529,9 +528,39 @@ def test_cml_rejects_a_negative_burn_in_and_draining_orbits():
     with pytest.raises(ValueError, match="burn_in must be >= 0"):
         CmlSystem(spec, burn_in=-1)
     assert CmlSystem(spec, burn_in=0).burn_in == 0
-    # uncoupled 2^k x mod 1 shifts the float64 mantissa out in <= 53 steps
-    for a, n in ((2, 2), (4, 1), (8, 3)):
-        with pytest.raises(ValueError, match="drain to 0.*linear_mod1"):
+    # an even a shifts the float64 mantissa out: 6x mod 1 reaches 0 at step 53,
+    # and a diagonal strip on it read alpha_hat = 1 at every k
+    for a, n in ((2, 2), (4, 1), (6, 2), (8, 3)):
+        with pytest.raises(ValueError, match="drain: a probe orbit reaches a fixed point"):
             CmlSystem(CmlSpec(LinearInterval(a), n, 0.0, np.full(n, 1 / n)))
-    for a, gamma in ((3, 0.0), (6, 0.0), (2, 0.1)):
+    for a, gamma in ((3, 0.0), (2, 0.1)):
         CmlSystem(CmlSpec(LinearInterval(a), 2, gamma, [0.5, 0.5]))
+
+
+# (a, n, gamma, weights) of lattices whose float64 orbits reach an absorbing
+# state: uncoupled even slopes drain to 0, the coupled power-of-two lattices to
+# (0, 0), and synchronising ones ((1 - gamma) a < 1, or a site that drives the
+# other) put every site bitwise equal
+DRAINING = [(2, 1, 0.0, [1.0]), (4, 2, 0.0, [0.5, 0.5]), (6, 1, 0.0, [1.0]),
+            (8, 2, 0.0, [0.5, 0.5]), (10, 3, 0.0, [1 / 3] * 3), (16, 2, 0.0, [0.5, 0.5]),
+            (4, 2, 0.5, [0.5, 0.5]), (8, 2, 0.25, [0.5, 0.5]), (8, 2, 0.5, [0.5, 0.5]),
+            (8, 2, 0.75, [0.5, 0.5]), (2, 2, 0.75, [0.5, 0.5]), (3, 2, 0.75, [0.5, 0.5]),
+            (3, 2, 0.9, [1.0, 0.0])]
+LOADING = [(LinearInterval(a), 2, gamma) for a, gamma in
+           ((2, 0.1), (3, 0.5), (4, 0.25), (4, 0.75), (6, 0.1), (3, 0.0), (5, 0.0))]
+LOADING += [(imap, n, gamma) for imap in (SinePerturbedInterval(2, 0.1),
+                                          SinePerturbedInterval(3, 0.05))
+            for n, gamma in ((1, 0.0), (2, 0.1))]
+
+
+@pytest.mark.parametrize("burn_in", [0, 1024])
+@pytest.mark.parametrize("a, n, gamma, weights", DRAINING)
+def test_cml_refuses_a_lattice_whose_probe_orbits_drain(a, n, gamma, weights, burn_in):
+    with pytest.raises(ValueError, match="float64 orbits of this lattice drain"):
+        CmlSystem(CmlSpec(LinearInterval(a), n, gamma, weights), burn_in=burn_in)
+
+
+@pytest.mark.parametrize("burn_in", [0, 1024])
+@pytest.mark.parametrize("base_map, n, gamma", LOADING)
+def test_cml_loads_a_lattice_whose_probe_orbits_do_not_drain(base_map, n, gamma, burn_in):
+    assert CmlSystem(CmlSpec(base_map, n, gamma, np.full(n, 1 / n)), burn_in).burn_in == burn_in

@@ -109,6 +109,10 @@ def test_measure_is_the_closed_form_on_every_lebesgue_system(monkeypatch):
 def test_target_validation():
     with pytest.raises(ValueError):
         Ball((0.5,), 0.0)
+    for centre in ((1.5,), (0.5, -0.1), (float("nan"),)):
+        with pytest.raises(ValueError, match="unit cube"):
+            Ball(centre, 0.1)
+    assert Ball((0.0, 1.0), 0.1).center == (0.0, 1.0)
     with pytest.raises(ValueError):
         TorusStrip(0.6)
     with pytest.raises(ValueError):

@@ -168,10 +168,13 @@ def cmd_simulate(config: ExperimentConfig) -> int:
                                     row.max_orbit, config.seed,
                                     orbit_len=row.orbit_len, workers=config.workers)
         if counting not in counted:
+            # mu(U) without a closed form: the cluster hit rate of this law's first row
             counted[counting] = (
                 regen_counting_distribution(system, target, row.t, row.n_trials, config.seed)
-                if regen else counting_distribution(system, target, row.t, row.n_trials,
-                                                    config.seed, workers=config.workers))
+                if regen else counting_distribution(
+                    system, target, row.t, row.n_trials, config.seed,
+                    mu=None if system.preserves_lebesgue else cs.mu_hat,
+                    workers=config.workers))
         cd = counted[counting]
         if cs.insufficient:
             flags[label] = "insufficient_entries"

@@ -309,7 +309,7 @@ class ExperimentConfig:
                     raise ConfigError(f"{target} is the whole {system.dimension}-dimensional "
                                       "space, so every point is a hit")
                 if not system.preserves_lebesgue:
-                    continue  # a Monte Carlo mu(U) is known, and checked, at run time
+                    continue  # mu(U) is the cluster phase's hit rate, checked at run time
             # mu(U) is exact here, so the counting horizon is known at load
             try:
                 kac_horizon(row.t, mu)

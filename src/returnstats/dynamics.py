@@ -10,14 +10,12 @@ Built-in systems:
 Every system yields the orbits of a group of trials (``orbit_groups``, one
 estimator task at any worker count) in time slices, ``_orbit_slices``, and
 ``MapSystem.indicator_block`` is the one membership loop over them, a call a
-slice; ``stationary_samples`` draws Monte Carlo samples of the invariant law
-for the systems that do not preserve Lebesgue measure.  The exact-digit systems
-realise a stationary orbit of a*x mod 1 as a sliding window over an i.i.d.
-base-a digit stream: x_n is the value of digits n, n+1, ..., n+W-1, which is
-exact in law for Lebesgue measure and immune to the mantissa-draining that
-makes float64 iteration of the doubling map hit 0 within 53 steps.  W is the
-largest width with a**W <= 2**53 so window values convert to float64 without
-rounding.
+slice.  The exact-digit systems realise a stationary orbit of a*x mod 1 as a
+sliding window over an i.i.d. base-a digit stream: x_n is the value of digits
+n, n+1, ..., n+W-1, which is exact in law for Lebesgue measure and immune to
+the mantissa-draining that makes float64 iteration of the doubling map hit 0
+within 53 steps.  W is the largest width with a**W <= 2**53 so window values
+convert to float64 without rounding.
 """
 
 from __future__ import annotations
@@ -294,8 +292,8 @@ class MapSystem:
 
     def stationary_samples(self, master_seed: int, trial_index: int,
                            n_samples: int) -> np.ndarray:
-        """(n_samples, dimension) draws from the invariant law, for the Monte
-        Carlo mu(U) of a system that does not preserve Lebesgue measure."""
+        """Defined by no system: mu(U) without a closed form is
+        ``ClusterStats.mu_hat``.  The name stays while ``bench/tracing.py`` hooks it."""
         raise NotImplementedError
 
 
@@ -496,10 +494,3 @@ class CmlSystem(MapSystem):
                     x = self._apply(x)
                 part[:, i] = x
             yield j, part
-
-    def stationary_samples(self, master_seed, trial_index, n_samples):
-        # every 16th point of one orbit, copied out before the next slice; the
-        # stride decorrelates: uniformly expanding base maps mix in a few steps
-        stride = 16
-        slices = self._orbit_slices(master_seed, [trial_index], (n_samples - 1) * stride + 1)
-        return np.concatenate([coords[0, -j % stride :: stride].copy() for j, coords in slices])

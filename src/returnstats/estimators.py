@@ -24,7 +24,6 @@ import numpy as np
 
 from .distributions import empirical_distribution
 from .records import csv_table, from_json_fields, json_fields
-from .targets import measure
 
 __all__ = [
     "ClusterStats",
@@ -34,7 +33,6 @@ __all__ = [
     "ClusterAccumulator",
 ]
 
-_MEASURE_TRIAL = 2**32  # trial index reserved for internal mu(U) estimation
 _CONFIDENT_EVENTS = 30
 
 
@@ -92,6 +90,9 @@ def counting_distribution(map_system, target, t: float, n_trials: int, seed,
                           mu: float | None = None, workers: int = 1):
     """Empirical law of xi^t_U over independent stationary samples.
 
+    Without `mu`, mu(U) is the target's closed-form volume; a system that does
+    not preserve Lebesgue measure needs `mu`, such as ``ClusterStats.mu_hat``.
+
     Sample i counts the hits in window i mod c of orbit i // c, where the
     system gives c windows of N + 1 points an orbit
     (``MapSystem._counting_windows``); c depends on N alone, so no sample
@@ -106,7 +107,10 @@ def counting_distribution(map_system, target, t: float, n_trials: int, seed,
         raise ValueError("n_trials must be >= 1")
     master_seed = operator.index(seed)
     if mu is None:
-        mu = measure(target, map_system, 10**6, (master_seed, _MEASURE_TRIAL)).mean
+        if not map_system.preserves_lebesgue:
+            raise ValueError(f"mu is required: a {type(map_system).__name__} that does not "
+                             "preserve Lebesgue measure has no closed-form mu(U)")
+        mu = target.exact_measure(map_system.dimension)
     n_points = kac_horizon(t, mu) + 1
 
     per_orbit, stride = map_system._counting_windows(n_points)
@@ -148,6 +152,12 @@ class ClusterStats:
     ell_max_alpha: int
     ell_max_lambda: int
     insufficient: bool = False
+
+    @property
+    def mu_hat(self) -> float:
+        """mu(U) as the hit rate over the points that can be entries, those at
+        least 2K+1 steps from their orbit's end; unbiased, by stationarity."""
+        return self.n_entries / (self.total_steps - self.n_orbits * (2 * self.K + 1))
 
     @property
     def extremal_index(self) -> float:

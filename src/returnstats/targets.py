@@ -4,12 +4,12 @@ Three kinds: sup-metric balls around a point, the horizontal strip around
 the invariant line {y = 0} of the torus map, and the strip around the
 diagonal of a lattice.  Membership is closed (<=); boundaries carry zero
 measure.  Every target has a closed-form Lebesgue measure, which is its
-mu(U) in every system that preserves Lebesgue measure.
+mu(U) in every system that preserves Lebesgue measure; elsewhere mu(U) is a
+row's cluster hit rate, ``ClusterStats.mu_hat``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,22 +113,15 @@ class DiagonalStrip(TargetSet):
 
 
 def measure(target: TargetSet, map_system, n_samples: int, seed) -> MeasureEstimate:
-    """mu(U) under the system's stationary law.
-
-    The target's closed-form volume (std_error 0) when the system preserves
-    Lebesgue measure; otherwise the Monte Carlo hit frequency over
-    ``n_samples`` stationary draws.
+    """mu(U) of a system that preserves Lebesgue measure: the target's
+    closed-form volume, with std_error 0.  Any other system has no closed
+    form and is refused; its mu(U) is its cluster phase's hit rate
+    (``ClusterStats.mu_hat``).  `seed` is not read.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if map_system.preserves_lebesgue:
-        return MeasureEstimate(mean=target.exact_measure(map_system.dimension),
-                               std_error=0.0, n_samples=n_samples)
-
-    master_seed, trial_index = seed
-    pts = map_system.stationary_samples(master_seed, trial_index, n_samples)
-    hits = int(np.count_nonzero(target.contains_points(pts)))
-    mean = hits / n_samples
-    return MeasureEstimate(mean=mean,
-                           std_error=math.sqrt(mean * (1.0 - mean) / n_samples),
-                           n_samples=n_samples)
+    if not map_system.preserves_lebesgue:
+        raise ValueError(f"a {type(map_system).__name__} that does not preserve Lebesgue "
+                         "measure has no closed-form mu(U)")
+    return MeasureEstimate(mean=target.exact_measure(map_system.dimension),
+                           std_error=0.0, n_samples=n_samples)

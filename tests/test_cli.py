@@ -17,6 +17,7 @@ from returnstats.distributions import ClusterSizeDist
 from returnstats.regenerative import RegenSpec, level_measure, regen_cluster_stats
 
 from polya_aeppli_reference import polya_aeppli_pmf
+from test_golden_outputs import SIMULATE_ROWS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -488,6 +489,20 @@ def test_simulate_byte_identical_across_worker_counts(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, name
+
+
+def test_simulate_coupled_lattice_byte_identical_across_worker_counts(tmp_path):
+    # the counting law's mu(U) is the cluster phase's hit rate, so it too
+    # must not depend on the worker count
+    cfg = _write_cfg(tmp_path, SIMULATE_ROWS["cml_coupled"])
+    for workers in ("1", "2"):
+        assert main(["--config", cfg, "--workers", workers, "--out",
+                     str(tmp_path / workers), "simulate"]) == 0
+    names = sorted(p.name for p in (tmp_path / "1").iterdir() if p.name != "manifest.json")
+    assert names == ["cluster_nu0p05_K3.csv", "cluster_nu0p05_K3.json",
+                     "counting_nu0p05_K3.csv", "counting_nu0p05_K3.json"]
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_flag_beats_file(tmp_path, monkeypatch):

@@ -316,16 +316,6 @@ COUPLED_PAIR = CmlSystem(CmlSpec(LinearInterval(2), 2, 0.1, [0.5, 0.5]), burn_in
 SINE_SITE = CmlSystem(CmlSpec(SinePerturbedInterval(2, 0.1), 1, 0.0, [1.0]), burn_in=64)
 
 
-@pytest.mark.parametrize("system", [COUPLED_PAIR, SINE_SITE], ids=["cml-pair", "sine-site"])
-def test_stationary_samples_are_strided_reference_orbit_points(system):
-    # 5000 samples read 79 985 orbit points, two time slices of one trial
-    want = _lattice_orbit(system, SEED, 6, 4999 * 16 + 1)[::16]
-    for n in (300, 5000):
-        pts = system.stationary_samples(SEED, 6, n)
-        assert pts.shape == (n, system.dimension)
-        np.testing.assert_array_equal(pts, want[:n])
-
-
 def test_lattice_slices_match_the_orbits_stepped_alone():
     # 5000 trials are one group in 13-step slices, so 60 points cross four
     # slice ends; one trial of a one-site lattice is a 65 536-step slice and

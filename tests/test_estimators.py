@@ -1,6 +1,7 @@
 import hashlib
 import math
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -172,6 +173,26 @@ def test_windowed_counting_law_matches_the_law_of_one_orbit_a_trial(system, targ
     assert _homogeneity_p(windowed, per_trial) >= 1e-3
 
 
+def test_counting_distribution_needs_mu_without_a_closed_form(monkeypatch):
+    # a coupled lattice has no closed-form mu(U), so without `mu` the call
+    # refuses before it builds an orbit; with `mu` it gives its pinned law
+    system = CmlSystem(CmlSpec(LinearInterval(2), 2, 0.1, [0.5, 0.5]))
+    target = DiagonalStrip(0.05)
+
+    def refuse(*args):
+        raise AssertionError("an orbit was built")
+
+    monkeypatch.setattr(system, "_orbit_slices", refuse)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="mu is required"):
+        counting_distribution(system, target, t=1.0, n_trials=300, seed=SEED)
+    assert time.perf_counter() - t0 < 0.1
+    monkeypatch.undo()
+    cd = counting_distribution(system, target, t=1.0, n_trials=300, seed=SEED, mu=0.0975)
+    assert hashlib.sha256(cd.to_json().encode()).hexdigest() == \
+        "fee1f044e1cd376a3e9e5917806e96b0ba5be3b1ed46868ed125ae71d32dbebe"
+
+
 # ---------------------------------------------------------------------------
 # cluster statistics: hand-computed oracle
 # ---------------------------------------------------------------------------
@@ -213,6 +234,26 @@ def test_cluster_stats_serialization_round_trip():
     assert back.n_entries == cs.n_entries
     header = cs.to_csv().splitlines()[0]
     assert header == "ell,alpha_hat,alpha_se,lambda_hat,lambda_se"
+
+
+def test_mu_hat_is_the_hit_rate_off_the_last_2K_plus_1_points():
+    # K = 2: a hit in the last 5 points of its row is no entry, and those
+    # points leave the count; the zero gaps reach past 2K+2 = 6, so add_runs
+    # cuts them
+    K = 2
+    rows = [np.zeros(n, dtype=bool) for n in (40, 25, 60)]
+    rows[0][[0, 1, 2, 20, 36, 39]] = True   # 36 and 39 are in the last 5
+    rows[1][[10, 19, 20, 24]] = True        # 20 and 24 are
+    rows[2][[7, 8, 30, 31, 32, 54, 55]] = True  # 55 is
+    # ones in the first n - 2K - 1 points over that count: (4 + 2 + 6) / (35 + 20 + 55)
+    want = 12 / 110
+    dense, sparse = ClusterAccumulator(K=K), ClusterAccumulator(K=K)
+    for ind in rows:
+        dense.add_orbit(ind)
+        sparse.add_runs(*_runs_of(ind), ind.size)
+    assert sparse.total_steps == dense.total_steps == 125
+    for acc in (dense, sparse):
+        assert acc.finalize(insufficient=False).mu_hat == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Byte-identity gate: pinned SHA-256 digests of the result files.
 
-`predict` runs on every example config and `simulate` on five small
+`predict` runs on every example config and `simulate` on six small
 pinned-seed rows (torus strip, the fixed point of 3x mod 1, Smith, fixed
-cluster lengths and the uncoupled CML lockstep).  Every result file is
+cluster lengths, the uncoupled CML lockstep, and a coupled lattice, whose
+mu(U) is its cluster phase's hit rate).  Every result file is
 hashed; `manifest.json` is not, because it echoes the output directory.
 A change that moves output bits on purpose updates these digests and
 says which files moved.
@@ -55,6 +56,14 @@ workers: 1
 """,
     "cml": """
 system: {kind: cml, a: 3, n: 2, gamma: 0.0}
+target: {kind: diagonal_strip}
+schedule:
+  - {nu: 0.05, K: 3, t: 1.0, n_trials: 400, min_entries: 200, orbit_len: 2000}
+seed: 77
+workers: 2
+""",
+    "cml_coupled": """
+system: {kind: cml, a: 2, n: 2, gamma: 0.1, weights: [0.5, 0.5]}
 target: {kind: diagonal_strip}
 schedule:
   - {nu: 0.05, K: 3, t: 1.0, n_trials: 400, min_entries: 200, orbit_len: 2000}
@@ -181,6 +190,16 @@ GOLDEN = {
             "54675a6fa95ac48ab6d5f8bbf3998b3548f2d10408f1911c2ba30e317b72f0d1",
         "counting_nu0p05_K3.json":
             "16438b96e0cbaf9f542a728ba67bba413bc854f0e72ad5bf72e90dcd6e3deea6",
+    },
+    "simulate/cml_coupled": {
+        "cluster_nu0p05_K3.csv":
+            "9aa9287c9a9b8d782865fabe252356c8767dfa27cd349d1a7a4015c160a71810",
+        "cluster_nu0p05_K3.json":
+            "078fcb27f4ee8f32bd04b0c0807ff648da5738ade5af3d1cb082c3af452ecfd8",
+        "counting_nu0p05_K3.csv":
+            "2ed68913d3d0bc1b43e2b6faa4d4aebf13150502d1d9ba15ad03b9bed416f527",
+        "counting_nu0p05_K3.json":
+            "d02db0cb948abbce54080543ac8a457a43c7c9bca0a4701588f7696357c383a5",
     },
 }
 

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from returnstats import dynamics
 from returnstats.config import PAIRS, ExperimentConfig
 from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
-                                  LinearMod1System, TorusAffineSystem)
+                                  LinearMod1System, SinePerturbedInterval,
+                                  TorusAffineSystem)
+from returnstats.estimators import cluster_statistics
 from returnstats.targets import (Ball, DiagonalStrip, MeasureEstimate,
                                  TorusStrip, measure)
 
@@ -82,13 +83,7 @@ def _closed_forms(kind, dim):
             "diagonal_strip": (nu, dim * nu ** (dim - 1) - (dim - 1) * nu**dim)}[kind]
 
 
-def test_measure_is_the_closed_form_on_every_lebesgue_system(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a Lebesgue-preserving system drew Monte Carlo samples")
-
-    for cls in vars(dynamics).values():
-        if isinstance(cls, type) and "stationary_samples" in vars(cls):
-            monkeypatch.setattr(cls, "stationary_samples", refuse)
+def test_measure_is_the_closed_form_on_every_lebesgue_system():
     assert {s["kind"] for s in LEBESGUE_SYSTEMS} == set(PAIRS) - {"regenerative"}
     for system_raw in LEBESGUE_SYSTEMS:
         dim = system_raw.get("n", 2 if system_raw["kind"] == "torus" else 1)
@@ -142,26 +137,28 @@ def test_measure_closed_form_for_lebesgue_systems():
 
 def test_measure_monte_carlo_against_closed_form():
     # 3 uncoupled sites with a linear base map are Lebesgue-stationary, so
-    # the lattice's own stationary samples hit the diagonal strip with
-    # P(max - min <= nu) = 3 nu^2 - 2 nu^3 for 3 uniforms, which is mu(U)
-    spec = CmlSpec(LinearInterval(3), 3, 0.0, np.full(3, 1 / 3))
-    system = CmlSystem(spec, burn_in=16)
-    nu = 0.3
-    truth = 3 * nu**2 - 2 * nu**3
-    pts = system.stationary_samples(SEED, 0, 20_000)
-    hit = np.count_nonzero(DiagonalStrip(nu).contains_points(pts)) / 20_000
-    assert abs(hit - truth) < 5 * math.sqrt(truth * (1 - truth) / 20_000) + 0.005
-    assert measure(DiagonalStrip(nu), system, 20_000, (SEED, 0)).mean == pytest.approx(truth)
+    # the cluster phase's hit rate estimates P(max - min <= nu) = 3 nu^2 - 2 nu^3
+    # for 3 uniforms, which is mu(U); the bound is the batch-means SE over
+    # the phase's own orbits, which allows for clustered hits
+    system = CmlSystem(CmlSpec(LinearInterval(3), 3, 0.0, np.full(3, 1 / 3)), burn_in=16)
+    target, K, orbit_len = DiagonalStrip(0.1), 3, 5000
+    truth = 3 * 0.1**2 - 2 * 0.1**3
+    cs = cluster_statistics(system, target, K=K, min_entries=100, max_orbit=10**6,
+                            seed=SEED, orbit_len=orbit_len)
+    assert cs.n_orbits == 16
+    block = system.indicator_block(target, SEED, range(16), orbit_len)
+    per_orbit = block[:, : orbit_len - 2 * K - 1].mean(axis=1)
+    assert cs.mu_hat == pytest.approx(per_orbit.mean(), rel=1e-12)
+    se = per_orbit.std(ddof=1) / math.sqrt(16)
+    assert abs(cs.mu_hat - truth) < 4 * se
 
 
-def test_measure_mc_path_for_coupled_lattice():
-    # gamma > 0: Lebesgue is not invariant, so even a ball must go through MC
-    spec = CmlSpec(LinearInterval(2), 2, 0.1, np.array([0.5, 0.5]))
-    system = CmlSystem(spec, burn_in=64)
-    est = measure(DiagonalStrip(0.05), system, 4000, (SEED, 0))
-    assert est.std_error > 0.0
-    assert 0.0 < est.mean < 1.0
-    assert abs(est.std_error - math.sqrt(est.mean * (1 - est.mean) / 4000)) < 1e-12
+@pytest.mark.parametrize("spec", [CmlSpec(LinearInterval(2), 2, 0.1, [0.5, 0.5]),
+                                  CmlSpec(SinePerturbedInterval(2, 0.1), 1, 0.0, [1.0])],
+                         ids=["coupled", "sine-site"])
+def test_measure_refuses_a_system_without_a_closed_form(spec):
+    with pytest.raises(ValueError, match="no closed-form mu"):
+        measure(DiagonalStrip(0.05), CmlSystem(spec, burn_in=64), 4000, (SEED, 0))
 
 
 def test_measure_validation():

@@ -164,9 +164,10 @@ def cmd_simulate(config: ExperimentConfig) -> int:
                                      stream_len=row.stream_len, workers=config.workers,
                                      runs=runs)
         else:
+            runs = None if counting in counted else []  # for the counting law to come
             cs = cluster_statistics(system, target, row.K, row.min_entries,
-                                    row.max_orbit, config.seed,
-                                    orbit_len=row.orbit_len, workers=config.workers)
+                                    row.max_orbit, config.seed, orbit_len=row.orbit_len,
+                                    workers=config.workers, runs=runs)
         if counting not in counted:
             # mu(U) without a closed form: the cluster hit rate of this law's first row
             counted[counting] = (
@@ -174,7 +175,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
                 if regen else counting_distribution(
                     system, target, row.t, row.n_trials, config.seed,
                     mu=None if system.preserves_lebesgue else cs.mu_hat,
-                    workers=config.workers))
+                    workers=config.workers, runs=(runs, row.orbit_len)))
         cd = counted[counting]
         if cs.insufficient:
             flags[label] = "insufficient_entries"

@@ -5,10 +5,11 @@ Z^K, forward windows W^K at entry events, the tail probabilities
 alpha_hat_ell(K), the cluster-size probabilities lambda_hat_ell(K) and the
 extremal index 1 - alpha_hat_2.
 
-All Monte Carlo paths draw one independent stream per orbit (trial
-index), build the orbits one group (``MapSystem.orbit_groups``) a task, the
-same groups at any worker count, and merge integer tallies in trial order,
-so results are bit-identical for any worker count.
+All Monte Carlo paths draw one independent stream per orbit (trial index),
+build the orbits one group (``MapSystem.orbit_groups``) a task, the same groups
+at any worker count, and merge integer tallies in trial order, so results are
+bit-identical for any worker count.  A counting orbit is a prefix of the cluster
+orbit of its trial, so it is read off that orbit's hit runs where they cover it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,30 @@ def _window_sums(ind: np.ndarray, width: int) -> np.ndarray:
     first = c[..., width - 1 : width]
     rest = c[..., width:] - c[..., :-width]
     return np.concatenate([first, rest], axis=-1)
+
+
+def _hit_runs(ind: np.ndarray) -> tuple:
+    """``(starts, ends)`` of the runs [starts[i], ends[i]) of ones of a 0/1 row."""
+    if ind.dtype != bool:
+        if ind.dtype.kind not in "iu" or np.any((ind != 0) & (ind != 1)):
+            raise ValueError("an indicator row holds booleans or 0/1 integers")
+        ind = ind.astype(bool)
+    # runs start and end where the zero-padded row changes value
+    padded = np.zeros(ind.size + 2, dtype=bool)
+    padded[1:-1] = ind
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[0::2], edges[1::2]
+
+
+def _window_counts(starts, ends, lo: np.ndarray, width: int) -> np.ndarray:
+    """Hits in each window [lo, lo + width) of a row that is 1 exactly on the sorted,
+    disjoint runs [starts[i], ends[i]): below an edge lie the hits of the runs that
+    start below it, less the part of the last of them at or past the edge."""
+    edges = np.concatenate((lo, lo + width))
+    i = np.searchsorted(starts, edges)
+    below = (np.concatenate(([0], np.cumsum(ends - starts)))[i]
+             - np.maximum(np.concatenate(([0], ends))[i] - edges, 0))
+    return below[lo.size:] - below[:lo.size]
 
 
 # the pool of `workers` threads, one per worker count and kept for the life of
@@ -87,7 +112,7 @@ def kac_horizon(t: float, mu: float) -> int:
 
 
 def counting_distribution(map_system, target, t: float, n_trials: int, seed,
-                          mu: float | None = None, workers: int = 1):
+                          mu: float | None = None, workers: int = 1, runs=None):
     """Empirical law of xi^t_U over independent stationary samples.
 
     Without `mu`, mu(U) is the target's closed-form volume; a system that does
@@ -97,6 +122,11 @@ def counting_distribution(map_system, target, t: float, n_trials: int, seed,
     system gives c windows of N + 1 points an orbit
     (``MapSystem._counting_windows``); c depends on N alone, so no sample
     depends on `workers` or on `n_trials`.
+
+    `runs` is ``(hit runs, orbit_len)`` of orbits 0, 1, ... of the same system,
+    target and seed, as ``cluster_statistics`` fills them.  A counting orbit no
+    longer than `orbit_len` is their prefix, so it is counted from their runs and
+    only the rest are built; each window sees the same points either way.
 
     By invariance P(tau_U <= L) = P(xi >= 1) over L points, so at
     t = (L - 1/2) mu(U), where N = L - 1, the entry-time ratio
@@ -115,13 +145,16 @@ def counting_distribution(map_system, target, t: float, n_trials: int, seed,
 
     per_orbit, stride = map_system._counting_windows(n_points)
     per_orbit = min(per_orbit, n_trials)  # a shorter orbit is a prefix of the longer
+    orbit_len, lo = (per_orbit - 1) * stride + n_points, np.arange(per_orbit) * stride
+    n_orbits = -(-n_trials // per_orbit)
+    given = runs[0][:n_orbits] if runs and runs[1] >= orbit_len else []
 
-    def window_counts(block):
-        windows = np.lib.stride_tricks.sliding_window_view(block, n_points, axis=1)
-        return windows[:, ::stride].sum(axis=2).ravel()
-
-    counts = _indicator_batch(map_system, target, master_seed, range(-(-n_trials // per_orbit)),
-                              (per_orbit - 1) * stride + n_points, window_counts, workers)
+    def block_counts(block):  # the windows of a group's rows laid end to end
+        lows = (np.arange(block.shape[0])[:, None] * orbit_len + lo).ravel()
+        return _window_counts(*_hit_runs(block.ravel()), lows, n_points)
+    counts = [_window_counts(starts, ends, lo, n_points) for starts, ends in given]
+    counts += _indicator_batch(map_system, target, master_seed, range(len(given), n_orbits),
+                               orbit_len, block_counts, workers)
     return empirical_distribution(np.concatenate(counts)[:n_trials])
 
 
@@ -206,19 +239,12 @@ class ClusterAccumulator:
         for f in fields(self)[1:]:  # every field after K
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
-    def add_orbit(self, ind: np.ndarray) -> None:
+    def add_orbit(self, ind: np.ndarray) -> tuple:
         """Tally one orbit's indicator row (boolean, or integers 0 and 1)
-        through `add_runs` on its runs of ones."""
-        ind = np.asarray(ind)
-        if ind.dtype != bool:
-            if ind.dtype.kind not in "iu" or np.any((ind != 0) & (ind != 1)):
-                raise ValueError("an indicator row holds booleans or 0/1 integers")
-            ind = ind.astype(bool)
-        # runs start and end where the zero-padded row changes value
-        padded = np.zeros(ind.size + 2, dtype=bool)
-        padded[1:-1] = ind
-        edges = np.flatnonzero(padded[1:] != padded[:-1])
-        self.add_runs(edges[0::2], edges[1::2], ind.size)
+        through `add_runs` on its runs of ones, and return those runs."""
+        runs = _hit_runs(np.asarray(ind))
+        self.add_runs(*runs, np.size(ind))
+        return runs
 
     def add_runs(self, starts, ends, n_points: int) -> None:
         """Tally one orbit of `n_points` steps whose indicator is 1 exactly on
@@ -317,13 +343,14 @@ def _default_orbit_len(K: int) -> int:
 
 def cluster_statistics(map_system, target, K: int, min_entries: int,
                        max_orbit: int, seed, orbit_len: int | None = None,
-                       workers: int = 1) -> ClusterStats:
+                       workers: int = 1, runs: list | None = None) -> ClusterStats:
     """alpha_hat_ell(K) and lambda_hat_ell(K) harvested along long orbits.
 
     Runs independent stationary orbits (one RNG stream each) until
     ``min_entries`` conditioning events I_0 = 1 are seen or the total step
     budget ``max_orbit`` is spent; in the latter case the result is flagged
-    ``insufficient``.
+    ``insufficient``.  Given `runs`, an empty list, it is filled in trial
+    order with each tallied orbit's ``(starts, ends)``.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -336,9 +363,7 @@ def cluster_statistics(map_system, target, K: int, min_entries: int,
 
     def tally(block):
         group = ClusterAccumulator(K=K)
-        for row in block:
-            group.add_orbit(row)
-        return group
+        return group, [group.add_orbit(row) for row in block]
 
     acc = ClusterAccumulator(K=K)
     trial = 0
@@ -346,9 +371,12 @@ def cluster_statistics(map_system, target, K: int, min_entries: int,
     # point) must not depend on the worker count
     batch = 16
     while acc.total_steps < max_orbit and acc.n_entries < min_entries:
-        for group in _indicator_batch(map_system, target, master_seed,
-                                      range(trial, trial + batch), orbit_len, tally, workers):
+        for group, group_runs in _indicator_batch(map_system, target, master_seed,
+                                                  range(trial, trial + batch), orbit_len,
+                                                  tally, workers):
             acc.merge(group)
+            if runs is not None:
+                runs += group_runs
         trial += batch
     return acc.finalize(insufficient=acc.n_entries < min_entries)
 

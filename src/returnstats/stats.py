@@ -40,8 +40,8 @@ def chi_square_gof(empirical: DiscreteDistribution, n: int,
                    model: DiscreteDistribution) -> GofReport:
     """Pearson chi-square of an n-sample empirical pmf against a model pmf.
 
-    Bins with expected model mass below 5/n are merged into the tail bin;
-    the p-value is the chi-square survival function Q(dof/2, X2/2).
+    Bins with expected model mass below 5/n are merged into the tail bin, kept if
+    it holds model mass or samples; the p-value is chi2's survival Q(dof/2, X2/2).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -54,7 +54,7 @@ def chi_square_gof(empirical: DiscreteDistribution, n: int,
     exp = list(pm[keep] * n)
     tail_obs = (pe[~keep].sum() + empirical.tail_mass) * n
     tail_exp = (pm[~keep].sum() + model.tail_mass) * n
-    if tail_exp > 0:
+    if tail_exp > 0 or tail_obs > 0:
         obs.append(tail_obs)
         exp.append(tail_exp)
     if len(obs) < 2:
@@ -62,7 +62,8 @@ def chi_square_gof(empirical: DiscreteDistribution, n: int,
 
     obs_a = np.asarray(obs)
     exp_a = np.asarray(exp)
-    chi2 = float(np.sum((obs_a - exp_a) ** 2 / exp_a))
+    with np.errstate(divide="ignore"):  # samples the model rules out: chi2 = inf, p = 0
+        chi2 = float(np.sum((obs_a - exp_a) ** 2 / exp_a))
     dof = len(obs) - 1
     p_value = float(scipy.special.gammaincc(dof / 2.0, chi2 / 2.0))
     return GofReport(tv_distance=total_variation(empirical, model),

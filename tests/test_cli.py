@@ -14,6 +14,8 @@ from returnstats import cli
 from returnstats.cli import main
 from returnstats.config import ExperimentConfig
 from returnstats.distributions import ClusterSizeDist
+from returnstats.dynamics import MapSystem
+from returnstats.estimators import ClusterStats, counting_distribution, kac_horizon
 from returnstats.regenerative import RegenSpec, level_measure, regen_cluster_stats
 
 from polya_aeppli_reference import polya_aeppli_pmf
@@ -478,6 +480,61 @@ outputs: {{dir: "{tmp_path / 'out'}"}}
         assert (tmp_path / "out" / f"cluster_m30_K{K}.json").read_text() == want.to_json()
 
 
+# rows whose cluster orbits cover the first counting orbits but not all of
+# them, and one (torus_short) whose cluster orbits are shorter than a counting orbit
+COVERED_ROWS = {
+    "torus": "system: {kind: torus, a: 2}\ntarget: {kind: torus_strip}\nschedule:\n"
+             "  - {rho: 0.02, K: 5, t: 1.0, n_trials: 16900, min_entries: 200, "
+             "orbit_len: 70000}",
+    "linear_mod1": "system: {kind: linear_mod1, a: 3}\ntarget: {kind: ball, center: [0.5]}\n"
+                   "schedule:\n  - {rho: 0.02, K: 6, t: 1.0, n_trials: 20400, "
+                   "min_entries: 300, orbit_len: 70000}",
+    "cml": SIMULATE_ROWS["cml_coupled"].replace("n_trials: 400", "n_trials: 40"),
+    "torus_short": SIMULATE_ROWS["torus_strip"],
+}
+
+
+@pytest.mark.parametrize("name", COVERED_ROWS)
+def test_simulate_builds_only_the_counting_orbits_no_cluster_orbit_covers(tmp_path,
+                                                                         monkeypatch, name):
+    # the counting law reads its windows off the cluster orbits' hit runs and
+    # builds only the orbits they do not cover, and its file is the bytes of a
+    # counting law that builds every orbit
+    calls = []
+    block = MapSystem.indicator_block
+
+    def record(self, target, master_seed, trial_indices, n_points):
+        calls.append((n_points, list(trial_indices)))
+        return block(self, target, master_seed, trial_indices, n_points)
+
+    monkeypatch.setattr(MapSystem, "indicator_block", record)
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, f"{COVERED_ROWS[name]}\nseed: 77\nworkers: 2\n"
+                               f"outputs: {{dir: \"{out}\"}}\n")
+    assert main(["--config", cfg, "simulate"]) == 0
+    monkeypatch.undo()
+
+    config = ExperimentConfig.load(cfg)
+    (row,) = config.schedule
+    label = row.label(config.scale_name)
+    system, target = config.build_system(), config.build_target(row)
+    cs = ClusterStats.from_json((out / f"cluster_{label}.json").read_text())
+    mu = None if system.preserves_lebesgue else cs.mu_hat
+    n_points = kac_horizon(row.t, mu or target.exact_measure(system.dimension)) + 1
+    per_orbit, stride = system._counting_windows(n_points)
+    per_orbit = min(per_orbit, row.n_trials)
+    orbit_len = (per_orbit - 1) * stride + n_points
+    covered = cs.n_orbits if row.orbit_len >= orbit_len else 0
+    assert (covered == 0) == (name == "torus_short")
+    trials = {n: sorted(t for m, group in calls if m == n for t in group)
+              for n in (row.orbit_len, orbit_len)}
+    assert len(calls) == sum(1 for m, _ in calls if m in trials)
+    assert trials[row.orbit_len] == list(range(cs.n_orbits))
+    assert trials[orbit_len] == list(range(covered, -(-row.n_trials // per_orbit)))
+    want = counting_distribution(system, target, row.t, row.n_trials, config.seed, mu=mu)
+    assert (out / f"counting_{label}.json").read_text() == want.to_json()
+
+
 def test_simulate_byte_identical_across_worker_counts(tmp_path):
     cfg_text = TORUS_CFG % (tmp_path / "a")
     cfg = _write_cfg(tmp_path, cfg_text)
@@ -563,6 +620,21 @@ def test_compare_detects_the_wrong_model(tmp_path):
     (tmp_path / "model.json").write_text(polya_aeppli_pmf(1.0, 0.0, 40).to_json())
     assert main(["compare", str(tmp_path / "model.json"),
                  str(tmp_path / "emp.json")]) == 1
+
+
+def test_compare_fails_samples_on_outcomes_the_model_rules_out(tmp_path, capsys):
+    from returnstats.distributions import DiscreteDistribution, empirical_distribution
+    from test_records import _strict
+
+    (tmp_path / "model.json").write_text(DiscreteDistribution(np.array([0.5, 0.5])).to_json())
+    emp = empirical_distribution(np.array([0] * 40 + [1] * 40 + [2] * 20))
+    (tmp_path / "emp.json").write_text(emp.to_json())
+    gof = tmp_path / "gof"
+    assert main(["--out", str(gof), "compare", str(tmp_path / "model.json"),
+                 str(tmp_path / "emp.json")]) == 1
+    assert "verdict: fail" in capsys.readouterr().out
+    rep = _strict((gof / "gof_emp.json").read_text())
+    assert rep["chi_square"] is None and rep["p_value"] == 0.0
 
 
 def test_compare_requires_sample_counts(tmp_path):

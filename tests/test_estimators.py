@@ -193,6 +193,62 @@ def test_counting_distribution_needs_mu_without_a_closed_form(monkeypatch):
         "fee1f044e1cd376a3e9e5917806e96b0ba5be3b1ed46868ed125ae71d32dbebe"
 
 
+def test_window_counter_matches_a_dense_count_on_every_short_row():
+    # every 0/1 row of length 1 .. 9 and every window of every width, so runs
+    # touch the row's ends and every window edge from either side
+    for n in range(1, 10):
+        rows = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
+        cum = np.concatenate([np.zeros((rows.shape[0], 1), np.int64),
+                              rows.cumsum(axis=1)], axis=1)
+        for width in range(1, n + 1):
+            lo = np.arange(n - width + 1)
+            want = cum[:, lo + width] - cum[:, lo]
+            for row, counts in zip(rows, want):
+                got = estimators._window_counts(*estimators._hit_runs(row), lo, width)
+                assert got.tolist() == counts.tolist(), (row, width)
+        # the rows laid end to end, as a group's block is counted
+        lo = (np.arange(rows.shape[0])[:, None] * n + np.arange(n)).ravel()
+        got = estimators._window_counts(*estimators._hit_runs(rows.ravel()), lo, 1)
+        assert got.tolist() == rows.ravel().tolist()
+
+
+RUNS_CASES = [(LinearMod1System(2), Ball((0.3,), 0.01)),
+              (LinearMod1System(3), Ball((0.5,), 0.02)),
+              (TorusAffineSystem(2), TorusStrip(0.02)),
+              (CmlSystem(CmlSpec(LinearInterval(2), 2, 0.1, [0.5, 0.5]), burn_in=64),
+               DiagonalStrip(0.05))]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("system,target", RUNS_CASES, ids=["a2", "a3", "torus", "cml-pair"])
+def test_counting_from_cluster_runs_draws_the_samples_of_built_orbits(system, target,
+                                                                      workers, monkeypatch):
+    # windows read off the cluster orbits' hit runs are the windows of the same
+    # orbits built afresh: with runs covering every counting orbit, some of
+    # them, none (cluster orbits one point shorter than a counting orbit), and
+    # with n_trials below the windows an orbit
+    def cluster_runs(orbit_len):
+        runs = []
+        cs = cluster_statistics(system, target, K=3, min_entries=100, max_orbit=16 * orbit_len,
+                                seed=SEED, orbit_len=orbit_len, workers=workers, runs=runs)
+        assert len(runs) == cs.n_orbits == 16
+        return cs, (runs, orbit_len)
+
+    cs, _ = cluster_runs(2000)
+    mu = None if system.preserves_lebesgue else cs.mu_hat  # a coupled lattice's mu_hat
+    n_points = kac_horizon(1.0, mu or target.exact_measure(system.dimension)) + 1
+    per_orbit, stride = system._counting_windows(n_points)
+    orbit_len = (per_orbit - 1) * stride + n_points
+    covering, short = cluster_runs(orbit_len)[1], cluster_runs(orbit_len - 1)[1]
+    for n_trials in (16 * per_orbit, 16 * per_orbit - 7, 18 * per_orbit + 3,
+                     max(1, per_orbit // 2)):
+        kw = dict(t=1.0, n_trials=n_trials, seed=SEED, mu=mu, workers=workers)
+        want = _counting_samples(monkeypatch, system, target, **kw)
+        for runs in (covering, short):
+            got = _counting_samples(monkeypatch, system, target, runs=runs, **kw)
+            assert got.tolist() == want.tolist(), (n_trials, runs[1])
+
+
 # ---------------------------------------------------------------------------
 # cluster statistics: hand-computed oracle
 # ---------------------------------------------------------------------------

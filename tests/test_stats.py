@@ -10,6 +10,7 @@ from returnstats.records import from_json_fields
 from returnstats.stats import GofReport, chi_square_gof, total_variation
 
 from polya_aeppli_reference import polya_aeppli_pmf
+from test_records import _strict
 
 
 def test_total_variation_brute_force():
@@ -82,3 +83,18 @@ def test_gof_report_round_trip():
     rep = GofReport(tv_distance=0.01, chi_square=3.2, dof=4, p_value=0.52, n=1000)
     back = from_json_fields(GofReport, json.loads(rep.to_json()))
     assert back == rep
+
+
+def test_samples_on_outcomes_the_model_rules_out_fail():
+    # the model puts no mass past k = 1, so 20 samples at k = 2 rule it out;
+    # dropping the empty-model tail bin with its samples gave chi2 4.0, p 0.0455
+    model = DiscreteDistribution(np.array([0.5, 0.5]))
+    emp = empirical_distribution(np.array([0] * 40 + [1] * 40 + [2] * 20))
+    rep = chi_square_gof(emp, 100, model)
+    assert rep.chi_square == np.inf and rep.p_value == 0.0
+    # the report still parses as strict JSON, with the infinite chi2 as null
+    back = from_json_fields(GofReport, _strict(rep.to_json()))
+    assert np.isnan(back.chi_square) and back.p_value == 0.0 and back.dof == rep.dof
+    # a model that rules out only outcomes nobody saw keeps its finite statistic
+    fits = chi_square_gof(empirical_distribution(np.array([0] * 50 + [1] * 50)), 100, model)
+    assert fits.chi_square == 0.0 and fits.dof == 1

@@ -153,10 +153,12 @@ def sliding_window_values(digits: np.ndarray, a: int, width: int,
                           out: np.ndarray | None = None) -> np.ndarray:
     """Float values in [0,1) of all base-a windows of `width` digits.
 
-    Works along the last axis and writes into `out` when given.  Binary
-    digits are bit-packed: every window is a shift of the big-endian 64-bit
-    word at its byte.  Other bases use log2(width) doubling passes of exact
-    int64 arithmetic.  Either way the window is an exact integer below
+    Works along the last axis and writes into `out` (float64) when given.
+    Binary digits are bit-packed: every window is a shift of the big-endian
+    64-bit word at its byte, staged as integers in `out`'s own memory and
+    scaled by 2**-width, exactly.  Other bases use log2(width) doubling passes
+    of exact int64 arithmetic, divided by a**width (a multiply by its inverse
+    rounds differently).  Either way the window is an exact integer below
     2**53, so no precision is lost and no (n, width) matrix is materialised.
     """
     n = digits.shape[-1]
@@ -166,19 +168,21 @@ def sliding_window_values(digits: np.ndarray, a: int, width: int,
     if out is None:
         out = np.empty(digits.shape[:-1] + (m,))
     if a == 2:
-        _binary_windows(digits, width, out)
+        _binary_windows(digits, width, out.view(np.uint64))
+        np.multiply(out.view(np.uint64), 2.0**-width, out=out)
     else:
         out[...] = _doubling_windows(digits, a, width)[..., :m]
-    out /= float(a**width)
+        out /= float(a**width)
     return out
 
 
 def _binary_windows(bits: np.ndarray, width: int, out: np.ndarray) -> None:
-    """Integer values of the `width`-bit windows (width <= 57) into `out`.
+    """Integer values of the `width`-bit windows (width <= 57) into the uint64 `out`.
 
     Bytes of the packed stream, padded with 7 zero bytes, are read as a
     big-endian 64-bit word at every byte offset j; the window starting at bit
-    8j + r is that word shifted left by r and right by 64 - width.
+    8j + r is that word shifted left by r, stored at r::8; one pass then
+    shifts every window right by 64 - width.
     """
     packed = np.packbits(bits, axis=-1)
     nb = packed.shape[-1]
@@ -188,9 +192,8 @@ def _binary_windows(bits: np.ndarray, width: int, out: np.ndarray) -> None:
                        strides=padded.strides[:-1] + (1,)).astype(np.uint64)
     m = out.shape[-1]
     for r in range(min(8, m)):
-        part = words[..., : (m - r + 7) // 8] << np.uint64(r)
-        part >>= np.uint64(64 - width)
-        out[..., r::8] = part.view(np.int64)
+        np.left_shift(words[..., : (m - r + 7) // 8], np.uint64(r), out=out[..., r::8])
+    out >>= np.uint64(64 - width)
 
 
 def _doubling_windows(digits: np.ndarray, a: int, width: int) -> np.ndarray:
@@ -246,14 +249,15 @@ class MapSystem:
     def __init__(self):
         self._local = threading.local()
 
-    def _workspace(self, shape: tuple, dtype) -> np.ndarray:
-        """An uninitialised `shape` array on this thread's workspace (a group's digit
-        words, then its planes or slices), grown to the largest size asked for and kept:
-        a buffer freed per group is unmapped and faulted in again."""
+    def _workspace(self, shape: tuple, dtype, slot: str = "planes") -> np.ndarray:
+        """An uninitialised `shape` array on this thread's buffer `slot` (a group's
+        planes or slices; the torus x plane's staging), grown to the largest size asked
+        for and kept: a buffer freed per group is unmapped and faulted in again."""
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        buf = getattr(self._local, "buf", np.empty(0, np.uint8))
+        buf = getattr(self._local, slot, np.empty(0, np.uint8))
         if buf.size < nbytes:
-            buf = self._local.buf = np.empty(nbytes, np.uint8)
+            buf = np.empty(nbytes, np.uint8)
+            setattr(self._local, slot, buf)
         return buf[:nbytes].view(dtype).reshape(shape)
 
     def _orbit_slices(self, master_seed: int, trials: list, n_points: int):
@@ -341,18 +345,18 @@ class _DigitOrbitSystem(MapSystem):
         For a = 2, ``integers(0, 2)`` returns the top bit of each 32-bit half
         of a raw 64-bit Philox word, low half first (Lemire's bound never
         rejects for a range of 2), so the digits are read off the same raw
-        words directly, as booleans.
+        words directly, each trial's compared straight into its boolean row.
         """
-        if self.a != 2:
-            digits = np.empty((len(trials), n_digits), dtype=np.int64)
-            for row, t in enumerate(trials):
-                digits[row] = trial_rng(master_seed, t).integers(0, self.a, size=n_digits,
-                                                                 dtype=np.int64)
-            return digits
-        raw = self._workspace((len(trials), (n_digits + 1) // 2), "<u8")
+        digits = np.empty((len(trials), n_digits), dtype=bool if self.a == 2 else np.int64)
         for row, t in enumerate(trials):
-            raw[row] = trial_rng(master_seed, t).bit_generator.random_raw(raw.shape[1])
-        return raw.view("<u4")[:, :n_digits] >= 1 << 31
+            rng = trial_rng(master_seed, t)
+            if self.a != 2:
+                digits[row] = rng.integers(0, self.a, size=n_digits, dtype=np.int64)
+                continue
+            words = rng.bit_generator.random_raw((n_digits + 1) // 2)
+            halves = words.astype("<u8", copy=False).view("<u4")
+            np.greater_equal(halves[:n_digits], 1 << 31, out=digits[row])
+        return digits
 
     def _orbit_slices(self, master_seed, trials, n_points):
         # the digits of the whole orbits are drawn at once, the windows and planes a
@@ -411,12 +415,16 @@ class TorusAffineSystem(_DigitOrbitSystem):
 
         def fill(coords):
             x, y = coords
-            x[:, :1] = s
-            x[:, 1:] = y[:, :-1]
-            np.cumsum(x, axis=1, out=x)
+            # each row's cumsum reads a staged copy: numpy (2.4) holds the GIL
+            # through a cumsum in place or along an axis of a 2-D array
+            staged = self._workspace(x.shape, float, "x")
+            staged[:, :1] = s
+            staged[:, 1:] = y[:, :-1]
+            for row, out in zip(staged, x):
+                np.cumsum(row, out=out)
             np.add(x[:, -1:], y[:, -1:], out=s)
             x += x0
-            x -= np.floor(x)
+            x -= np.floor(x, out=staged)
         return fill
 
 

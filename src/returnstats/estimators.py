@@ -37,14 +37,6 @@ __all__ = [
 _CONFIDENT_EVENTS = 30
 
 
-def _window_sums(ind: np.ndarray, width: int) -> np.ndarray:
-    """Sums of every sliding window of `width` along the last axis."""
-    c = np.cumsum(ind, axis=-1, dtype=np.int64)
-    first = c[..., width - 1 : width]
-    rest = c[..., width:] - c[..., :-width]
-    return np.concatenate([first, rest], axis=-1)
-
-
 def _hit_runs(ind: np.ndarray) -> tuple:
     """``(starts, ends)`` of the runs [starts[i], ends[i]) of ones of a 0/1 row."""
     if ind.dtype != bool:
@@ -282,12 +274,15 @@ class ClusterAccumulator:
         win = 2 * K + 1
         if n_points < win + 1:
             raise ValueError("orbit shorter than one full window")
-        z = _window_sums(ind, win)
+        # c[i] counts the hits before point i, so window [i, i + w) holds c[i + w] - c[i];
+        # numpy (2.4) holds the GIL through a cumsum that casts, not through a cast
+        c = np.zeros(n_points + 1, dtype=np.int64)
+        np.cumsum(ind.astype(np.int64), out=c[1:])
+        z = c[win:] - c[:-win]
         z_hist = np.bincount(z, minlength=2 * K + 2)
-        w_full = _window_sums(ind, K + 1)
         # entries: I_t = 1 with t at least 2K+1 steps from the orbit end
-        valid = n_points - win
-        entry_w = w_full[:valid][ind[:valid]]
+        entries = np.flatnonzero(ind[: n_points - win])
+        entry_w = c[entries + K + 1] - c[entries]
         w_hist = np.bincount(entry_w, minlength=K + 2)
 
         self.z_hist += z_hist

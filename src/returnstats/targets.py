@@ -10,6 +10,7 @@ row's cluster hit rate, ``ClusterStats.mu_hat``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,17 +76,27 @@ class TorusStrip(TargetSet):
     def __post_init__(self):
         if not 0 < self.rho <= 0.5:
             raise ValueError("rho must lie in (0, 1/2]")
+        # fl(1 - d) never rises with d, so 1 - d <= rho exactly when d >= the
+        # least double `upper` that satisfies it
+        rho = float(self.rho)
+        upper = 1.0 - rho
+        while 1.0 - math.nextafter(upper, 0.0) <= rho:
+            upper = math.nextafter(upper, 0.0)
+        while 1.0 - upper > rho:
+            upper = math.nextafter(upper, 1.0)
+        object.__setattr__(self, "_upper", upper)
 
     def contains_points(self, pts):
-        # circle distance of y to 0 at most rho: d <= rho or 1 - d <= rho
-        # with d = |y| mod 1, in two float buffers; d - floor(d) is bitwise
-        # d % 1.0 for every float64, and cheaper
-        d = np.abs(pts[..., 1])
-        scratch = np.floor(d)
-        d -= scratch
+        # circle distance of y to 0 at most rho: d <= rho or 1 - d <= rho,
+        # that is d >= _upper, with d = |y| mod 1, which is y itself when every
+        # y lies in [0, 1), as orbit points do; d - floor(d) is bitwise d % 1.0
+        # for every float64, and cheaper
+        d = pts[..., 1]
+        if not (d.size and 0.0 <= d.min() and d.max() < 1.0):
+            d = np.abs(d)
+            d -= np.floor(d)
         inside = d <= self.rho
-        np.subtract(1.0, d, out=scratch)
-        inside |= scratch <= self.rho
+        inside |= d >= self._upper
         return inside
 
     def exact_measure(self, dimension):

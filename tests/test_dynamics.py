@@ -62,17 +62,28 @@ def test_sliding_window_values_against_horner_oracle():
 @pytest.mark.parametrize("rows", [1, 2, 118])
 def test_packed_binary_windows_match_horner_on_groups(rows):
     # digit counts on both sides of multiples of 8, so the last packed byte
-    # is full, nearly empty or nearly full; bool and int64 digits alike
+    # is full, nearly empty or nearly full; bool and int64 digits alike, into
+    # a fresh array, a contiguous `out` and a plane slice planes[..., :k] of
+    # strided rows, as the orbit slices pass it, which must leave the rest of
+    # the planes alone.  Width 57 is the widest a 64-bit word holds at every
+    # bit phase; its windows round to float64 as the oracle's do
     rng = np.random.default_rng(rows)
     for n_digits in (53, 54, 55, 56, 57, 60, 61, 63, 64, 65, 71, 72, 73, 119, 120, 121,
                      553, 1023, 1024, 1025):
-        for width in (53, 8, 1):
+        for width in (57, 53, 8, 1):
+            if n_digits < width:
+                continue
             digits = rng.integers(0, 2, size=(rows, n_digits))
             want = _horner_windows(digits, 2, width)
             np.testing.assert_array_equal(sliding_window_values(digits, 2, width), want)
             out = np.full(want.shape, np.nan)
             sliding_window_values(digits.astype(bool), 2, width, out=out)
             np.testing.assert_array_equal(out, want)
+            k = want.shape[-1]
+            planes = np.full((2, rows, k + 9), np.nan)
+            sliding_window_values(digits.astype(bool), 2, width, out=planes[-1, :, :k])
+            np.testing.assert_array_equal(planes[-1, :, :k], want)
+            assert np.isnan(planes[0]).all() and np.isnan(planes[-1, :, k:]).all()
 
 
 def test_sliding_window_values_too_few_digits():

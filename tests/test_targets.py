@@ -220,3 +220,45 @@ def test_torus_strip_membership_equals_the_mod_formula_at_its_edges(rho):
     assert want.any() and not want.all()
     np.testing.assert_array_equal(got, want)
 
+
+def _ulps_around(p, k=4):
+    """p and the k doubles on each side of it."""
+    out = [p]
+    lo = hi = p
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize("rho", [2.0**-k for k in (1, 2, 6, 10, 30, 52, 60)]
+                         + [1e-3, 0.02, 0.5])
+def test_torus_strip_threshold_is_the_one_minus_d_formula(rho):
+    # d >= _upper must be 1 - d <= rho, evaluated in float64, on every double
+    # near the threshold, near 1 - rho, 0.5, 0 and 1, and on values outside [0, 1)
+    strip = TorusStrip(rho)
+    t = strip._upper
+    d = []
+    for p in (t, 1.0 - rho, 0.5, 0.0, 1.0):
+        d += _ulps_around(p)
+    d = np.array(d + [-0.0, -1e-300, -0.5, -1.0, -7.25, 1.0, 1.5, 2.0**53, 1e300,
+                      np.nan, np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):
+        want = 1.0 - d <= rho
+    np.testing.assert_array_equal(d >= t, want)
+    # and t is the least double that passes
+    assert 1.0 - t <= rho < 1.0 - np.nextafter(t, -np.inf)
+
+
+@pytest.mark.parametrize("rho", [2.0**-6, 1e-3, 0.01, 0.25, 0.5])
+def test_torus_strip_membership_of_one_unit_interval_at_its_edges(rho):
+    # a slice of y in [0, 1), as orbit points have, skips the mod-1 reduction;
+    # slices just outside it, in (-1, 0] and [1, 2), must not
+    y = _membership_edges(rho)
+    y = y[(y >= 0.0) & (y < 1.0)]
+    for ys in (y, -y, y[y < 0.5] + 1.0):
+        pts = np.column_stack([np.full(ys.size, 0.3), ys])
+        want = _old_circle_dist(ys, 0.0) <= rho
+        assert want.any() and (rho == 0.5 or not want.all())  # at 1/2 the strip is everything
+        np.testing.assert_array_equal(TorusStrip(rho).contains_points(pts), want)
+    assert TorusStrip(rho).contains_points(np.empty((0, 2))).shape == (0,)

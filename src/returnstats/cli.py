@@ -9,7 +9,7 @@ Subcommands:
   empirical counting law; exit 0 when the chi-square p-value clears the
   threshold, 1 otherwise.
 
-Exit codes: 0 pass, 1 statistical fail, 2 usage or config error.
+Exit codes: 0 pass, 1 statistical fail, 2 usage, config or file-system error.
 Parameter precedence: command-line flags > config file values.
 """
 
@@ -202,14 +202,16 @@ def _write_manifest(config: ExperimentConfig, out: Path, entries: list,
 
 def _load_distribution(path: Path, need_samples: bool):
     d = json.loads(Path(path).read_text())
-    if "counting_pmf" in d:
-        d = d["counting_pmf"]
-    if "probs" not in d:
-        raise ConfigError(f"{path}: no pmf found (expected 'probs')")
-    dist = from_json_fields(DiscreteDistribution, d)
-    if need_samples and dist.n_samples is None:
+    if isinstance(d, dict):
+        d = d.get("counting_pmf", d)
+    if not isinstance(d, dict) or "probs" not in d:
+        raise ConfigError(f"{path}: no pmf found (expected an object with 'probs')")
+    n = d.get("n_samples")
+    if n is None and need_samples:
         raise ConfigError(f"{path}: empirical file must carry n_samples")
-    return dist
+    if "n_samples" in d and (type(n) is not int or n < 1):
+        raise ConfigError(f"{path}: n_samples must be an integer >= 1, got {n!r}")
+    return from_json_fields(DiscreteDistribution, d)
 
 
 def cmd_compare(prediction_file, simulation_file, threshold: float,
@@ -218,6 +220,10 @@ def cmd_compare(prediction_file, simulation_file, threshold: float,
     model = _load_distribution(Path(prediction_file), need_samples=False)
     empirical = _load_distribution(Path(simulation_file), need_samples=True)
     report = chi_square_gof(empirical, empirical.n_samples, model)
+    if out_dir is not None:
+        # before the verdict, so a bad --out prints none
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     print(f"{'statistic':<14}{'value':>14}")
     print(f"{'tv_distance':<14}{report.tv_distance:>14.6f}")
@@ -229,8 +235,6 @@ def cmd_compare(prediction_file, simulation_file, threshold: float,
     print(f"verdict: {verdict} (threshold {threshold})")
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         name = f"gof_{Path(simulation_file).stem}.json"
         (out_dir / name).write_text(report.to_json())
     return 0 if report.p_value >= threshold else 1
@@ -278,7 +282,7 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(config)
         return cmd_simulate(config)
-    except (ConfigError, FileNotFoundError, KeyError, ValueError) as e:
+    except (ConfigError, OSError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -669,6 +669,42 @@ def test_compare_refuses_a_pmf_with_a_nan_entry(tmp_path, capsys):
         assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config_is_a_dir", "predict_out_is_a_file",
+                                  "simulate_out_is_a_file", "compare_out_is_a_file"])
+def test_an_os_error_exits_2_without_a_verdict(tmp_path, capsys, case):
+    # each used to raise out of main (exit 1, a statistical fail, with a
+    # traceback); compare printed "verdict: pass" before it failed on --out
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = _write_cfg(tmp_path, TORUS_CFG % (tmp_path / "out"))
+    d = dict(json.loads(polya_aeppli_pmf(0.5, 0.5, 40).to_json()), n_samples=5000)
+    f = tmp_path / "pmf.json"
+    f.write_text(json.dumps(d))
+    argv = {"config_is_a_dir": ["--config", str(tmp_path), "simulate"],
+            "predict_out_is_a_file": ["--config", cfg, "--out", str(taken), "predict"],
+            "simulate_out_is_a_file": ["--config", cfg, "--out", str(taken), "simulate"],
+            "compare_out_is_a_file": ["--out", str(taken), "compare", str(f), str(f)]}[case]
+    assert main(argv) == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith("error:") and "verdict" not in printed.out
+
+
+@pytest.mark.parametrize("text", [
+    "5", '{"counting_pmf": 5}',
+    '{"probs": [0.5, 0.5], "n_samples": "x"}', '{"probs": [0.5, 0.5], "n_samples": true}',
+    '{"probs": [0.5, 0.5], "n_samples": 100.0}', '{"probs": [0.5, 0.5], "n_samples": 0}'])
+def test_compare_refuses_a_malformed_file_before_printing(tmp_path, capsys, text):
+    # a root of 5 and n_samples "x" used to raise TypeError out of main
+    # (exit 1), and n_samples true ran as one sample
+    (tmp_path / "good.json").write_text('{"probs": [0.5, 0.5], "n_samples": 100}')
+    (tmp_path / "bad.json").write_text(text)
+    for model, empirical in (("bad", "good"), ("good", "bad")):
+        assert main(["compare", str(tmp_path / f"{model}.json"),
+                     str(tmp_path / f"{empirical}.json")]) == 2
+        printed = capsys.readouterr()
+        assert printed.err.startswith("error:") and printed.out == ""
+
+
 @pytest.mark.parametrize("section", [
     "system: 5", "target: 5", "schedule: [5]", "schedule: [[1, 2]]", "schedule: [null]",
     "outputs: [1]", "outputs: null", "outputs: {dir: 5}",

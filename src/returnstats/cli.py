@@ -86,7 +86,7 @@ def _analytic_prediction(system, target, row) -> _Prediction:
         # compound Poisson law: alpha_hat_k = 1/2 for every k >= 2
         return _Prediction(np.concatenate([[1.0], np.full(row.k_max, 0.5)]),
                            np.concatenate([[1.0], np.zeros(row.k_max - 1)]), 0.5)
-    if isinstance(system, (TorusAffineSystem, LinearMod1System)):
+    if isinstance(system, LinearMod1System):
         # geometric clusters of ratio a^-period (Polya-Aeppli): the torus
         # strip surrounds the fixed line {y = 0}, and a ball around a point
         # of no period has clusters of size 1 (Poisson)
@@ -211,6 +211,13 @@ def _load_distribution(path: Path, need_samples: bool):
         raise ConfigError(f"{path}: empirical file must carry n_samples")
     if "n_samples" in d and (type(n) is not int or n < 1):
         raise ConfigError(f"{path}: n_samples must be an integer >= 1, got {n!r}")
+    # json numbers are ints or floats; null is the package's nan, refused as not finite
+    number = (int, float, type(None))
+    probs, tail = d["probs"], d.get("tail_mass", 0.0)
+    if type(probs) is not list or any(type(p) not in number for p in probs):
+        raise ConfigError(f"{path}: probs must be an array of numbers, got {probs!r}")
+    if type(tail) not in number:
+        raise ConfigError(f"{path}: tail_mass must be a number, got {tail!r}")
     return from_json_fields(DiscreteDistribution, d)
 
 

@@ -3,7 +3,8 @@
 Built-in systems:
 
 * ``LinearMod1System``    -- T(x) = a*x mod 1 on [0,1), exact digits
-* ``TorusAffineSystem``   -- (x, y) -> (x + y, a*y) mod 1 on the 2-torus
+* ``TorusAffineSystem``   -- (x, y) -> (x + y, a*y) mod 1 on the 2-torus, a skew
+  product over ``LinearMod1System`` that adds its x plane
 * ``CmlSystem``           -- coupled map lattice over a 1-d expanding base map,
   iterated in float64; one site is the base map itself
 
@@ -155,11 +156,11 @@ def sliding_window_values(digits: np.ndarray, a: int, width: int,
 
     Works along the last axis and writes into `out` (float64) when given.
     Binary digits are bit-packed: every window is a shift of the big-endian
-    64-bit word at its byte, staged as integers in `out`'s own memory and
-    scaled by 2**-width, exactly.  Other bases use log2(width) doubling passes
-    of exact int64 arithmetic, divided by a**width (a multiply by its inverse
-    rounds differently).  Either way the window is an exact integer below
-    2**53, so no precision is lost and no (n, width) matrix is materialised.
+    64-bit word at its byte, an integer scaled into `out` by 2**-width,
+    exactly.  Other bases use log2(width) doubling passes of exact int64
+    arithmetic, divided by a**width (a multiply by its inverse rounds
+    differently).  Either way the window is an exact integer below 2**53, so
+    no precision is lost and no (n, width) matrix is materialised.
     """
     n = digits.shape[-1]
     if n < width:
@@ -168,16 +169,14 @@ def sliding_window_values(digits: np.ndarray, a: int, width: int,
     if out is None:
         out = np.empty(digits.shape[:-1] + (m,))
     if a == 2:
-        _binary_windows(digits, width, out.view(np.uint64))
-        np.multiply(out.view(np.uint64), 2.0**-width, out=out)
+        np.multiply(_binary_windows(digits, width), 2.0**-width, out=out)
     else:
-        out[...] = _doubling_windows(digits, a, width)[..., :m]
-        out /= float(a**width)
+        np.divide(_doubling_windows(digits, a, width)[..., :m], float(a**width), out=out)
     return out
 
 
-def _binary_windows(bits: np.ndarray, width: int, out: np.ndarray) -> None:
-    """Integer values of the `width`-bit windows (width <= 57) into the uint64 `out`.
+def _binary_windows(bits: np.ndarray, width: int) -> np.ndarray:
+    """Integer values (uint64) of all windows of `width` <= 57 bits along the last axis.
 
     Bytes of the packed stream, padded with 7 zero bytes, are read as a
     big-endian 64-bit word at every byte offset j; the window starting at bit
@@ -190,10 +189,12 @@ def _binary_windows(bits: np.ndarray, width: int, out: np.ndarray) -> None:
     padded[..., :nb] = packed
     words = np.ndarray(packed.shape, dtype=">u8", buffer=padded,
                        strides=padded.strides[:-1] + (1,)).astype(np.uint64)
-    m = out.shape[-1]
+    m = bits.shape[-1] - width + 1
+    out = np.empty(packed.shape[:-1] + (m,), dtype=np.uint64)
     for r in range(min(8, m)):
         np.left_shift(words[..., : (m - r + 7) // 8], np.uint64(r), out=out[..., r::8])
     out >>= np.uint64(64 - width)
+    return out
 
 
 def _doubling_windows(digits: np.ndarray, a: int, width: int) -> np.ndarray:
@@ -301,8 +302,8 @@ class MapSystem:
         raise NotImplementedError
 
 
-class _DigitOrbitSystem(MapSystem):
-    """Shared orbit construction of the exact-digit systems.
+class LinearMod1System(MapSystem):
+    """T(x) = a*x mod 1 as a sliding window over the exact digit stream.
 
     A trial's orbit reads its first n_points + width - 1 base-a digits from
     its own Philox stream ``trial_rng(master_seed, trial)``; orbits are
@@ -314,12 +315,12 @@ class _DigitOrbitSystem(MapSystem):
     the orbit length changes a bit of any trial's orbit.
     """
 
+    dimension = 1
     preserves_lebesgue = True
 
-    def __init__(self, a: int, dimension: int):
+    def __init__(self, a: int):
         super().__init__()
         self.a = LinearInterval(a).a  # the slope rule of the interval maps
-        self.dimension = dimension
         self.width = digit_window_width(self.a)
 
     _group_budget = property(lambda self: (_GROUP_DIGITS, self.width - 1))
@@ -327,17 +328,9 @@ class _DigitOrbitSystem(MapSystem):
     def _counting_windows(self, n_points):
         # window k reads digits kS .. kS + n_points + width - 2 alone, so windows
         # at stride S = n_points + width - 1 share no digit and are exactly
-        # i.i.d.; c depends on n_points alone and fills one group's digits.  The
-        # torus x of one orbit links its windows, so they are independent only
-        # for targets of y alone, such as TorusStrip, the torus target load runs
+        # i.i.d.; c depends on n_points alone and fills one group's digits
         stride = n_points + self.width - 1
         return max(1, _GROUP_DIGITS // stride), stride
-
-    def _plane_filler(self, master_seed: int, trials: list):
-        """A function that fills the coordinate planes before the last from
-        the window plane ``coords[-1]``, called on each time slice of the
-        trials' orbits in order; `coords` is (dimension, len(trials), n)."""
-        return lambda coords: None
 
     def _digits(self, master_seed: int, trials: list, n_digits: int) -> np.ndarray:
         """(len(trials), n_digits) matrix of the trials' first base-a digits.
@@ -359,25 +352,17 @@ class _DigitOrbitSystem(MapSystem):
         return digits
 
     def _orbit_slices(self, master_seed, trials, n_points):
-        # the digits of the whole orbits are drawn at once, the windows and planes a
-        # slice at a time; `coords` is a transposed view of per-coordinate planes
+        # the digits of the whole orbits are drawn at once, the windows a slice at
+        # a time into the last of `dimension` planes; `coords` is their transposed
+        # view, and a subclass fills the planes before the last
         digits = self._digits(master_seed, trials, n_points + self.width - 1)
-        fill = self._plane_filler(master_seed, trials)
         step = _GROUP_DIGITS // len(trials) - self.width + 1
         planes = self._workspace((self.dimension, len(trials), min(step, n_points)), float)
         for j in range(0, n_points, step):
             coords = planes[..., : min(step, n_points - j)]
             sliding_window_values(digits[:, j : j + coords.shape[-1] + self.width - 1],
                                   self.a, self.width, out=coords[-1])
-            fill(coords)
             yield j, coords.transpose(1, 2, 0)
-
-
-class LinearMod1System(_DigitOrbitSystem):
-    """T(x) = a*x mod 1 as a sliding window over the exact digit stream."""
-
-    def __init__(self, a: int):
-        super().__init__(a, dimension=1)
 
     def minimal_period(self, c: float) -> int | None:
         """c's minimal period: the least q with a^q <= 2^26 for which c (a^q - 1)
@@ -394,17 +379,19 @@ class LinearMod1System(_DigitOrbitSystem):
         return None
 
 
-class TorusAffineSystem(_DigitOrbitSystem):
-    """(x, y) -> (x + y mod 1, a*y mod 1); Lebesgue measure is invariant.
+class TorusAffineSystem(LinearMod1System):
+    """(x, y) -> (x + y mod 1, a*y mod 1), a skew product over a*y mod 1;
+    Lebesgue measure is invariant.
 
-    The expanding y-coordinate uses the exact digit stream; x only ever
-    accumulates mod-1 sums and is kept in float64.
+    y is the ``LinearMod1System`` orbit of the same trial, digit for digit; x
+    only ever accumulates mod-1 sums and is kept in float64.  The x of one
+    orbit links its counting windows, so they are independent only for
+    targets of y alone, such as TorusStrip, the torus target load runs.
     """
 
-    def __init__(self, a: int):
-        super().__init__(a, dimension=2)
+    dimension = 2
 
-    def _plane_filler(self, master_seed, trials):
+    def _orbit_slices(self, master_seed, trials, n_points):
         # x_0 from the trial's substream 1, then x_n = (x_0 + S_n) mod 1 with
         # S_n = y_0 + ... + y_{n-1} summed sequentially in float64.  A slice's
         # cumsum starts from the S carried over from the slice before, which
@@ -412,9 +399,8 @@ class TorusAffineSystem(_DigitOrbitSystem):
         # bitwise v % 1.0 for every float64 and several times cheaper
         x0 = np.array([[trial_rng(master_seed, t, substream=1).random()] for t in trials])
         s = np.zeros_like(x0)
-
-        def fill(coords):
-            x, y = coords
+        for j, coords in super()._orbit_slices(master_seed, trials, n_points):
+            x, y = coords.transpose(2, 0, 1)
             # each row's cumsum reads a staged copy: numpy (2.4) holds the GIL
             # through a cumsum in place or along an axis of a 2-D array
             staged = self._workspace(x.shape, float, "x")
@@ -425,7 +411,7 @@ class TorusAffineSystem(_DigitOrbitSystem):
             np.add(x[:, -1:], y[:, -1:], out=s)
             x += x0
             x -= np.floor(x, out=staged)
-        return fill
+            yield j, coords
 
 
 @dataclass(frozen=True)

@@ -692,10 +692,15 @@ def test_an_os_error_exits_2_without_a_verdict(tmp_path, capsys, case):
 @pytest.mark.parametrize("text", [
     "5", '{"counting_pmf": 5}',
     '{"probs": [0.5, 0.5], "n_samples": "x"}', '{"probs": [0.5, 0.5], "n_samples": true}',
-    '{"probs": [0.5, 0.5], "n_samples": 100.0}', '{"probs": [0.5, 0.5], "n_samples": 0}'])
+    '{"probs": [0.5, 0.5], "n_samples": 100.0}', '{"probs": [0.5, 0.5], "n_samples": 0}',
+    '{"probs": {"a": 1}, "n_samples": 10}', '{"probs": ["0.5", "0.5"], "n_samples": 10}',
+    '{"probs": [true, false], "n_samples": 10}',
+    '{"probs": [0.5, 0.5], "tail_mass": [0], "n_samples": 10}',
+    '{"probs": [0.5, 0.5], "tail_mass": "0", "n_samples": 10}'])
 def test_compare_refuses_a_malformed_file_before_printing(tmp_path, capsys, text):
-    # a root of 5 and n_samples "x" used to raise TypeError out of main
-    # (exit 1), and n_samples true ran as one sample
+    # a root of 5, n_samples "x", probs {"a": 1} and tail_mass [0] used to raise
+    # TypeError out of main (exit 1); n_samples true ran as one sample, probs
+    # [true, false] as [1, 0], and probs or tail_mass strings were read as numbers
     (tmp_path / "good.json").write_text('{"probs": [0.5, 0.5], "n_samples": 100}')
     (tmp_path / "bad.json").write_text(text)
     for model, empirical in (("bad", "good"), ("good", "bad")):

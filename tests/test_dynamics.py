@@ -158,6 +158,10 @@ def test_torus_orbit_satisfies_the_recursion():
     # y_{n+1} = 2 y_n mod 1 up to the refreshed last digit: the new window
     # drops one digit and appends a fresh one
     assert np.max(np.abs(y[1:] - (2 * y[:-1]) % 1.0)) <= 2.0 ** (1 - sys_t.width)
+    # y is the LinearMod1System orbit of the same trial bit for bit, over
+    # orbits longer than one time slice
+    torus = _orbit(sys_t, [3, 4], 70_000)[..., 1]
+    assert np.array_equal(torus, _orbit(LinearMod1System(2), [3, 4], 70_000)[..., 0])
     # the same for 3x mod 1, where the window values and 3 y_n also round
     # (by a few units of 2^-53)
     sys3 = LinearMod1System(3)

@@ -10,8 +10,8 @@ tooling to compare the two.
 
 from .distributions import (ClusterSizeDist, DiscreteDistribution, compound_poisson_pmf,
                             empirical_distribution)
-from .dynamics import (CmlSpec, CmlSystem, IntervalMap, LinearInterval,
-                       LinearMod1System, SinePerturbedInterval, TorusAffineSystem)
+from .dynamics import (CmlSystem, IntervalMap, LinearInterval, LinearMod1System,
+                       SinePerturbedInterval, TorusAffineSystem)
 from .estimators import ClusterStats, cluster_statistics, counting_distribution
 from .regenerative import (RegenSpec, SymbolStream, generate_stationary,
                            level_measure, regen_cluster_stats)

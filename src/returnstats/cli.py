@@ -96,13 +96,13 @@ def _analytic_prediction(system, target, row) -> _Prediction:
                     else ClusterSizeDist.geometric(float(system.a) ** -period))
         table = np.concatenate([clusters.lambdas, np.zeros(row.k_max)])[:row.k_max]
     elif isinstance(system, CmlSystem) and isinstance(target, DiagonalStrip):
-        spec = system.spec
-        if not isinstance(spec.base_map, LinearInterval):
-            raise ConfigError(f"no analytic law for a lattice of {type(spec.base_map).__name__}"
+        if not isinstance(system.base_map, LinearInterval):
+            raise ConfigError(f"no analytic law for a lattice of {type(system.base_map).__name__}"
                               " maps: the invariant density of the base map is not known")
         # Lebesgue measure along the diagonal; lambda_1..lambda_{k_max-1} are
         # exact, and the rest is the geometric envelope's tail
-        clusters = cml_prediction(spec.base_map, np.ones_like, spec.n, spec.gamma, row.k_max)
+        clusters = cml_prediction(system.base_map, np.ones_like, system.dimension,
+                                  system.gamma, row.k_max)
         table = clusters.lambdas[:row.k_max - 1]
     elif isinstance(system, RegenSpec):
         clusters, table = system.cluster_dist, system.cluster_dist.lambdas
@@ -143,16 +143,12 @@ def cmd_predict(config: ExperimentConfig) -> int:
 
 def cmd_simulate(config: ExperimentConfig) -> int:
     out = _out_dir(config)
-    entries: list = []
-    flags: dict = {}
-    fmts = config.outputs["formats"]
     system = config.build_system()
     regen = isinstance(system, RegenSpec)
     counted: dict = {}  # (scale, t, n_trials) -> its counting law, shared by every K
     streams: dict = {}  # (m, stream_len, n_streams) -> the cluster streams' hit runs, ditto
-
+    results = []  # every row is computed first, so a failure leaves no partial files
     for row in config.schedule:
-        label = row.label(config.scale_name)
         target = config.build_target(row)
         counting = (row.scale, row.t, row.n_trials)
         if regen:
@@ -176,7 +172,12 @@ def cmd_simulate(config: ExperimentConfig) -> int:
                     system, target, row.t, row.n_trials, config.seed,
                     mu=None if system.preserves_lebesgue else cs.mu_hat,
                     workers=config.workers, runs=(runs, row.orbit_len)))
-        cd = counted[counting]
+        results.append((row, cs, counted[counting]))
+    entries: list = []
+    flags: dict = {}
+    fmts = config.outputs["formats"]
+    for row, cs, cd in results:
+        label = row.label(config.scale_name)
         if cs.insufficient:
             flags[label] = "insufficient_entries"
         if "json" in fmts:

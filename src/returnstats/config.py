@@ -47,7 +47,7 @@ import numpy as np
 import yaml
 
 from .distributions import ClusterSizeDist
-from .dynamics import (CmlSpec, CmlSystem, LinearInterval, LinearMod1System,
+from .dynamics import (CmlSystem, LinearInterval, LinearMod1System,
                        SinePerturbedInterval, TorusAffineSystem)
 from .estimators import _default_orbit_len, kac_horizon
 from .records import json_fields
@@ -360,14 +360,11 @@ class ExperimentConfig:
         if kind == "linear_mod1":
             return LinearMod1System(s["a"])
         if kind == "cml":
-            n, gamma, eps = s["n"], s["gamma"], s["eps"]
-            if gamma == 0 and s["weights"] is not None:
+            if s["gamma"] == 0 and s["weights"] is not None:
                 raise ConfigError("cml weights act only through the coupling (gamma > 0)")
-            # n < 1 is left for CmlSpec to refuse
-            w = np.ones(n) / n if s["weights"] is None else np.asarray(s["weights"], float)
+            eps = s["eps"]
             base_map = SinePerturbedInterval(s["a"], eps) if eps else LinearInterval(s["a"])
-            spec = CmlSpec(base_map=base_map, n=n, gamma=gamma, weights=w)
-            return CmlSystem(spec, burn_in=s["burn_in"])
+            return CmlSystem(base_map, s["n"], s["gamma"], s["weights"], burn_in=s["burn_in"])
         if kind == "regenerative":
             return self.build_regen_spec()
         raise ConfigError(f"unknown system kind {kind!r}")

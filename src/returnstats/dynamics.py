@@ -5,8 +5,9 @@ Built-in systems:
 * ``LinearMod1System``    -- T(x) = a*x mod 1 on [0,1), exact digits
 * ``TorusAffineSystem``   -- (x, y) -> (x + y, a*y) mod 1 on the 2-torus, a skew
   product over ``LinearMod1System`` that adds its x plane
-* ``CmlSystem``           -- coupled map lattice over a 1-d expanding base map,
-  iterated in float64; one site is the base map itself
+* ``CmlSystem``           -- coupled map lattice of n sites, its dimension, over
+  a 1-d expanding base map, uniform weights unless given, iterated in float64;
+  one site is the base map itself
 
 Every system yields the orbits of a group of trials (``orbit_groups``, one
 estimator task at any worker count) in time slices, ``_orbit_slices``, and
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "MapSystem",
     "LinearMod1System",
     "TorusAffineSystem",
-    "CmlSpec",
     "CmlSystem",
 ]
 
@@ -414,31 +413,10 @@ class TorusAffineSystem(LinearMod1System):
             yield j, coords
 
 
-@dataclass(frozen=True)
-class CmlSpec:
-    """Coupled map lattice: n copies of a base map, coupling gamma through a
-    constant-column stochastic matrix built from `weights`."""
-
-    base_map: IntervalMap
-    n: int
-    gamma: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if self.n < 1:
-            raise ValueError("lattice size n must be >= 1")
-        if not 0.0 <= self.gamma < 1.0:  # at 1 every site is equal after one step
-            raise ValueError("gamma must lie in [0, 1)")
-        if self.n == 1 and self.gamma != 0.0:  # it would turn preserves_lebesgue off
-            raise ValueError("a one-site lattice has no coupling: gamma must be 0")
-        if w.size != self.n or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be a length-n probability vector")
-
-
 class CmlSystem(MapSystem):
-    """Lattice map x_i -> (1-gamma) T(x_i) + gamma sum_j p_j T(x_j).
+    """Coupled map lattice of n sites, x_i -> (1-gamma) T(x_i) + gamma sum_j p_j T(x_j),
+    with base map T, coupling gamma in [0, 1) and the probability vector p of
+    `weights` (uniform when omitted); n is the system's ``dimension``.
 
     For gamma > 0 Lebesgue measure is not invariant (the coupling contracts
     transversally to the diagonal), so stationary sampling starts uniform and
@@ -446,38 +424,44 @@ class CmlSystem(MapSystem):
     itself, so this is also the float64 system of a single interval map.
     """
 
-    def __init__(self, spec: CmlSpec, burn_in: int = 1024):
+    def __init__(self, base_map: IntervalMap, n: int, gamma: float, weights=None,
+                 burn_in: int = 1024):
+        if n < 1:
+            raise ValueError("lattice size n must be >= 1")
+        if not 0.0 <= gamma < 1.0:  # at 1 every site is equal after one step
+            raise ValueError("gamma must lie in [0, 1)")
+        if n == 1 and gamma != 0.0:  # it would turn preserves_lebesgue off
+            raise ValueError("a one-site lattice has no coupling: gamma must be 0")
+        w = np.ones(n) / n if weights is None else np.asarray(weights, dtype=float)
+        if w.size != n or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must be a length-n probability vector")
         if burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         super().__init__()
-        self.spec = spec
-        self.dimension = spec.n
+        self.base_map, self.dimension, self.gamma, self.weights = base_map, n, gamma, w
         self.burn_in = int(burn_in)
+        # uncoupled copies of a*x mod 1: the product of Lebesgue measures
+        self.preserves_lebesgue = gamma == 0.0 and isinstance(base_map, LinearInterval)
         # a float64 orbit that reaches a fixed point, or puts every site bitwise equal
         # (equal sites get equal updates), stays there: every point would be a hit.
         # Probe 16 orbits of trials 2^32 + 1 on at seed 0, which no estimator reads
         _, probe = next(self._orbit_slices(0, range(2**32 + 1, 2**32 + 17), 256))
         last = probe[:, -1]
-        if np.any((last == probe[:, -2]).all(1) | (spec.n > 1) & (last == last[:, :1]).all(1)):
+        if np.any((last == probe[:, -2]).all(1) | (n > 1) & (last == last[:, :1]).all(1)):
             raise ValueError("float64 orbits of this lattice drain: a probe orbit reaches a "
                              "fixed point or puts every site equal")
 
-    @property
-    def preserves_lebesgue(self) -> bool:
-        # uncoupled copies of a*x mod 1: the product of Lebesgue measures
-        return self.spec.gamma == 0.0 and isinstance(self.spec.base_map, LinearInterval)
-
     def _apply(self, coords: np.ndarray) -> np.ndarray:
-        y = self.spec.base_map.apply(coords)
-        coupled = y @ self.spec.weights
-        return (1.0 - self.spec.gamma) * y + self.spec.gamma * np.expand_dims(coupled, -1)
+        y = self.base_map.apply(coords)
+        coupled = y @ self.weights
+        return (1.0 - self.gamma) * y + self.gamma * np.expand_dims(coupled, -1)
 
     def _orbit_slices(self, master_seed, trials, n_points):
         # the trials step in lockstep from uniform starts after the burn-in, in
         # slices of at most _GROUP_DIGITS // len(trials) steps
-        x = np.empty((len(trials), self.spec.n))
+        x = np.empty((len(trials), self.dimension))
         for row, t in enumerate(trials):
-            x[row] = trial_rng(master_seed, t).random(self.spec.n)
+            x[row] = trial_rng(master_seed, t).random(self.dimension)
         for _ in range(self.burn_in):
             x = self._apply(x)
         step = max(1, _GROUP_DIGITS // len(trials))

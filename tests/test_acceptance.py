@@ -14,7 +14,7 @@ import numpy as np
 
 from returnstats.cml_theory import alpha_hat_integral
 from returnstats.distributions import ClusterSizeDist, compound_poisson_pmf
-from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
+from returnstats.dynamics import (CmlSystem, LinearInterval,
                                   LinearMod1System, TorusAffineSystem)
 from returnstats.estimators import (ClusterAccumulator, _ordered_map,
                                     cluster_statistics, counting_distribution)
@@ -171,8 +171,7 @@ def test_criterion_07_cml_analytic_constant_derivative():
 
 
 def test_criterion_08_cml_empirical_vs_analytic():
-    spec = CmlSpec(LinearInterval(2), 2, 0.1, np.array([0.5, 0.5]))
-    system = CmlSystem(spec)
+    system = CmlSystem(LinearInterval(2), 2, 0.1, np.array([0.5, 0.5]))
     cs = cluster_statistics(system, DiagonalStrip(1e-3), K=3,
                             min_entries=20_000, max_orbit=200_000_000,
                             seed=77, orbit_len=400_000)

@@ -212,6 +212,27 @@ outputs: {{dir: "{out}"}}
         assert not out.exists()
 
 
+def test_simulate_writes_nothing_when_a_later_row_finds_no_entry(tmp_path, capsys):
+    # the second row passes load, but its orbits never enter a ball of radius
+    # 1e-12; the first row's files used to be written, beside an earlier
+    # manifest that does not list them
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text('{"outputs": []}')
+    rows = "".join(f"\n  - {{rho: {rho}, K: 3, n_trials: 200, min_entries: 100, "
+                   f"max_orbit: {max_orbit}}}"
+                   for rho, max_orbit in (("1.0e-2", 100_000), ("1.0e-12", 1000)))
+    cfg = _write_cfg(tmp_path, f"""
+{LINEAR_BALL}
+schedule:{rows}
+outputs: {{dir: "{out}"}}
+""")
+    assert main(["--config", cfg, "simulate"]) == 2
+    assert "no entry events observed" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert (out / "manifest.json").read_text() == '{"outputs": []}'
+
+
 def test_package_import_leaves_out_scipy_optimize():
     code = ("import sys, returnstats, returnstats.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")

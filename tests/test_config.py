@@ -343,7 +343,7 @@ system: {kind: cml, a: 3.0, n: 2.0, burn_in: 1e1}
 target: {kind: diagonal_strip}
 schedule: [{nu: 0.01}]
 """).build_system()
-    assert system.spec.base_map.a == 3 and system.dimension == 2 and system.burn_in == 10
+    assert system.base_map.a == 3 and system.dimension == 2 and system.burn_in == 10
 
 
 def test_output_formats_are_checked():
@@ -400,8 +400,8 @@ target: {kind: diagonal_strip}
 schedule: [{nu: 1.0e-3}]
 """)
     system = cml.build_system()
-    assert isinstance(system, CmlSystem) and system.spec.n == 3
-    np.testing.assert_allclose(system.spec.weights, np.full(3, 1 / 3))
+    assert isinstance(system, CmlSystem) and system.dimension == 3
+    np.testing.assert_allclose(system.weights, np.full(3, 1 / 3))
     assert isinstance(cml.build_target(cml.schedule[0]), DiagonalStrip)
 
     # a single sine-perturbed interval map is a one-site lattice
@@ -411,8 +411,8 @@ target: {kind: ball, center: [0.3]}
 schedule: [{rho: 1.0e-2}]
 """).build_system()
     assert isinstance(sine, CmlSystem) and sine.dimension == 1 and sine.burn_in == 64
-    assert isinstance(sine.spec.base_map, SinePerturbedInterval)
-    assert sine.spec.base_map.eps == 0.05
+    assert isinstance(sine.base_map, SinePerturbedInterval)
+    assert sine.base_map.eps == 0.05
 
     regen = ExperimentConfig.from_yaml("""
 system: {kind: regenerative, block_rule: smith, k_cap: 1000}

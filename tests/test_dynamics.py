@@ -8,7 +8,7 @@ from scipy.stats import kstest
 
 from returnstats import dynamics
 from returnstats.cml_theory import _derivative_power
-from returnstats.dynamics import (CmlSpec, CmlSystem, IntervalMap, LinearInterval,
+from returnstats.dynamics import (CmlSystem, IntervalMap, LinearInterval,
                                   LinearMod1System, SinePerturbedInterval,
                                   TorusAffineSystem, digit_window_width,
                                   sliding_window_values)
@@ -317,7 +317,7 @@ def test_long_orbit_memory_is_bounded_by_the_slices():
 def _lattice_orbit(system, master_seed, trial, n_points):
     """One trial's (n_points, n) lattice orbit, stepped alone through
     ``_apply`` from its uniform start."""
-    x = trial_rng(master_seed, trial).random(system.spec.n)
+    x = trial_rng(master_seed, trial).random(system.dimension)
     for _ in range(system.burn_in):
         x = system._apply(x)
     orbit = [x]
@@ -327,8 +327,8 @@ def _lattice_orbit(system, master_seed, trial, n_points):
     return np.array(orbit)
 
 
-COUPLED_PAIR = CmlSystem(CmlSpec(LinearInterval(2), 2, 0.1, [0.5, 0.5]), burn_in=64)
-SINE_SITE = CmlSystem(CmlSpec(SinePerturbedInterval(2, 0.1), 1, 0.0, [1.0]), burn_in=64)
+COUPLED_PAIR = CmlSystem(LinearInterval(2), 2, 0.1, [0.5, 0.5], burn_in=64)
+SINE_SITE = CmlSystem(SinePerturbedInterval(2, 0.1), 1, 0.0, [1.0], burn_in=64)
 
 
 def test_lattice_slices_match_the_orbits_stepped_alone():
@@ -457,8 +457,7 @@ def test_derivative_along_matches_finite_differences():
 
 
 def test_cml_single_step_hand_value():
-    spec = CmlSpec(LinearInterval(2), 2, 0.25, np.array([0.5, 0.5]))
-    system = CmlSystem(spec)
+    system = CmlSystem(LinearInterval(2), 2, 0.25, np.array([0.5, 0.5]))
     got = system._apply(np.array([0.3, 0.4]))
     # T(0.3)=0.6, T(0.4)=0.8; mean=0.7
     want = np.array([0.75 * 0.6 + 0.25 * 0.7, 0.75 * 0.8 + 0.25 * 0.7])
@@ -466,8 +465,7 @@ def test_cml_single_step_hand_value():
 
 
 def test_cml_diagonal_is_invariant():
-    spec = CmlSpec(LinearInterval(2), 3, 0.5, np.array([0.25, 0.25, 0.5]))
-    system = CmlSystem(spec)
+    system = CmlSystem(LinearInterval(2), 3, 0.5, np.array([0.25, 0.25, 0.5]))
     x = np.array([0.3, 0.3, 0.3])
     for _ in range(10):
         x = system._apply(x)
@@ -475,22 +473,36 @@ def test_cml_diagonal_is_invariant():
 
 
 def test_cml_spec_validation():
-    with pytest.raises(ValueError):
-        CmlSpec(LinearInterval(2), 2, 1.5, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        CmlSpec(LinearInterval(2), 2, 0.1, np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        CmlSpec(LinearInterval(2), 0, 0.1, np.array([]))
+    with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
+        CmlSystem(LinearInterval(2), 2, 1.5, np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="weights must be a length-n probability vector"):
+        CmlSystem(LinearInterval(2), 2, 0.1, np.array([0.7, 0.7]))
+    with pytest.raises(ValueError, match="lattice size n must be >= 1"):
+        CmlSystem(LinearInterval(2), 0, 0.1, np.array([]))
     # one site has no coupling, and gamma > 0 would turn preserves_lebesgue off
     with pytest.raises(ValueError, match="one-site lattice has no coupling"):
-        CmlSpec(LinearInterval(2), 1, 0.1, np.array([1.0]))
+        CmlSystem(LinearInterval(2), 1, 0.1, np.array([1.0]))
+    # the checks run before the drain probe: float64 orbits of this gamma = 1.5
+    # lattice of 4x mod 1 would drain, yet it reads the gamma message
+    with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
+        CmlSystem(LinearInterval(4), 2, 1.5)
+
+
+def test_cml_default_weights_are_uniform_bit_for_bit():
+    # weights omitted are np.ones(n) / n: the same coupled orbits as [0.5, 0.5]
+    target = DiagonalStrip(0.05)
+    default = CmlSystem(LinearInterval(2), 2, 0.1).indicator_block(target, SEED, range(8), 2000)
+    explicit = CmlSystem(LinearInterval(2), 2, 0.1, [0.5, 0.5]).indicator_block(
+        target, SEED, range(8), 2000)
+    assert default.any()
+    np.testing.assert_array_equal(default, explicit)
 
 
 def test_cml_indicator_block_deterministic_and_trialwise():
     # each lockstep row is the trial's orbit stepped alone, bit for bit
     trials = [4, 0, 9, 4, 2]
     for base_map in (LinearInterval(2), SinePerturbedInterval(2, 0.1)):
-        system = CmlSystem(CmlSpec(base_map, 2, 0.1, [0.5, 0.5]), burn_in=64)
+        system = CmlSystem(base_map, 2, 0.1, [0.5, 0.5], burn_in=64)
         orbits = [_lattice_orbit(system, SEED, t, 2000) for t in trials]
         for target in (DiagonalStrip(0.05), Ball((0.3, 0.7), 0.2)):
             block = system.indicator_block(target, SEED, trials, 2000)
@@ -519,7 +531,7 @@ def _interval_map_block(imap, burn_in, target, master_seed, trials, n_points):
                                   SinePerturbedInterval(3, 0.05), LinearInterval(3)],
                          ids=["sine-a2", "sine-a3", "linear-a3"])
 def test_one_site_lattice_is_the_interval_map(imap):
-    system = CmlSystem(CmlSpec(imap, 1, 0.0, [1.0]), burn_in=100)
+    system = CmlSystem(imap, 1, 0.0, [1.0], burn_in=100)
     target = Ball((0.3,), 0.01)
     trials = list(range(16))
     block = system.indicator_block(target, SEED, trials, 5000)
@@ -529,17 +541,17 @@ def test_one_site_lattice_is_the_interval_map(imap):
 
 
 def test_cml_rejects_a_negative_burn_in_and_draining_orbits():
-    spec = CmlSpec(SinePerturbedInterval(3, 0.05), 1, 0.0, [1.0])
+    site = (SinePerturbedInterval(3, 0.05), 1, 0.0, [1.0])
     with pytest.raises(ValueError, match="burn_in must be >= 0"):
-        CmlSystem(spec, burn_in=-1)
-    assert CmlSystem(spec, burn_in=0).burn_in == 0
+        CmlSystem(*site, burn_in=-1)
+    assert CmlSystem(*site, burn_in=0).burn_in == 0
     # an even a shifts the float64 mantissa out: 6x mod 1 reaches 0 at step 53,
     # and a diagonal strip on it read alpha_hat = 1 at every k
     for a, n in ((2, 2), (4, 1), (6, 2), (8, 3)):
         with pytest.raises(ValueError, match="drain: a probe orbit reaches a fixed point"):
-            CmlSystem(CmlSpec(LinearInterval(a), n, 0.0, np.full(n, 1 / n)))
+            CmlSystem(LinearInterval(a), n, 0.0, np.full(n, 1 / n))
     for a, gamma in ((3, 0.0), (2, 0.1)):
-        CmlSystem(CmlSpec(LinearInterval(a), 2, gamma, [0.5, 0.5]))
+        CmlSystem(LinearInterval(a), 2, gamma, [0.5, 0.5])
 
 
 # (a, n, gamma, weights) of lattices whose float64 orbits reach an absorbing
@@ -562,10 +574,10 @@ LOADING += [(imap, n, gamma) for imap in (SinePerturbedInterval(2, 0.1),
 @pytest.mark.parametrize("a, n, gamma, weights", DRAINING)
 def test_cml_refuses_a_lattice_whose_probe_orbits_drain(a, n, gamma, weights, burn_in):
     with pytest.raises(ValueError, match="float64 orbits of this lattice drain"):
-        CmlSystem(CmlSpec(LinearInterval(a), n, gamma, weights), burn_in=burn_in)
+        CmlSystem(LinearInterval(a), n, gamma, weights, burn_in=burn_in)
 
 
 @pytest.mark.parametrize("burn_in", [0, 1024])
 @pytest.mark.parametrize("base_map, n, gamma", LOADING)
 def test_cml_loads_a_lattice_whose_probe_orbits_do_not_drain(base_map, n, gamma, burn_in):
-    assert CmlSystem(CmlSpec(base_map, n, gamma, np.full(n, 1 / n)), burn_in).burn_in == burn_in
+    assert CmlSystem(base_map, n, gamma, np.full(n, 1 / n), burn_in).burn_in == burn_in

@@ -10,7 +10,7 @@ from scipy.stats import chi2_contingency
 
 from returnstats import estimators
 from returnstats.distributions import DiscreteDistribution, empirical_distribution
-from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval, LinearMod1System,
+from returnstats.dynamics import (CmlSystem, LinearInterval, LinearMod1System,
                                   TorusAffineSystem, sliding_window_values)
 from returnstats.estimators import (ClusterAccumulator, ClusterStats,
                                     cluster_statistics, counting_distribution,
@@ -176,7 +176,7 @@ def test_windowed_counting_law_matches_the_law_of_one_orbit_a_trial(system, targ
 def test_counting_distribution_needs_mu_without_a_closed_form(monkeypatch):
     # a coupled lattice has no closed-form mu(U), so without `mu` the call
     # refuses before it builds an orbit; with `mu` it gives its pinned law
-    system = CmlSystem(CmlSpec(LinearInterval(2), 2, 0.1, [0.5, 0.5]))
+    system = CmlSystem(LinearInterval(2), 2, 0.1, [0.5, 0.5])
     target = DiagonalStrip(0.05)
 
     def refuse(*args):
@@ -215,7 +215,7 @@ def test_window_counter_matches_a_dense_count_on_every_short_row():
 RUNS_CASES = [(LinearMod1System(2), Ball((0.3,), 0.01)),
               (LinearMod1System(3), Ball((0.5,), 0.02)),
               (TorusAffineSystem(2), TorusStrip(0.02)),
-              (CmlSystem(CmlSpec(LinearInterval(2), 2, 0.1, [0.5, 0.5]), burn_in=64),
+              (CmlSystem(LinearInterval(2), 2, 0.1, [0.5, 0.5], burn_in=64),
                DiagonalStrip(0.05))]
 
 
@@ -525,7 +525,7 @@ def test_counting_distribution_deterministic_across_workers():
 SPLIT_CASES = [
     (TorusAffineSystem(2), TorusStrip(0.02), 20_000, 20.0, None),
     (LinearMod1System(3), Ball((0.37,), 0.02), 20_000, 20.0, None),
-    (CmlSystem(CmlSpec(LinearInterval(2), 2, 0.1, [0.5, 0.5]), burn_in=64),
+    (CmlSystem(LinearInterval(2), 2, 0.1, [0.5, 0.5], burn_in=64),
      DiagonalStrip(0.05), 2_000, 2.0, 0.0975),
 ]
 

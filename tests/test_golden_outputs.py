@@ -1,9 +1,10 @@
 """Byte-identity gate: pinned SHA-256 digests of the result files.
 
-`predict` runs on every example config and `simulate` on six small
+`predict` runs on every example config and `simulate` on seven small
 pinned-seed rows (torus strip, the fixed point of 3x mod 1, Smith, fixed
-cluster lengths, the uncoupled CML lockstep, and a coupled lattice, whose
-mu(U) is its cluster phase's hit rate).  Every result file is
+cluster lengths, the uncoupled CML lockstep, a coupled lattice, and a ball
+under the one-site lattice of the sine-perturbed doubling map; the last two
+take mu(U) from their cluster phase's hit rate).  Every result file is
 hashed; `manifest.json` is not, because it echoes the output directory.
 A change that moves output bits on purpose updates these digests and
 says which files moved.
@@ -67,6 +68,14 @@ system: {kind: cml, a: 2, n: 2, gamma: 0.1, weights: [0.5, 0.5]}
 target: {kind: diagonal_strip}
 schedule:
   - {nu: 0.05, K: 3, t: 1.0, n_trials: 400, min_entries: 200, orbit_len: 2000}
+seed: 77
+workers: 2
+""",
+    "sine_site": """
+system: {kind: cml, a: 2, n: 1, eps: 0.1}
+target: {kind: ball, center: [0.3]}
+schedule:
+  - {rho: 0.02, K: 3, t: 1.0, n_trials: 400, min_entries: 200, orbit_len: 2000}
 seed: 77
 workers: 2
 """,
@@ -200,6 +209,16 @@ GOLDEN = {
             "2ed68913d3d0bc1b43e2b6faa4d4aebf13150502d1d9ba15ad03b9bed416f527",
         "counting_nu0p05_K3.json":
             "d02db0cb948abbce54080543ac8a457a43c7c9bca0a4701588f7696357c383a5",
+    },
+    "simulate/sine_site": {
+        "cluster_rho0p02_K3.csv":
+            "9781f15b3d8b7b9c28029bd34c5fa7f83f6e587ae33e2d8d3dd81ddfdb1e5a6b",
+        "cluster_rho0p02_K3.json":
+            "b3237693cf34681d6678d1d86cf68a1ef2aea3e7ffd66c04601abe7a4094a6b9",
+        "counting_rho0p02_K3.csv":
+            "79ad8cabc9ec551e930b48a599985900e91c0bf3ddad44226f5746ef7e27a743",
+        "counting_rho0p02_K3.json":
+            "cda7b48a9bf8af82d42e8f8415293c3462242b1333a96e1482bebe526887d096",
     },
 }
 

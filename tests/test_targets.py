@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from returnstats.config import PAIRS, ExperimentConfig
-from returnstats.dynamics import (CmlSpec, CmlSystem, LinearInterval,
+from returnstats.dynamics import (CmlSystem, LinearInterval,
                                   LinearMod1System, SinePerturbedInterval,
                                   TorusAffineSystem)
 from returnstats.estimators import cluster_statistics
@@ -140,7 +140,7 @@ def test_measure_monte_carlo_against_closed_form():
     # the cluster phase's hit rate estimates P(max - min <= nu) = 3 nu^2 - 2 nu^3
     # for 3 uniforms, which is mu(U); the bound is the batch-means SE over
     # the phase's own orbits, which allows for clustered hits
-    system = CmlSystem(CmlSpec(LinearInterval(3), 3, 0.0, np.full(3, 1 / 3)), burn_in=16)
+    system = CmlSystem(LinearInterval(3), 3, 0.0, np.full(3, 1 / 3), burn_in=16)
     target, K, orbit_len = DiagonalStrip(0.1), 3, 5000
     truth = 3 * 0.1**2 - 2 * 0.1**3
     cs = cluster_statistics(system, target, K=K, min_entries=100, max_orbit=10**6,
@@ -153,12 +153,12 @@ def test_measure_monte_carlo_against_closed_form():
     assert abs(cs.mu_hat - truth) < 4 * se
 
 
-@pytest.mark.parametrize("spec", [CmlSpec(LinearInterval(2), 2, 0.1, [0.5, 0.5]),
-                                  CmlSpec(SinePerturbedInterval(2, 0.1), 1, 0.0, [1.0])],
+@pytest.mark.parametrize("lattice", [(LinearInterval(2), 2, 0.1, [0.5, 0.5]),
+                                     (SinePerturbedInterval(2, 0.1), 1, 0.0, [1.0])],
                          ids=["coupled", "sine-site"])
-def test_measure_refuses_a_system_without_a_closed_form(spec):
+def test_measure_refuses_a_system_without_a_closed_form(lattice):
     with pytest.raises(ValueError, match="no closed-form mu"):
-        measure(DiagonalStrip(0.05), CmlSystem(spec, burn_in=64), 4000, (SEED, 0))
+        measure(DiagonalStrip(0.05), CmlSystem(*lattice, burn_in=64), 4000, (SEED, 0))
 
 
 def test_measure_validation():

@@ -141,11 +141,11 @@ class SinePerturbedInterval(IntervalMap):
 
 def digit_window_width(a: int) -> int:
     """Largest W with a**W <= 2**53 (window values stay exact in float64)."""
-    w = int(53 / math.log2(a))
+    if a > 2**53:
+        raise ValueError(f"slope a = {a} exceeds 2**53: no digit is exact in float64")
+    w = 1
     while a ** (w + 1) <= 2**53:
         w += 1
-    while a**w > 2**53:
-        w -= 1
     return w
 
 
@@ -156,21 +156,20 @@ def sliding_window_values(digits: np.ndarray, a: int, width: int,
     Works along the last axis and writes into `out` (float64) when given.
     Binary digits are bit-packed: every window is a shift of the big-endian
     64-bit word at its byte, an integer scaled into `out` by 2**-width,
-    exactly.  Other bases use log2(width) doubling passes of exact int64
-    arithmetic, divided by a**width (a multiply by its inverse rounds
-    differently).  Either way the window is an exact integer below 2**53, so
-    no precision is lost and no (n, width) matrix is materialised.
+    exactly.  Other bases apply Horner's rule to the bits of `width`, in
+    exact int64 arithmetic, and divide by a**width (a multiply by its inverse
+    rounds differently).  Either way the window is an exact integer below
+    2**53, so no precision is lost and no (n, width) matrix is materialised.
     """
     n = digits.shape[-1]
     if n < width:
         raise ValueError("need at least `width` digits")
-    m = n - width + 1
     if out is None:
-        out = np.empty(digits.shape[:-1] + (m,))
+        out = np.empty(digits.shape[:-1] + (n - width + 1,))
     if a == 2:
         np.multiply(_binary_windows(digits, width), 2.0**-width, out=out)
     else:
-        np.divide(_doubling_windows(digits, a, width)[..., :m], float(a**width), out=out)
+        np.divide(_int_windows(digits, a, width), float(a**width), out=out)
     return out
 
 
@@ -196,35 +195,19 @@ def _binary_windows(bits: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _doubling_windows(digits: np.ndarray, a: int, width: int) -> np.ndarray:
-    """Integer values (int64) of the base-a windows, at least n - width + 1
-    along the last axis.  Doubling powers that `width` does not use are
-    dropped as soon as the next one is built."""
-    n = digits.shape[-1]
-    pw = {1: np.asarray(digits, dtype=np.int64)}
-    length = 1
-    while 2 * length <= width:
-        arr = pw[length]
-        nxt = arr[..., : arr.shape[-1] - length] * a**length
-        nxt += arr[..., length:]
-        pw[2 * length] = nxt
-        if not width & length:
-            del pw[length]
-        length *= 2
-    res = None
-    covered = 0
-    for bit in (1 << b for b in range(width.bit_length() - 1, -1, -1)):
-        if not width & bit:
-            continue
-        part = pw.pop(bit)
-        if res is None:
-            res, covered = part, bit
-        else:
-            newlen = covered + bit
-            valid = n - newlen + 1
-            res = res[..., :valid] * a**bit
-            res += part[..., covered : covered + valid]
-            covered = newlen
+def _int_windows(digits: np.ndarray, a: int, width: int) -> np.ndarray:
+    """Integer values (int64) of the n - width + 1 base-a windows along the last
+    axis, by Horner's rule on the bits of `width`: the windows of w digits, the
+    digits themselves at first, become those of 2w for each bit after the
+    leading one, then those of 2w + 1 where the bit is set."""
+    digits = np.asarray(digits, dtype=np.int64)
+    res, w = digits, 1
+    for bit in bin(width)[3:]:
+        res = res[..., :-w] * a**w + res[..., w:]
+        w *= 2
+        if bit == "1":
+            res = res[..., :-1] * a + digits[..., w:]
+            w += 1
     return res
 
 

@@ -313,6 +313,12 @@ def test_schedule_numbers_written_as_exponents():
      r"a ball centre lies in the unit cube \[0, 1\]"),
     ("{kind: linear_mod1, a: 3}", "{kind: ball, center: [-0.25]}", "{rho: 0.01}",
      r"a ball centre lies in the unit cube \[0, 1\]"),
+    # a slope above 2**53 has no exact digit: it loaded, and simulate died in
+    # sliding_window_values with a TypeError and exit 1
+    ("{kind: linear_mod1, a: 10000000000000000}", "{kind: ball, center: [0.3]}",
+     "{rho: 0.01}", r"slope a = 10000000000000000 exceeds 2\*\*53"),
+    ("{kind: torus, a: 9007199254740993}", "{kind: torus_strip}", "{rho: 0.01}",
+     r"slope a = 9007199254740993 exceeds 2\*\*53"),
 ], ids=["torus-a", "linear_mod1-a", "cml-a", "cml-n", "cml-burn_in", "cml-n-0",
         "regenerative-k_cap", "level_set-m", "ball-periodic_period", "a-not-a-number",
         "cml-gama", "torus-n", "torus_strip-center", "torus_strip-periodic_period",
@@ -322,7 +328,8 @@ def test_schedule_numbers_written_as_exponents():
         "ball-center-bool", "ball-center-inf", "ball-center-scalar", "cml-gamma-null",
         "fixed_lengths-cluster_lambdas-bool", "cml-one-site-strip", "ball-whole-interval",
         "torus_strip-half", "cml-coupled-ball-whole-lattice", "level_set-m-0",
-        "cml-ball-center-off-cube", "ball-center-above-1", "ball-center-below-0"])
+        "cml-ball-center-off-cube", "ball-center-above-1", "ball-center-below-0",
+        "linear_mod1-a-above-2**53", "torus-a-above-2**53"])
 def test_system_and_target_values_are_checked(system, target, row, message):
     # a non-integral value used to be truncated, an unknown key ignored
     with pytest.raises(ConfigError, match=message):

@@ -27,9 +27,13 @@ def test_digit_window_width_values():
     assert digit_window_width(2) == 53
     assert digit_window_width(3) == 33
     assert digit_window_width(10) == 15
-    for a in (2, 3, 5, 10):
+    assert digit_window_width(2**53) == 1
+    for a in (2, 3, 5, 10, 2**26, 2**26 + 1):
         w = digit_window_width(a)
         assert a**w <= 2**53 < a ** (w + 1)
+    # no window of even one digit is exact: the float-log guess returned 0
+    with pytest.raises(ValueError, match=r"exceeds 2\*\*53"):
+        digit_window_width(2**53 + 1)
 
 
 def _horner_windows(digits, a, width):
@@ -44,8 +48,14 @@ def _horner_windows(digits, a, width):
 
 
 def test_sliding_window_values_against_horner_oracle():
+    # every width 1..W of a = 3, 5 and 10 meets every bit pattern the builder
+    # reads from W up to 33 (W = 15 is 1111 and 22 is 10110); for a != 2 two
+    # rows also go into a plane slice planes[..., :n] of strided rows, as the
+    # orbit slices pass `out`, which must leave the rest of the planes alone
     rng = np.random.default_rng(0)
-    for a, width in ((2, 53), (2, 1), (3, 33), (5, 7), (7, 1)):
+    cases = [(2, 53), (2, 1), (3, 33), (5, 7), (7, 1)]
+    cases += [(a, w) for a in (3, 5, 10) for w in range(1, digit_window_width(a) + 1)]
+    for a, width in cases:
         digits = rng.integers(0, a, size=200)
         got = sliding_window_values(digits, a, width)
         n = digits.size - width + 1
@@ -57,6 +67,12 @@ def test_sliding_window_values_against_horner_oracle():
             want[i] = v / float(a**width)
         np.testing.assert_array_equal(got, want)  # must be bit-exact
         np.testing.assert_array_equal(_horner_windows(digits, a, width), want)
+        if a != 2:
+            rows = rng.integers(0, a, size=(2, 200))
+            planes = np.full((2, 2, n + 9), np.nan)
+            sliding_window_values(rows, a, width, out=planes[-1, :, :n])
+            np.testing.assert_array_equal(planes[-1, :, :n], _horner_windows(rows, a, width))
+            assert np.isnan(planes[0]).all() and np.isnan(planes[-1, :, n:]).all()
 
 
 @pytest.mark.parametrize("rows", [1, 2, 118])

@@ -1,10 +1,12 @@
 """Byte-identity gate: pinned SHA-256 digests of the result files.
 
-`predict` runs on every example config and `simulate` on seven small
+`predict` runs on every example config and `simulate` on eight small
 pinned-seed rows (torus strip, the fixed point of 3x mod 1, Smith, fixed
-cluster lengths, the uncoupled CML lockstep, a coupled lattice, and a ball
-under the one-site lattice of the sine-perturbed doubling map; the last two
-take mu(U) from their cluster phase's hit rate).  Every result file is
+cluster lengths, the uncoupled CML lockstep, a coupled lattice, a ball
+under the one-site lattice of the sine-perturbed doubling map, and the
+fixed point 1/3 of 10x mod 1, whose window width 15 sets every bit; the
+coupled lattice and the sine site take mu(U) from their cluster phase's
+hit rate).  Every result file is
 hashed; `manifest.json` is not, because it echoes the output directory.
 A change that moves output bits on purpose updates these digests and
 says which files moved.
@@ -76,6 +78,14 @@ system: {kind: cml, a: 2, n: 1, eps: 0.1}
 target: {kind: ball, center: [0.3]}
 schedule:
   - {rho: 0.02, K: 3, t: 1.0, n_trials: 400, min_entries: 200, orbit_len: 2000}
+seed: 77
+workers: 2
+""",
+    "decimal_fixed_point": """
+system: {kind: linear_mod1, a: 10}
+target: {kind: ball, center: [0.3333333333333333]}
+schedule:
+  - {rho: 0.01, K: 3, t: 1.0, n_trials: 400, min_entries: 200, orbit_len: 2000}
 seed: 77
 workers: 2
 """,
@@ -219,6 +229,16 @@ GOLDEN = {
             "79ad8cabc9ec551e930b48a599985900e91c0bf3ddad44226f5746ef7e27a743",
         "counting_rho0p02_K3.json":
             "cda7b48a9bf8af82d42e8f8415293c3462242b1333a96e1482bebe526887d096",
+    },
+    "simulate/decimal_fixed_point": {
+        "cluster_rho0p01_K3.csv":
+            "46c29441974179416f365a4bb7d9f8e6eab3ab0ffe93901b2bcc9af500494071",
+        "cluster_rho0p01_K3.json":
+            "c560a16b0f4a84f4194ea42e165d62958bcb14a0318d722fb46a7958cabfb3c4",
+        "counting_rho0p01_K3.csv":
+            "c6897404e51eb8c4fb12da7a2c996d7f3440a621a4c5ddeff45f7a7f2e707ca8",
+        "counting_rho0p01_K3.json":
+            "da507d6847b741e2b67bee489ac5e3a4148bc97c9db9656b1c7eb90b11ac3b3f",
     },
 }
 

@@ -50,15 +50,26 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(d)
 
 
-def _out_dir(config: ExperimentConfig) -> Path:
-    p = Path(config.outputs["dir"])
+def _out_dir(path) -> Path:
+    p = Path(path)
     p.mkdir(parents=True, exist_ok=True)
     return p
 
 
-def _write(path: Path, text: str, manifest_entries: list) -> None:
-    path.write_text(text)
-    manifest_entries.append(str(path.name))
+def _write_rows(config: ExperimentConfig, out: Path, rows: list, flags: dict) -> None:
+    """Write each row's files in the configured formats, its JSON files then
+    its CSV files, and then ``manifest.json`` listing them in write order.
+    `rows` holds ``(label, files)``, each file ``(stem, to_json, to_csv)``,
+    with ``to_csv`` None for a file that has no CSV twin."""
+    entries = []
+    for label, files in rows:
+        for i, ext in ((1, "json"), (2, "csv")):
+            for file in files:
+                if ext in config.outputs["formats"] and file[i] is not None:
+                    entries.append(f"{file[0]}_{label}.{ext}")
+                    (out / entries[-1]).write_text(file[i]())
+    manifest = {"config": config.to_dict(), "outputs": entries, "flags": flags}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +85,12 @@ class _Prediction:
     lambdas: np.ndarray
     extremal_index: float
     counting_pmf: DiscreteDistribution | None = None
+
+    def to_json(self) -> str:
+        return json.dumps(json_fields(self))
+
+    def to_csv(self) -> str:
+        return csv_table("k", {"alpha_hat": self.alpha_hat, "lambda": self.lambdas})
 
 
 def _analytic_prediction(system, target, row) -> _Prediction:
@@ -116,23 +133,14 @@ def _analytic_prediction(system, target, row) -> _Prediction:
 
 def cmd_predict(config: ExperimentConfig) -> int:
     system = config.build_system()
-    # compute everything first so a failure leaves no partial files
-    results = [(row, _analytic_prediction(system, config.build_target(row), row))
-               for row in config.schedule]
-    out = _out_dir(config)
-    entries: list = []
-    fmts = config.outputs["formats"]
-    for row, pred in results:
-        label = row.label(config.scale_name)
-        if "json" in fmts:
-            _write(out / f"predict_{label}.json", json.dumps(json_fields(pred)), entries)
-            if pred.counting_pmf is not None:
-                _write(out / f"counting_pmf_{label}.json", pred.counting_pmf.to_json(),
-                       entries)
-        if "csv" in fmts:
-            table = csv_table("k", {"alpha_hat": pred.alpha_hat, "lambda": pred.lambdas})
-            _write(out / f"predict_{label}.csv", table, entries)
-    _write_manifest(config, out, entries, {})
+    rows = []  # every row is computed first, so a failure leaves no partial files
+    for row in config.schedule:
+        pred = _analytic_prediction(system, config.build_target(row), row)
+        files = [("predict", pred.to_json, pred.to_csv)]
+        if pred.counting_pmf is not None:
+            files.append(("counting_pmf", pred.counting_pmf.to_json, None))
+        rows.append((row.label(config.scale_name), files))
+    _write_rows(config, _out_dir(config.outputs["dir"]), rows, {})
     return 0
 
 
@@ -142,12 +150,12 @@ def cmd_predict(config: ExperimentConfig) -> int:
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
-    out = _out_dir(config)
+    out = _out_dir(config.outputs["dir"])
     system = config.build_system()
     regen = isinstance(system, RegenSpec)
     counted: dict = {}  # (scale, t, n_trials) -> its counting law, shared by every K
     streams: dict = {}  # (m, stream_len, n_streams) -> the cluster streams' hit runs, ditto
-    results = []  # every row is computed first, so a failure leaves no partial files
+    rows, flags = [], {}  # every row is computed first, so a failure leaves no partial files
     for row in config.schedule:
         target = config.build_target(row)
         counting = (row.scale, row.t, row.n_trials)
@@ -172,28 +180,13 @@ def cmd_simulate(config: ExperimentConfig) -> int:
                     system, target, row.t, row.n_trials, config.seed,
                     mu=None if system.preserves_lebesgue else cs.mu_hat,
                     workers=config.workers, runs=(runs, row.orbit_len)))
-        results.append((row, cs, counted[counting]))
-    entries: list = []
-    flags: dict = {}
-    fmts = config.outputs["formats"]
-    for row, cs, cd in results:
-        label = row.label(config.scale_name)
+        cd, label = counted[counting], row.label(config.scale_name)
         if cs.insufficient:
             flags[label] = "insufficient_entries"
-        if "json" in fmts:
-            _write(out / f"cluster_{label}.json", cs.to_json(), entries)
-            _write(out / f"counting_{label}.json", cd.to_json(), entries)
-        if "csv" in fmts:
-            _write(out / f"cluster_{label}.csv", cs.to_csv(), entries)
-            _write(out / f"counting_{label}.csv", cd.to_csv(), entries)
-    _write_manifest(config, out, entries, flags)
+        rows.append((label, [("cluster", cs.to_json, cs.to_csv),
+                             ("counting", cd.to_json, cd.to_csv)]))
+    _write_rows(config, out, rows, flags)
     return 0
-
-
-def _write_manifest(config: ExperimentConfig, out: Path, entries: list,
-                    flags: dict) -> None:
-    manifest = {"config": config.to_dict(), "outputs": entries, "flags": flags}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +223,7 @@ def cmd_compare(prediction_file, simulation_file, threshold: float,
     report = chi_square_gof(empirical, empirical.n_samples, model)
     if out_dir is not None:
         # before the verdict, so a bad --out prints none
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_dir(out_dir)
 
     print(f"{'statistic':<14}{'value':>14}")
     print(f"{'tv_distance':<14}{report.tv_distance:>14.6f}")

@@ -16,9 +16,8 @@ from returnstats.cml_theory import alpha_hat_integral
 from returnstats.distributions import ClusterSizeDist, compound_poisson_pmf
 from returnstats.dynamics import (CmlSystem, LinearInterval,
                                   LinearMod1System, TorusAffineSystem)
-from returnstats.estimators import (ClusterAccumulator, _ordered_map,
-                                    cluster_statistics, counting_distribution)
-from returnstats.regenerative import RegenSpec, stationary_hit_runs
+from returnstats.estimators import cluster_statistics, counting_distribution
+from returnstats.regenerative import RegenSpec, regen_cluster_stats
 from returnstats.stats import total_variation
 from returnstats.targets import Ball, DiagonalStrip, TorusStrip
 
@@ -190,17 +189,12 @@ def test_criterion_09_smith_pathology():
     # 1/2) while making the estimator variance reachable inside the budget
     spec = RegenSpec.smith(k_cap=3000)
     m = 1000
-    acc10, acc100 = ClusterAccumulator(K=10), ClusterAccumulator(K=100)
     t0 = time.time()
     # tallied from the hit blocks (the same numbers as the dense rows), the
-    # streams built on two threads and tallied in stream order
-    runs = _ordered_map(lambda trial: stationary_hit_runs(spec, 5_000_000, (909, trial), m),
-                        range(400), 2)
-    for starts, ends in runs:
-        acc10.add_runs(starts, ends, 5_000_000)
-        acc100.add_runs(starts, ends, 5_000_000)
-    cs10 = acc10.finalize(insufficient=False)
-    cs100 = acc100.finalize(insufficient=False)
+    # streams built once on two threads, as simulate shares them across K
+    shared: list = []
+    cs10, cs100 = (regen_cluster_stats(spec, m, K, 400, 909, stream_len=5_000_000,
+                                       workers=2, runs=shared) for K in (10, 100))
     a_ok = abs(cs10.alpha_hat[1] - 0.5) < 0.03 and abs(cs100.alpha_hat[1] - 0.5) < 0.03
     small = cs100.lambda_hat[1] < 0.05
     # at finite m, lambda_hat_2(K) is dominated by two independent short-block
@@ -218,14 +212,12 @@ def test_criterion_09_smith_pathology():
             f"lam2(K=10) = {cs10.lambda_hat[1]:.4f} (window merging, not ordered); "
             f"lam_2K+1(K=100) = {cs100.lambda_hat[-1]:.4f} < "
             f"lam_2K+1(K=10) = {cs10.lambda_hat[-1]:.4f}: {escape}; "
-            f"[{time.time() - t0:.0f}s, {acc10.total_steps:.0f} steps]")
+            f"[{time.time() - t0:.0f}s, {cs10.total_steps:.0f} steps]")
     assert ok
 
 
 def test_criterion_10_regenerative_extremal_index():
     spec = RegenSpec.fixed_lengths(ClusterSizeDist(np.array([0.5, 0.3, 0.2])))
-    from returnstats.regenerative import regen_cluster_stats
-
     cs = regen_cluster_stats(spec, m=1000, K=10, n_streams=10, seed=SEED,
                              stream_len=2_000_000)
     dev = abs(cs.extremal_index - 1 / 1.7)
@@ -290,4 +282,23 @@ seed: 5150
     _report(12, "worker-count determinism", ok,
             f"result files byte-identical for workers 1 vs 4 (torus, smith): {identical}; "
             f"manifests identical up to echoed worker count: {manifests_agree}")
+    assert ok
+
+
+def test_criterion_13_cml_synchronisation_across_the_coupling():
+    # the paper's synchronisation example: as (1 - gamma) a falls to 1 the
+    # diagonal law alpha_hat_{k+1} = p^k, p = ((1 - gamma) a)^-1, holds with
+    # theta = 1 - p -> 0 and K mu(U) still small
+    ok, details = True, []
+    for gamma in (0.3, 0.5, 0.6):
+        cs = cluster_statistics(CmlSystem(LinearInterval(3), 2, gamma), DiagonalStrip(1e-3),
+                                K=12, min_entries=4000, max_orbit=10**9, seed=77,
+                                orbit_len=100_000, workers=1)
+        p = 1.0 / ((1.0 - gamma) * 3)
+        z2 = (cs.alpha_hat[1] - p) / cs.alpha_se[1]
+        z3 = (cs.alpha_hat[2] - p**2) / cs.alpha_se[2]
+        ok &= abs(z2) < 3 and abs(z3) < 3
+        details.append(f"gamma {gamma}: K mu = {cs.K * cs.mu_hat:.3f}, "
+                       f"K theta = {cs.K * (1 - p):.2f}, z2 = {z2:+.2f}, z3 = {z3:+.2f}")
+    _report(13, "CML synchronisation", ok, "; ".join(details) + " (|z| < 3)")
     assert ok

@@ -430,6 +430,44 @@ def test_simulate_writes_results_and_manifest(tmp_path):
     assert manifest["flags"] == {}
 
 
+# the first row stops at max_orbit short of its min_entries
+TWO_BALL_ROWS = """
+system: {kind: linear_mod1, a: 2}
+target: {kind: ball, center: [0.7071067811865476]}
+schedule:
+  - {rho: 1.0e-3, K: 3, t: 1.0, n_trials: 200, min_entries: 100000, max_orbit: 20000}
+  - {rho: 1.0e-2, K: 3, t: 1.0, n_trials: 200, min_entries: 100, max_orbit: 200000}
+seed: 7
+outputs: {dir: "%s", formats: %s}
+"""
+TWO_BALL_LABELS = ("rho0p001_K3", "rho0p01_K3")
+
+
+def test_manifest_lists_each_rows_json_files_then_its_csv_files(tmp_path):
+    kinds = {"simulate": [("cluster", "json"), ("counting", "json"),
+                          ("cluster", "csv"), ("counting", "csv")],
+             "predict": [("predict", "json"), ("counting_pmf", "json"), ("predict", "csv")]}
+    for formats in (["json", "csv"], ["json"], ["csv"]):
+        for command, files in kinds.items():
+            out = tmp_path / f"{command}_{'_'.join(formats)}"
+            cfg = _write_cfg(tmp_path, TWO_BALL_ROWS % (out, json.dumps(formats)))
+            assert main(["--config", cfg, command]) == 0
+            want = [f"{stem}_{label}.{ext}" for label in TWO_BALL_LABELS
+                    for stem, ext in files if ext in formats]
+            assert json.loads((out / "manifest.json").read_text())["outputs"] == want
+            assert sorted(p.name for p in out.iterdir()) == sorted(want + ["manifest.json"])
+
+
+def test_simulate_flags_a_row_short_of_its_entries(tmp_path):
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, TWO_BALL_ROWS % (out, "[json]"))
+    assert main(["--config", cfg, "simulate"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["flags"] == {"rho0p001_K3": "insufficient_entries"}
+    assert [json.loads((out / f"cluster_{label}.json").read_text())["insufficient"]
+            for label in TWO_BALL_LABELS] == [True, False]
+
+
 def test_simulate_reads_exponents_written_without_a_dot(tmp_path):
     # PyYAML reads 1e0 as the string '1e0', which loaded and then crashed
     # simulate with a TypeError
